@@ -126,9 +126,12 @@ int main() {
               "time), speedup %.2fx\n",
               ov.hidden_fraction, 1e3 * ov.interior_seconds, speedup);
   std::printf("[in-process simmpi has near-zero wire time, so the wall "
-              "clock mostly shows the\n split-sweep overhead; the hidden "
-              "fraction + the analytic rows above give the\n expected gain "
-              "once real network latency/bandwidth is in the loop]\n");
+              "clock compares the two\n schedules' own costs: the overlapped "
+              "step sweeps early only the x slabs of\n remote faces and waits "
+              "only for the messages it reads, where the synchronous\n "
+              "exchange holds a barrier after every axis. The hidden fraction "
+              "+ the analytic\n rows above give the expected gain once real "
+              "network latency/bandwidth is in the loop]\n");
 
   // the modelled step the drift layer compares against the phase timers
   const double model_step_s = perf::overlapped_step_time(

@@ -27,7 +27,7 @@ void CompiledKernel::run(const backend::Binding& b,
                          const SlabPlan* plan) const {
   if (fn_ != nullptr) {
     backend::run_compiled(ir, fn_, b, n, t, t_step, pool, tracer,
-                          vector_width_, range, plan);
+                          vector_width_, range, plan, &reads_);
   } else {
     PFC_ASSERT(interp_ != nullptr, "CompiledKernel has no backend");
     // Interpreter slabs carry no per-thread spans; the driver's kernel span
@@ -102,6 +102,7 @@ CompiledModel ModelCompiler::compile_updates(
     for (const auto& k : ks) {
       CompiledKernel ck;
       ck.ir = k;
+      ck.reads_ = backend::read_offset_ranges(k);
       dst.push_back(std::move(ck));
     }
   };

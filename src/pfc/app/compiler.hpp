@@ -88,8 +88,13 @@ class CompiledKernel {
   /// SIMD width the kernel's code was emitted with (1 = scalar).
   int vector_width() const { return vector_width_; }
 
+  /// backend::read_offset_ranges(ir), computed once when the compiler
+  /// attaches the kernel; every launch validates its binding against it.
+  const backend::ReadRanges& reads() const { return reads_; }
+
  private:
   friend class ModelCompiler;
+  backend::ReadRanges reads_;
   backend::KernelFn fn_ = nullptr;  // JIT entry (library owned by model)
   std::shared_ptr<backend::InterpreterKernel> interp_;
   int vector_width_ = 1;

@@ -26,60 +26,54 @@ CompileOptions compile_opts_with_faults(const DistributedOptions& o) {
   return c;
 }
 
-/// Peels the `width`-thick shell off `full`, outermost dim first, into
-/// disjoint slabs (≤ 2·dims of them); returns the remaining inset box.
-/// Degenerate boxes (2·width ≥ extent) leave an empty interior with the
-/// whole box covered by slabs — still correct, just nothing to overlap.
-backend::CellRange peel_frontier(const backend::CellRange& full,
-                                 const std::array<long long, 3>& width,
-                                 int dims,
-                                 std::vector<backend::CellRange>& slabs) {
+/// Peels `width`-wide x slabs off the faces of `full` flagged remote into
+/// `slabs` and returns the remaining interior box. Degenerate boxes
+/// (2·width ≥ extent) leave an empty interior with the whole box covered by
+/// slabs — still correct, just nothing to overlap.
+backend::CellRange peel_x(const backend::CellRange& full, long long width,
+                          bool lo_remote, bool hi_remote,
+                          std::array<backend::CellRange, 2>& slabs,
+                          int& num_slabs) {
   backend::CellRange inner = full;
-  for (int d = dims - 1; d >= 0; --d) {
-    const auto dd = std::size_t(d);
-    if (width[dd] <= 0) continue;
-    backend::CellRange lo = inner, hi = inner;
-    lo.hi[dd] = std::min(inner.hi[dd], inner.lo[dd] + width[dd]);
-    hi.lo[dd] = std::max(lo.hi[dd], inner.hi[dd] - width[dd]);
-    if (lo.cells() > 0) slabs.push_back(lo);
-    if (hi.cells() > 0) slabs.push_back(hi);
-    inner.lo[dd] = lo.hi[dd];
-    inner.hi[dd] = hi.lo[dd];
+  num_slabs = 0;
+  if (width <= 0) return inner;
+  if (lo_remote) {
+    backend::CellRange lo = inner;
+    lo.hi[0] = std::min(inner.hi[0], inner.lo[0] + width);
+    inner.lo[0] = lo.hi[0];
+    if (lo.cells() > 0) slabs[std::size_t(num_slabs++)] = lo;
+  }
+  if (hi_remote) {
+    backend::CellRange hi = inner;
+    hi.lo[0] = std::max(inner.lo[0], inner.hi[0] - width);
+    inner.hi[0] = hi.lo[0];
+    if (hi.cells() > 0) slabs[std::size_t(num_slabs++)] = hi;
   }
   return inner;
 }
 
-/// Frontier width per kernel of one execution group, back to front: every
-/// kernel writing the exchanged field needs a `ghost`-wide shell (the
-/// exchange packs those edge cells), and an upstream kernel j feeding a
-/// downstream kernel l must widen l's shell by l's read offsets into j's
-/// output (plus the iteration-extent difference on the high side).
-std::vector<std::array<long long, 3>> frontier_widths(
+/// Frontier width along x per kernel of one execution group, back to
+/// front: every kernel writing the exchanged field needs a `ghost`-wide
+/// slab (begin() packs those edge cells), and an upstream kernel j feeding
+/// a downstream kernel l must widen l's slab by l's x read offsets into
+/// j's output (plus the iteration-extent difference on the high side).
+std::vector<long long> frontier_widths(
     const std::vector<CompiledKernel>& kernels, std::uint64_t exchanged_id,
-    int dims, int ghost) {
-  std::vector<std::array<long long, 3>> w(kernels.size(), {0, 0, 0});
+    int ghost) {
+  std::vector<long long> w(kernels.size(), 0);
   for (std::size_t j = kernels.size(); j-- > 0;) {
     for (const auto& wr : kernels[j].ir.writes) {
-      if (wr->id() == exchanged_id) {
-        for (int d = 0; d < dims; ++d) {
-          w[j][std::size_t(d)] =
-              std::max(w[j][std::size_t(d)], (long long)ghost);
-        }
-      }
+      if (wr->id() == exchanged_id) w[j] = std::max(w[j], (long long)ghost);
     }
     for (std::size_t l = j + 1; l < kernels.size(); ++l) {
-      const auto reads = backend::read_offset_ranges(kernels[l].ir);
+      const backend::ReadRanges& reads = kernels[l].reads();
       for (const auto& wr : kernels[j].ir.writes) {
         const auto it = reads.find(wr->id());
         if (it == reads.end()) continue;
-        for (int d = 0; d < dims; ++d) {
-          const auto dd = std::size_t(d);
-          const long long extent_diff = kernels[j].ir.extent_plus[dd] -
-                                        kernels[l].ir.extent_plus[dd];
-          w[j][dd] = std::max(
-              {w[j][dd], w[l][dd] + it->second.hi[dd],
-               w[l][dd] + extent_diff - it->second.lo[dd]});
-        }
+        const long long extent_diff =
+            kernels[j].ir.extent_plus[0] - kernels[l].ir.extent_plus[0];
+        w[j] = std::max({w[j], w[l] + it->second.hi[0],
+                         w[l] + extent_diff - it->second.lo[0]});
       }
     }
   }
@@ -160,18 +154,25 @@ void DistributedSimulation::compute_overlap_regions() {
   if (opts_.overlap != OverlapMode::InteriorFrontier || locals_.empty()) {
     return;
   }
-  const int dims = model_.params().dims;
+  const int my_rank = comm_ != nullptr ? comm_->rank() : 0;
   const std::array<long long, 3> n = locals_.front()->block->size;
 
   const auto build = [&](const std::vector<CompiledKernel>& kernels,
                          std::uint64_t exchanged_id,
                          int ghost) -> std::vector<KernelRegions> {
-    const auto widths = frontier_widths(kernels, exchanged_id, dims, ghost);
-    std::vector<KernelRegions> regions(kernels.size());
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      const backend::CellRange full = backend::full_range(kernels[i].ir, n);
-      regions[i].interior =
-          peel_frontier(full, widths[i], dims, regions[i].frontier);
+    const auto widths = frontier_widths(kernels, exchanged_id, ghost);
+    std::vector<KernelRegions> regions(locals_.size() * kernels.size());
+    for (std::size_t i = 0; i < locals_.size(); ++i) {
+      const auto remote = [&](int side) {
+        const grid::Block* nb = forest_.neighbor(*locals_[i]->block, 0, side);
+        return nb != nullptr && nb->owner != my_rank;
+      };
+      const bool lo = remote(-1), hi = remote(+1);
+      for (std::size_t k = 0; k < kernels.size(); ++k) {
+        KernelRegions& r = regions[i * kernels.size() + k];
+        r.interior = peel_x(backend::full_range(kernels[k].ir, n), widths[k],
+                            lo, hi, r.frontier, r.num_frontier);
+      }
     }
     return regions;
   };
@@ -180,14 +181,16 @@ void DistributedSimulation::compute_overlap_regions() {
   mu_regions_ = build(compiled_.mu_kernels, model_.mu_dst()->id(),
                       locals_.front()->mu_dst.ghost_layers());
 
-  // Per-step cell accounting on the dst-kernel lattice (extent_plus = 0,
-  // so interior + frontier = block cells, summed over local blocks).
-  PFC_ASSERT(!phi_regions_.empty());
+  // Per-step cell accounting on the dst-kernel lattice (the last φ kernel,
+  // extent_plus = 0, so interior + frontier = block cells per block).
+  const std::size_t nk = compiled_.phi_kernels.size();
+  PFC_ASSERT(nk > 0);
   const long long block_cells = n[0] * n[1] * n[2];
-  const long long interior = phi_regions_.back().interior.cells();
-  overlap_interior_cells_ = interior * (long long)locals_.size();
-  overlap_frontier_cells_ =
-      (block_cells - interior) * (long long)locals_.size();
+  for (std::size_t i = 0; i < locals_.size(); ++i) {
+    const long long interior = phi_regions_[i * nk + nk - 1].interior.cells();
+    overlap_interior_cells_ += interior;
+    overlap_frontier_cells_ += block_cells - interior;
+  }
 }
 
 backend::Binding DistributedSimulation::bind(const ir::Kernel& k,
@@ -331,11 +334,13 @@ obs::RunReport DistributedSimulation::run(int steps) {
     };
 
     // Communication-hiding step (OverlapMode::InteriorFrontier): compute
-    // the frontier shell first (the cells the exchange packs), post the
-    // exchange nonblocking, run the interior while messages fly, then
-    // complete the exchange. Kernel/block timer counts stay identical to
-    // the synchronous path (one add per block/kernel/step) so the drift
-    // model's launches × cells_per_launch accounting stays honest.
+    // the x slabs another rank reads first, post their messages
+    // nonblocking, run the interior (everything else) while they fly, then
+    // complete the exchange. A block without a remote x face runs each
+    // kernel once over its full box, as the synchronous path does.
+    // Kernel/block timer counts stay identical to the synchronous path
+    // (one add per block/kernel/step) so the drift model's launches ×
+    // cells_per_launch accounting stays honest.
     const auto run_group_overlap =
         [&](const std::vector<CompiledKernel>& kernels,
             const std::vector<KernelRegions>& regions,
@@ -347,15 +352,17 @@ obs::RunReport DistributedSimulation::run(int steps) {
               const std::array<long long, 3> n = lb.block->size;
               for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
                 const CompiledKernel& ck = kernels[ki];
+                const KernelRegions& r = regions[i * kernels.size() + ki];
+                if (frontier && r.num_frontier == 0) continue;
                 Timer timer;
                 if (frontier) {
-                  for (const auto& slab : regions[ki].frontier) {
+                  for (int s = 0; s < r.num_frontier; ++s) {
                     ck.run(bind(ck.ir, lb), n, t, step_, nullptr, nullptr,
-                           &slab);
+                           &r.frontier[std::size_t(s)]);
                   }
-                } else if (regions[ki].interior.cells() > 0) {
+                } else if (r.interior.cells() > 0) {
                   ck.run(bind(ck.ir, lb), n, t, step_, pool, tr,
-                         &regions[ki].interior);
+                         &r.interior);
                 }
                 acc[i * kernels.size() + ki] += timer.seconds();
               }

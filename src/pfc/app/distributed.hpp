@@ -13,9 +13,10 @@ namespace pfc::app {
 enum class OverlapMode {
   /// Synchronous: sweep all cells, then exchange (the seed behaviour).
   Off,
-  /// Communication hiding: compute the frontier shell first, post the
-  /// exchange nonblocking, compute the interior while messages fly, then
-  /// complete the exchange. Bitwise-identical results to Off.
+  /// Communication hiding: compute the x slabs another rank reads first,
+  /// post their messages nonblocking, compute the interior while they fly,
+  /// then complete the exchange. With no remote x face this is the Off
+  /// sweep. Bitwise-identical results to Off.
   InteriorFrontier,
 };
 
@@ -125,14 +126,17 @@ class DistributedSimulation {
   };
 
   /// Interior box + disjoint frontier slabs of one kernel's iteration
-  /// space. The frontier covers every cell whose value the exchange round
-  /// reads (directly or through a downstream kernel of the same group);
-  /// the interior touches no ghost-dependent data, so it can run while the
-  /// exchange is in flight. Widths are derived from the read-offset ranges
-  /// marshal() computes, so split staggered pipelines get correct shells.
+  /// space on one block. A frontier slab sits only on an x face whose
+  /// neighbour block is on another rank: it covers the edge cells that
+  /// GhostExchange::begin() packs (directly or through a downstream kernel
+  /// of the same group). Local faces and y/z faces are interior, because
+  /// their copies and packs run in finish(), after the interior sweep.
+  /// Widths are derived from the read-offset ranges marshal() checks, so
+  /// split staggered pipelines get correct slabs.
   struct KernelRegions {
     backend::CellRange interior;
-    std::vector<backend::CellRange> frontier;
+    std::array<backend::CellRange, 2> frontier;
+    int num_frontier = 0;
   };
 
   backend::Binding bind(const ir::Kernel& k, LocalBlock& lb) const;
@@ -168,8 +172,9 @@ class DistributedSimulation {
   grid::GhostExchange exchange_;
   /// Slab-split pool for interior sweeps (overlap mode, threads > 1).
   std::unique_ptr<ThreadPool> pool_;
-  /// Per-kernel interior/frontier decomposition, parallel to
-  /// compiled_.phi_kernels / mu_kernels (empty when overlap is Off).
+  /// Interior/frontier decomposition per local block and kernel, flat at
+  /// [block * kernels + kernel] over locals_ and compiled_.phi_kernels /
+  /// mu_kernels (empty when overlap is Off).
   std::vector<KernelRegions> phi_regions_, mu_regions_;
   /// Per-step local cell counts of the decomposition (dst-kernel lattice).
   long long overlap_interior_cells_ = 0;

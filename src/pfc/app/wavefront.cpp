@@ -19,11 +19,11 @@ WavefrontSchedule build_wavefront(
 
   // Per-stage read-offset ranges along the outer axis (the analysis
   // marshal() uses for ghost validation) and written-field sets.
-  std::vector<std::unordered_map<std::uint64_t, backend::OffsetRange>> reads;
+  std::vector<const backend::ReadRanges*> reads;
   std::vector<std::vector<std::uint64_t>> writes;
   for (const CompiledKernel* ck : chain) {
     PFC_ASSERT(ck->ir.dims == dims, "wavefront: mixed-dims kernel chain");
-    reads.push_back(backend::read_offset_ranges(ck->ir));
+    reads.push_back(&ck->reads());
     std::vector<std::uint64_t> w;
     for (const auto& f : ck->ir.writes) w.push_back(f->id());
     writes.push_back(std::move(w));
@@ -38,7 +38,7 @@ WavefrontSchedule build_wavefront(
     for (std::uint64_t f : writes[j]) {
       bool read_later = false;
       for (std::size_t l = j + 1; l < nstages && !read_later; ++l) {
-        read_later = reads[l].count(f) != 0;
+        read_later = reads[l]->count(f) != 0;
       }
       if (!read_later) continue;
       Array* a = array_of(f);
@@ -63,8 +63,8 @@ WavefrontSchedule build_wavefront(
     auto& st = s.stages[jj];
     for (std::size_t l = jj + 1; l < nstages; ++l) {
       for (std::uint64_t f : writes[jj]) {
-        const auto it = reads[l].find(f);
-        if (it == reads[l].end()) continue;
+        const auto it = reads[l]->find(f);
+        if (it == reads[l]->end()) continue;
         const long long rlo = it->second.lo[std::size_t(s.outer)];
         const long long rhi = it->second.hi[std::size_t(s.outer)];
         st.ext_lo = std::min(st.ext_lo, s.stages[l].ext_lo + rlo);
@@ -87,8 +87,8 @@ WavefrontSchedule build_wavefront(
     auto& st = s.stages[jj];
     for (std::size_t l = jj + 1; l < nstages; ++l) {
       for (std::uint64_t f : writes[jj]) {
-        const auto it = reads[l].find(f);
-        if (it == reads[l].end()) continue;
+        const auto it = reads[l]->find(f);
+        if (it == reads[l]->end()) continue;
         const long long rlo = it->second.lo[std::size_t(s.outer)];
         const long long rhi = it->second.hi[std::size_t(s.outer)];
         if (s.stages[l].edge_lo > 0) {
@@ -115,7 +115,7 @@ WavefrontSchedule build_wavefront(
     const auto& st = s.stages[j];
     if (st.edge_lo <= 0 && st.edge_hi <= 0) continue;
     for (std::uint64_t f : barrier_fields) {
-      if (reads[std::size_t(j)].count(f) != 0) {
+      if (reads[std::size_t(j)]->count(f) != 0) {
         s.stages.clear();  // invalid: caller falls back to unfused
         return s;
       }

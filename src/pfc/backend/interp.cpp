@@ -30,7 +30,8 @@ int seg_of(ir::Level l) {
 
 }  // namespace
 
-InterpreterKernel::InterpreterKernel(const ir::Kernel& k) : kernel_(k) {
+InterpreterKernel::InterpreterKernel(const ir::Kernel& k)
+    : kernel_(k), reads_(read_offset_ranges(k)) {
   CompileCtx ctx;
   for (std::size_t i = 0; i < k.scalar_params.size(); ++i) {
     ctx.param_index[k.scalar_params[i]->name()] = static_cast<int>(i);
@@ -235,7 +236,7 @@ void InterpreterKernel::run(const Binding& b,
                             const std::array<long long, 3>& n, double t,
                             long long t_step, ThreadPool* pool,
                             const CellRange* range) const {
-  const RawArgs raw = marshal(kernel_, b, n);
+  const RawArgs raw = marshal(kernel_, b, n, &reads_);
   const CellRange box = range != nullptr ? *range : full_range(kernel_, n);
   if (box.cells() == 0) return;
   const int dims = kernel_.dims;

@@ -57,6 +57,7 @@ class InterpreterKernel {
                    CompileCtx& ctx);
 
   ir::Kernel kernel_;
+  ReadRanges reads_;  ///< marshal()'s read analysis, computed once
   // segments: 0 = invariant, 1 = per-z, 2 = per-y, 3 = body
   std::array<std::vector<Instr>, 4> segs_;
   int num_regs_ = 0;

@@ -7,9 +7,8 @@
 
 namespace pfc::backend {
 
-std::unordered_map<std::uint64_t, OffsetRange> read_offset_ranges(
-    const ir::Kernel& k) {
-  std::unordered_map<std::uint64_t, OffsetRange> ranges;
+ReadRanges read_offset_ranges(const ir::Kernel& k) {
+  ReadRanges ranges;
   for (const auto& sa : k.body) {
     for (const auto& fr : sym::field_refs(sa.assign.rhs)) {
       auto& r = ranges[fr->field()->id()];
@@ -35,14 +34,18 @@ CellRange full_range(const ir::Kernel& k, const std::array<long long, 3>& n) {
 }
 
 RawArgs marshal(const ir::Kernel& k, const Binding& b,
-                const std::array<long long, 3>& n) {
+                const std::array<long long, 3>& n, const ReadRanges* reads) {
   PFC_REQUIRE(b.arrays.size() == k.fields.size(),
               "binding has wrong number of arrays for kernel " + k.name);
   PFC_REQUIRE(b.params.size() == k.scalar_params.size(),
               "binding has wrong number of scalar params for " + k.name);
 
   // exact per-field, per-dim signed offset ranges of all reads
-  const auto ranges = read_offset_ranges(k);
+  ReadRanges analyzed;
+  if (reads == nullptr) {
+    analyzed = read_offset_ranges(k);
+    reads = &analyzed;
+  }
   RawArgs raw;
   raw.n = n;
   raw.block_off = b.block_offset;
@@ -60,7 +63,7 @@ RawArgs marshal(const ir::Kernel& k, const Binding& b,
     for (const auto& w : k.writes) {
       written = written || w->id() == a->field()->id();
     }
-    const auto range_it = ranges.find(a->field()->id());
+    const auto range_it = reads->find(a->field()->id());
     for (int d = 0; d < k.dims; ++d) {
       const long long iter = n[std::size_t(d)] +
                              k.extent_plus[std::size_t(d)];
@@ -70,7 +73,7 @@ RawArgs marshal(const ir::Kernel& k, const Binding& b,
                     "array " + a->field()->name() +
                         " too small for kernel " + k.name);
       }
-      if (range_it != ranges.end()) {
+      if (range_it != reads->end()) {
         // reads must be covered by interior + ghosts of the iteration box
         const auto& r = range_it->second;
         PFC_REQUIRE(a->ghost_layers() >= -r.lo[std::size_t(d)],
@@ -95,8 +98,9 @@ void run_compiled(const ir::Kernel& k, KernelFn fn, const Binding& b,
                   const std::array<long long, 3>& n, double t,
                   long long t_step, ThreadPool* pool,
                   obs::TraceRecorder* tracer, int vector_width,
-                  const CellRange* range, const SlabPlan* plan) {
-  const RawArgs raw = marshal(k, b, n);
+                  const CellRange* range, const SlabPlan* plan,
+                  const ReadRanges* reads) {
+  const RawArgs raw = marshal(k, b, n, reads);
   const CellRange box = range != nullptr ? *range : full_range(k, n);
   if (box.cells() == 0) return;
   const int outer = k.dims - 1;

@@ -31,12 +31,6 @@ struct RawArgs {
   std::array<long long, 3> block_off{0, 0, 0};
 };
 
-/// Validates shapes/ghost layers against the kernel's needs and marshals.
-/// `n` is the block interior size in cells (the cell lattice; staggered
-/// arrays must be allocated with interior n + extent_plus).
-RawArgs marshal(const ir::Kernel& k, const Binding& b,
-                const std::array<long long, 3>& n);
-
 /// Half-open iteration sub-box [lo, hi) in kernel loop coordinates (same
 /// coordinates as the generated loop nest: 0..n+extent_plus per used dim,
 /// [0, 1) on unused dims). Used by the distributed driver to run the
@@ -63,11 +57,23 @@ struct OffsetRange {
   std::array<int, 3> lo{0, 0, 0}, hi{0, 0, 0};
 };
 
-/// Exact per-field read-offset ranges of a kernel, keyed by field id. The
-/// same analysis marshal() uses for ghost validation; the distributed
-/// driver derives frontier-shell widths from it.
-std::unordered_map<std::uint64_t, OffsetRange> read_offset_ranges(
-    const ir::Kernel& k);
+/// Per-field read-offset ranges of one kernel, keyed by field id.
+using ReadRanges = std::unordered_map<std::uint64_t, OffsetRange>;
+
+/// Exact per-field read-offset ranges of a kernel. The same analysis
+/// marshal() uses for ghost validation; the distributed driver derives
+/// frontier widths from it. It walks every assignment's expression tree,
+/// so callers that launch a kernel repeatedly compute it once.
+ReadRanges read_offset_ranges(const ir::Kernel& k);
+
+/// Validates shapes/ghost layers against the kernel's needs and marshals.
+/// `n` is the block interior size in cells (the cell lattice; staggered
+/// arrays must be allocated with interior n + extent_plus). `reads` is
+/// read_offset_ranges(k) computed ahead (nullptr = analyze k now); every
+/// check runs on every call either way.
+RawArgs marshal(const ir::Kernel& k, const Binding& b,
+                const std::array<long long, 3>& n,
+                const ReadRanges* reads = nullptr);
 
 /// Runs a compiled kernel over the block, splitting the outermost used loop
 /// across `pool` (nullptr = serial). When `tracer` is non-null each slab
@@ -87,11 +93,14 @@ std::unordered_map<std::uint64_t, OffsetRange> read_offset_ranges(
 /// and therefore results are bitwise identical either way (the plan uses
 /// parallel_for's chunk math); static ownership only fixes *which worker*
 /// runs each slab. Ignored when pool is null.
+///
+/// `reads` is handed to marshal() (nullptr = analyze k on this launch).
 void run_compiled(const ir::Kernel& k, KernelFn fn, const Binding& b,
                   const std::array<long long, 3>& n, double t,
                   long long t_step, ThreadPool* pool = nullptr,
                   obs::TraceRecorder* tracer = nullptr,
                   int vector_width = 1, const CellRange* range = nullptr,
-                  const SlabPlan* plan = nullptr);
+                  const SlabPlan* plan = nullptr,
+                  const ReadRanges* reads = nullptr);
 
 }  // namespace pfc::backend

@@ -101,16 +101,18 @@ GhostExchange::GhostExchange(const BlockForest& forest, mpi::Comm* comm,
                              int max_components, int max_ghost_layers)
     : forest_(forest), comm_(comm) {
   const int my_rank = comm != nullptr ? comm->rank() : 0;
-  num_slots_ = static_cast<int>(forest.blocks_of_rank(my_rank).size());
+  const std::vector<const Block*> mine = forest.blocks_of_rank(my_rank);
+  num_slots_ = static_cast<int>(mine.size());
   bufs_.resize(std::size_t(num_slots_) * 3 * 2 * 2);
   if (num_slots_ == 0) return;
 
-  // All blocks are equal-sized; pre-size every (slot, axis, side) buffer
-  // pair to its slab volume so steady-state rounds never allocate.
+  // All blocks are equal-sized; pre-size the (slot, axis, side) buffer
+  // pair of every remote face to its slab volume so steady-state rounds
+  // never allocate. Local faces and unused axes never touch theirs.
   const auto& s = forest.blocks().front().size;
   const int g = max_ghost_layers;
   std::size_t scratch = 0;
-  for (int axis = 0; axis < 3; ++axis) {
+  for (int axis = 0; axis < forest.dims(); ++axis) {
     std::size_t cells = 1;
     for (int d = 0; d < forest.dims(); ++d) {
       if (d == axis) cells *= std::size_t(g);
@@ -120,13 +122,11 @@ GhostExchange::GhostExchange(const BlockForest& forest, mpi::Comm* comm,
     const std::size_t cap = cells * std::size_t(max_components);
     scratch = std::max(scratch, cap);
     for (int slot = 0; slot < num_slots_; ++slot) {
-      for (int side_idx = 0; side_idx < 2; ++side_idx) {
-        for (int dir = 0; dir < 2; ++dir) {
-          const std::size_t i =
-              ((std::size_t(slot) * 3 + std::size_t(axis)) * 2 +
-               std::size_t(side_idx)) * 2 + std::size_t(dir);
-          bufs_[i].reserve(cap);
-        }
+      for (int side : {-1, +1}) {
+        const Block* nb = forest.neighbor(*mine[std::size_t(slot)], axis, side);
+        if (nb == nullptr || nb->owner == my_rank) continue;
+        buffer(slot, axis, side, /*send=*/true, 0).reserve(cap);
+        buffer(slot, axis, side, /*send=*/false, 0).reserve(cap);
       }
     }
   }
@@ -150,25 +150,26 @@ std::vector<double>& GhostExchange::buffer(int slot, int axis, int side,
   return b;
 }
 
-void GhostExchange::exchange_axis(const std::vector<LocalBlockField>& local,
-                                  int axis, int field_tag, bool post_only,
-                                  bool count_bytes) {
+std::size_t GhostExchange::round_bytes(
+    const std::vector<LocalBlockField>& local) const {
   const int my_rank = comm_ != nullptr ? comm_->rank() : 0;
-
-  const auto find_local = [&](const Block* b) -> Array* {
+  std::size_t bytes = 0;
+  for (int axis = 0; axis < forest_.dims(); ++axis) {
     for (const auto& lf : local) {
-      if (lf.block->linear_id == b->linear_id) return lf.array;
+      for (int side : {-1, +1}) {
+        const Block* nb = forest_.neighbor(*lf.block, axis, side);
+        if (nb != nullptr && nb->owner != my_rank) {
+          bytes += slab_doubles(*lf.array, axis) * sizeof(double);
+        }
+      }
     }
-    PFC_ASSERT(false, "neighbor block marked local but not bound");
-  };
+  }
+  return bytes;
+}
 
-  std::vector<Pending> sync_pending;
-  std::vector<mpi::Comm::Request> sync_reqs;
-  std::vector<Pending>& pend = post_only ? pending_ : sync_pending;
-  std::vector<mpi::Comm::Request>& reqs =
-      post_only ? pending_reqs_ : sync_reqs;
-
-  // 1. post all remote sends (buffered, cannot deadlock), register recvs
+void GhostExchange::post_remote(const std::vector<LocalBlockField>& local,
+                                int axis, int field_tag) {
+  const int my_rank = comm_ != nullptr ? comm_->rank() : 0;
   for (std::size_t slot = 0; slot < local.size(); ++slot) {
     const LocalBlockField& lf = local[slot];
     Array& a = *lf.array;
@@ -176,16 +177,12 @@ void GhostExchange::exchange_axis(const std::vector<LocalBlockField>& local,
     const std::int64_t n = a.size()[std::size_t(axis)];
     for (int side : {-1, +1}) {
       const Block* nb = forest_.neighbor(*lf.block, axis, side);
-      if (nb == nullptr) {
-        fill_ghosts_axis(a, axis, BoundaryKind::ZeroGradient,
-                         /*lower=*/side < 0, /*upper=*/side > 0);
-        continue;
-      }
-      if (nb->owner == my_rank) continue;  // handled in the local pass
+      if (nb == nullptr || nb->owner == my_rank) continue;
       PFC_REQUIRE(comm_ != nullptr,
                   "remote neighbor block but no communicator");
       const std::size_t doubles = slab_doubles(a, axis);
-      // send my edge interior for the neighbour's ghosts
+      // send my edge interior for the neighbour's ghosts (buffered, so the
+      // send buffer is reusable at once and posting cannot deadlock)
       const SlabBox sbox =
           slab_box(a, axis, side > 0 ? n - g : 0, side > 0 ? n : g);
       std::vector<double>& sbuf =
@@ -193,35 +190,50 @@ void GhostExchange::exchange_axis(const std::vector<LocalBlockField>& local,
       pack(a, sbox, sbuf);
       const int stag = message_tag(field_tag, axis, -side, nb->linear_id);
       comm_->send_vec(nb->owner, stag, sbuf);
-      if (count_bytes) bytes_sent_ += sbuf.size() * sizeof(double);
 
       // register the matching receive into my ghosts
       std::vector<double>& rbuf =
           buffer(int(slot), axis, side, /*send=*/false, doubles);
       rbuf.resize(doubles);
       const int rtag = message_tag(field_tag, axis, side, lf.block->linear_id);
-      reqs.push_back(comm_->irecv(nb->owner, rtag, rbuf.data(),
-                                  rbuf.size() * sizeof(double)));
-      pend.push_back({int(slot), axis, side});
+      pending_reqs_.push_back(comm_->irecv(nb->owner, rtag, rbuf.data(),
+                                           rbuf.size() * sizeof(double)));
+      pending_.push_back({int(slot), axis, side});
     }
   }
+}
 
-  // 2. local neighbour copies
+void GhostExchange::fill_local(const std::vector<LocalBlockField>& local,
+                               int axis) {
+  const int my_rank = comm_ != nullptr ? comm_->rank() : 0;
+  const auto find_local = [&](const Block* b) -> Array* {
+    for (const auto& lf : local) {
+      if (lf.block->linear_id == b->linear_id) return lf.array;
+    }
+    PFC_ASSERT(false, "neighbor block marked local but not bound");
+  };
   for (const auto& lf : local) {
     Array& a = *lf.array;
-    const int g = a.ghost_layers();
     for (int side : {-1, +1}) {
       const Block* nb = forest_.neighbor(*lf.block, axis, side);
-      if (nb == nullptr || nb->owner != my_rank) continue;
-      copy_local(a, *find_local(nb), axis, side, g, scratch_);
+      if (nb == nullptr) {
+        fill_ghosts_axis(a, axis, BoundaryKind::ZeroGradient,
+                         /*lower=*/side < 0, /*upper=*/side > 0);
+      } else if (nb->owner == my_rank) {
+        copy_local(a, *find_local(nb), axis, side, a.ghost_layers(),
+                   scratch_);
+      }
     }
   }
+}
 
-  if (post_only) return;
-
-  // 3. complete receives
-  if (!sync_reqs.empty()) comm_->wait_all(sync_reqs);
-  for (const Pending& p : sync_pending) {
+void GhostExchange::complete_remote(
+    const std::vector<LocalBlockField>& local) {
+  // No global barrier is needed: tags are unique per (field, axis, side,
+  // block) and matching is FIFO per (source, tag), so a neighbour that is
+  // still computing simply delays its own message, not ours.
+  if (!pending_reqs_.empty()) comm_->wait_all(pending_reqs_);
+  for (const Pending& p : pending_) {
     Array& a = *local[std::size_t(p.slot)].array;
     const int g = a.ghost_layers();
     const std::int64_t n = a.size()[std::size_t(p.axis)];
@@ -231,15 +243,23 @@ void GhostExchange::exchange_axis(const std::vector<LocalBlockField>& local,
            buffer(p.slot, p.axis, p.side, /*send=*/false,
                   slab_doubles(a, p.axis)));
   }
+  pending_.clear();
+  pending_reqs_.clear();
+}
+
+void GhostExchange::exchange_axis(const std::vector<LocalBlockField>& local,
+                                  int axis, int field_tag) {
+  post_remote(local, axis, field_tag);
+  fill_local(local, axis);
+  complete_remote(local);
 }
 
 void GhostExchange::exchange(const std::vector<LocalBlockField>& local,
                              int field_tag) {
   PFC_REQUIRE(!in_flight_, "ghost exchange: exchange() during begin/finish");
-  bytes_sent_ = 0;
+  bytes_sent_ = round_bytes(local);
   for (int axis = 0; axis < forest_.dims(); ++axis) {
-    exchange_axis(local, axis, field_tag, /*post_only=*/false,
-                  /*count_bytes=*/true);
+    exchange_axis(local, axis, field_tag);
     // axis sweeps must complete globally before the next axis reads the
     // freshly filled ghosts
     if (comm_ != nullptr) comm_->barrier();
@@ -251,25 +271,11 @@ void GhostExchange::exchange(const std::vector<LocalBlockField>& local,
 void GhostExchange::begin(const std::vector<LocalBlockField>& local,
                           int field_tag) {
   PFC_REQUIRE(!in_flight_, "ghost exchange: begin() while in flight");
-  bytes_sent_ = 0;
-  exchange_axis(local, /*axis=*/0, field_tag, /*post_only=*/true,
-                /*count_bytes=*/true);
-
-  // Credit the later axes' remote volume now: the slab geometry is fixed by
-  // topology, so the round's full byte count is known before finish().
-  const int my_rank = comm_ != nullptr ? comm_->rank() : 0;
-  for (int axis = 1; axis < forest_.dims(); ++axis) {
-    for (const auto& lf : local) {
-      for (int side : {-1, +1}) {
-        const Block* nb = forest_.neighbor(*lf.block, axis, side);
-        if (nb != nullptr && nb->owner != my_rank) {
-          bytes_sent_ += slab_doubles(*lf.array, axis) * sizeof(double);
-        }
-      }
-    }
-  }
+  // The slab geometry is fixed by topology, so the round's full byte count
+  // is known before finish() packs the later axes.
+  bytes_sent_ = round_bytes(local);
   total_bytes_sent_ += bytes_sent_;
-
+  post_remote(local, /*axis=*/0, field_tag);
   pending_local_ = local;
   pending_tag_ = field_tag;
   in_flight_ = true;
@@ -277,32 +283,14 @@ void GhostExchange::begin(const std::vector<LocalBlockField>& local,
 
 void GhostExchange::finish() {
   PFC_REQUIRE(in_flight_, "ghost exchange: finish() without begin()");
-
-  // Complete axis 0: wait for the in-flight receives and unpack. No global
-  // barrier is needed — tags are unique per (field, axis, side, block) and
-  // matching is FIFO per (source, tag), so a neighbour that is still
-  // computing simply delays its own message, not ours.
-  if (comm_ != nullptr && !pending_reqs_.empty()) {
-    comm_->wait_all(pending_reqs_);
-  }
-  for (const Pending& p : pending_) {
-    Array& a = *pending_local_[std::size_t(p.slot)].array;
-    const int g = a.ghost_layers();
-    const std::int64_t n = a.size()[std::size_t(p.axis)];
-    const SlabBox gbox = slab_box(a, p.axis, p.side > 0 ? n : -g,
-                                  p.side > 0 ? n + g : 0);
-    unpack(a, gbox,
-           buffer(p.slot, p.axis, p.side, /*send=*/false,
-                  slab_doubles(a, p.axis)));
-  }
-  pending_.clear();
-  pending_reqs_.clear();
-
+  // Axis 0 without messages first (it reads the edge cells the caller
+  // computed after begin()), then the posted receives.
+  fill_local(pending_local_, /*axis=*/0);
+  complete_remote(pending_local_);
   // Later axes run synchronously: their slabs read the axis-0 ghosts just
-  // unpacked, preserving the corner-propagation order of exchange().
+  // filled, preserving the corner-propagation order of exchange().
   for (int axis = 1; axis < forest_.dims(); ++axis) {
-    exchange_axis(pending_local_, axis, pending_tag_, /*post_only=*/false,
-                  /*count_bytes=*/false);
+    exchange_axis(pending_local_, axis, pending_tag_);
   }
   pending_local_.clear();
   in_flight_ = false;

@@ -11,11 +11,14 @@
 //   - exchange(): the fully synchronous round (pack, send, recv, unpack per
 //     axis with a barrier between axes — the seed behaviour).
 //   - begin()/finish(): the communication-hiding split. begin() packs and
-//     posts the axis-0 messages (nonblocking) and returns immediately so
-//     the caller can run interior compute; finish() completes the axis-0
-//     receives and runs the remaining axes in corner-propagating order.
-// Pack buffers are pre-sized from the forest topology in the constructor
-// and reused across rounds: steady-state rounds perform no allocation.
+//     posts the axis-0 messages to remote ranks (nonblocking) and returns
+//     immediately, so only the edge cells those messages carry must be
+//     final before it; finish() does the axis-0 local copies and boundary
+//     fills, completes the axis-0 receives and runs the remaining axes in
+//     corner-propagating order.
+// Pack buffers of remote faces are pre-sized from the forest topology in
+// the constructor and reused across rounds: steady-state rounds perform no
+// allocation.
 #pragma once
 
 #include "pfc/grid/blockforest.hpp"
@@ -32,10 +35,10 @@ struct LocalBlockField {
 class GhostExchange {
  public:
   /// `comm` may be nullptr for single-rank (serial multi-block) operation.
-  /// Buffers are pre-sized for fields of up to `max_components` components
-  /// with up to `max_ghost_layers` ghost layers; a first round with larger
-  /// fields still works (one-time growth), after which capacity is frozen
-  /// and asserted.
+  /// The buffers of remote faces are pre-sized for fields of up to
+  /// `max_components` components with up to `max_ghost_layers` ghost
+  /// layers; a first round with larger fields still works (one-time
+  /// growth), after which capacity is frozen and asserted.
   GhostExchange(const BlockForest& forest, mpi::Comm* comm,
                 int max_components = 1, int max_ghost_layers = 1);
 
@@ -45,19 +48,20 @@ class GhostExchange {
   /// zero-gradient values.
   void exchange(const std::vector<LocalBlockField>& local, int field_tag);
 
-  /// Overlap half 1: packs and posts the axis-0 sends (buffered, so the
-  /// pack buffers are immediately reusable), registers the matching
-  /// nonblocking receives, performs the axis-0 local copies and physical
-  /// boundary fills, then returns. The caller may compute any cells whose
-  /// stencils do not read ghost layers while the messages are in flight.
-  /// The whole round's remote byte volume is credited here (slab volumes
-  /// are known from topology), so last_bytes_sent() is correct mid-overlap.
+  /// Overlap half 1: packs and posts the axis-0 sends to remote ranks
+  /// (buffered, so the pack buffers are immediately reusable), registers
+  /// the matching nonblocking receives, then returns. It reads only the
+  /// g-thick x edges of blocks with a remote x neighbour; everything else
+  /// may still be computed until finish(). No ghost cell is written. The
+  /// whole round's remote byte volume is credited here (slab volumes are
+  /// known from topology), so last_bytes_sent() is correct mid-overlap.
   /// Exactly one exchange per GhostExchange may be in flight.
   void begin(const std::vector<LocalBlockField>& local, int field_tag);
 
-  /// Overlap half 2: waits for the axis-0 receives, unpacks them, then runs
-  /// the remaining axes (whose slabs include the freshly filled axis-0
-  /// ghosts — the corner-propagation order of exchange()).
+  /// Overlap half 2: performs the axis-0 local copies and boundary fills,
+  /// waits for the axis-0 receives and unpacks them, then runs the
+  /// remaining axes (whose slabs include the freshly filled axis-0 ghosts —
+  /// the corner-propagation order of exchange()).
   void finish();
 
   bool in_flight() const { return in_flight_; }
@@ -72,7 +76,7 @@ class GhostExchange {
   std::size_t rounds() const { return rounds_; }
 
  private:
-  /// One posted receive, completed in finish(): the ghost slab of
+  /// One posted receive, completed by complete_remote(): the ghost slab of
   /// `local[slot]` on `side` of `axis`.
   struct Pending {
     int slot = 0;
@@ -80,12 +84,20 @@ class GhostExchange {
     int side = 0;
   };
 
-  /// Runs one axis sweep. With `post_only` the remote receives are only
-  /// registered (into pending_/pending_reqs_), not completed; everything
-  /// else (sends, local copies, boundary fills) happens eagerly either way.
-  /// `count_bytes` credits packed send volume to bytes_sent_.
+  /// Packs and sends the `axis` edge slabs of blocks with a remote
+  /// neighbour and registers the matching receives in pending_.
+  void post_remote(const std::vector<LocalBlockField>& local, int axis,
+                   int field_tag);
+  /// Fills the `axis` ghosts that need no message: copies from local
+  /// neighbour blocks and zero-gradient fills at domain boundaries.
+  void fill_local(const std::vector<LocalBlockField>& local, int axis);
+  /// Waits for the receives in pending_ and unpacks them into the ghosts.
+  void complete_remote(const std::vector<LocalBlockField>& local);
+  /// One synchronous axis sweep: post, local fill, complete.
   void exchange_axis(const std::vector<LocalBlockField>& local, int axis,
-                     int field_tag, bool post_only, bool count_bytes);
+                     int field_tag);
+  /// Remote bytes of one full round (all axes), from the slab geometry.
+  std::size_t round_bytes(const std::vector<LocalBlockField>& local) const;
 
   /// The persistent buffer for (local slot, axis, side, send|recv), checked
   /// against the frozen capacity.
@@ -98,7 +110,8 @@ class GhostExchange {
   std::vector<std::vector<double>> bufs_;  // (slot,axis,side,dir) flattened
   std::vector<double> scratch_;            // local-copy staging
 
-  // in-flight round state (begin .. finish)
+  // in-flight round state (begin .. finish); pending_/pending_reqs_ hold
+  // the posted receives of the axis in progress on either path
   std::vector<LocalBlockField> pending_local_;
   std::vector<Pending> pending_;
   std::vector<mpi::Comm::Request> pending_reqs_;

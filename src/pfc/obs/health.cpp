@@ -63,16 +63,20 @@ HealthMonitor::HealthMonitor(const HealthOptions& opts, Registry* registry)
 
 void HealthMonitor::scan_block(const Array& phi, const Array* mu) {
   if (!opts_.enabled) return;
+  // Rows are read through raw pointers (stride(0) == 1): the per-cell
+  // component order of the sums is the one Array::at() would visit.
   const auto& n = phi.size();
   const int comps = phi.components();
+  const std::int64_t cs = phi.component_stride();
   const double lo = -opts_.simplex_tol, hi = 1.0 + opts_.simplex_tol;
   for (std::int64_t z = 0; z < n[2]; ++z) {
     for (std::int64_t y = 0; y < n[1]; ++y) {
+      const double* row = phi.origin(0) + y * phi.stride(1) + z * phi.stride(2);
       for (std::int64_t x = 0; x < n[0]; ++x) {
         double sum = 0.0;
         bool cell_finite = true;
         for (int c = 0; c < comps; ++c) {
-          const double v = phi.at(x, y, z, c);
+          const double v = row[x + c * cs];
           if (!std::isfinite(v)) {
             ++scan_nonfinite_;
             cell_finite = false;
@@ -98,8 +102,10 @@ void HealthMonitor::scan_block(const Array& phi, const Array* mu) {
     for (int c = 0; c < mu->components(); ++c) {
       for (std::int64_t z = 0; z < m[2]; ++z) {
         for (std::int64_t y = 0; y < m[1]; ++y) {
+          const double* row =
+              mu->origin(c) + y * mu->stride(1) + z * mu->stride(2);
           for (std::int64_t x = 0; x < m[0]; ++x) {
-            const double v = mu->at(x, y, z, c);
+            const double v = row[x];
             if (!std::isfinite(v)) {
               ++scan_nonfinite_;
             } else if (std::abs(v) > opts_.mu_limit) {

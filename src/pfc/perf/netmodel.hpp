@@ -44,7 +44,7 @@ double step_time(double compute_s, double comm_bytes, int messages,
 
 /// Step time of the interior/frontier-split overlapped step the runtime
 /// actually executes: the wire time runs concurrently with interior
-/// compute, and the frontier shell is computed outside the overlap window —
+/// compute, and the frontier slabs are computed outside the overlap window —
 ///   max(T_interior, T_comm) + T_frontier.
 /// Unlike step_time's `overlap` flag (a modelled residual), this form takes
 /// the measured or modelled interior/frontier split explicitly, so

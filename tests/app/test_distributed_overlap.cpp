@@ -1,8 +1,8 @@
 // Communication-hiding cross-validation: OverlapMode::InteriorFrontier
-// (frontier first, nonblocking exchange, interior while messages fly) must
-// reproduce the synchronous OverlapMode::Off trajectory bit-for-bit —
-// fields, health scans and noise streams — on multi-rank, multi-block,
-// split-kernel and threaded configurations.
+// (remote-face frontier first, nonblocking exchange, interior while
+// messages fly) must reproduce the synchronous OverlapMode::Off trajectory
+// bit-for-bit — fields, health scans and noise streams — on multi-rank,
+// multi-block, split-kernel, threaded and wall-bounded configurations.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include "pfc/app/distributed.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/obs/report.hpp"
+#include "pfc/obs/trace.hpp"
 
 namespace pfc::app {
 namespace {
@@ -70,7 +71,6 @@ TEST(DistributedOverlapTest, SerialMultiBlockBitwise) {
   // the report's overlap block is filled only in overlap mode
   EXPECT_FALSE(off.report.overlap.enabled);
   EXPECT_TRUE(on.report.overlap.enabled);
-  EXPECT_GT(on.report.overlap.frontier_seconds, 0.0);
   EXPECT_GT(on.report.overlap.interior_seconds, 0.0);
   EXPECT_GE(on.report.overlap.hidden_fraction, 0.0);
   EXPECT_LE(on.report.overlap.hidden_fraction, 1.0);
@@ -79,7 +79,9 @@ TEST(DistributedOverlapTest, SerialMultiBlockBitwise) {
   EXPECT_EQ(on.report.overlap.interior_cells + on.report.overlap.frontier_cells,
             4 * block_cells);
   EXPECT_GT(on.report.overlap.interior_cells, 0);
-  EXPECT_GT(on.report.overlap.frontier_cells, 0);
+  // a serial forest has no remote face, so every cell is interior
+  EXPECT_EQ(on.report.overlap.frontier_cells, 0);
+  EXPECT_EQ(on.report.overlap.interior_cells, 4 * block_cells);
   // both modes exchange the same ghost volume
   EXPECT_EQ(off.report.exchange_bytes, on.report.exchange_bytes);
 }
@@ -102,7 +104,7 @@ TEST(DistributedOverlapTest, FourRanksBitwise) {
 }
 
 TEST(DistributedOverlapTest, SplitKernelsFourRanksBitwise) {
-  // split staggered pipelines widen the flux kernel's frontier shell; the
+  // split staggered pipelines widen the flux kernel's frontier slab; the
   // width derivation from read-offset ranges must keep this bitwise too
   GrandChemModel model(make_two_phase(2));
   DistributedOptions o;
@@ -132,51 +134,96 @@ TEST(DistributedOverlapTest, ThreadedInteriorBitwise) {
   });
 }
 
+TEST(DistributedOverlapTest, MixedLocalRemoteBitwise) {
+  // Zero-gradient walls on 4x2 blocks over two ranks: each rank holds
+  // blocks with a remote x face, a local x face and a domain wall, so the
+  // frontier slabs, the deferred local copies and the deferred boundary
+  // fills all run in one step, with split kernels and a threaded interior.
+  GrandChemModel model(make_two_phase(2));
+  DistributedOptions o;
+  o.cells = {32, 32, 1};
+  o.blocks_per_dim = {4, 2, 1};
+  o.with_boundary(grid::BoundaryKind::ZeroGradient);
+  o.compile.split_phi = true;
+  o.compile.split_mu = true;
+  o.with_threads(2);
+  o.with_health(obs::HealthOptions{}.enable());
+  mpi::run(2, [&](mpi::Comm& comm) {
+    const RunResult off = run_mode(model, o, OverlapMode::Off, &comm, 10);
+    const RunResult on =
+        run_mode(model, o, OverlapMode::InteriorFrontier, &comm, 10);
+    expect_bitwise_equal(off, on);
+    EXPECT_EQ(off.report.exchange_bytes, on.report.exchange_bytes);
+
+    // the frontier is the one-cell (ghost-layer) x slab of every remote x
+    // face of this rank's blocks, on the dst lattice
+    const grid::BlockForest forest(o.cells, o.blocks_per_dim, comm.size(),
+                                   /*dims=*/2, o.boundary);
+    long long remote_face_cells = 0, rank_cells = 0;
+    for (const grid::Block* b : forest.blocks_of_rank(comm.rank())) {
+      rank_cells += b->size[0] * b->size[1] * b->size[2];
+      for (int side : {-1, +1}) {
+        const grid::Block* nb = forest.neighbor(*b, 0, side);
+        if (nb != nullptr && nb->owner != comm.rank()) {
+          remote_face_cells += b->size[1] * b->size[2];
+        }
+      }
+    }
+    EXPECT_GT(remote_face_cells, 0);
+    EXPECT_EQ(on.report.overlap.frontier_cells, remote_face_cells)
+        << "rank " << comm.rank();
+    EXPECT_EQ(on.report.overlap.interior_cells,
+              rank_cells - remote_face_cells);
+  });
+}
+
 TEST(DistributedOverlapTest, OverlapTimersAndTraceSpans) {
   GrandChemModel model(make_two_phase(2));
   DistributedOptions o;
   o.cells = {32, 32, 1};
-  o.blocks_per_dim = {2, 2, 1};
+  o.blocks_per_dim = {4, 2, 1};  // every block has one remote x face
   o.with_overlap(OverlapMode::InteriorFrontier);
-  o.with_trace(obs::TraceOptions{}.enable().with_path(
-      ::testing::TempDir() + "pfc_test_overlap_trace.json"));
-  DistributedSimulation dist(model, o, nullptr);
-  dist.init(&phi_init, &mu_init);
-  const obs::RunReport rep = dist.run(3);
+  const std::string path =
+      ::testing::TempDir() + "pfc_test_overlap_trace.json";
+  o.with_trace(obs::TraceOptions{}.enable().with_path(path));
+  mpi::run(2, [&](mpi::Comm& comm) {
+    DistributedSimulation dist(model, o, &comm);
+    dist.init(&phi_init, &mu_init);
+    const obs::RunReport rep = dist.run(3);
 
-  // phase timers land in the overlap report block
-  EXPECT_GT(rep.overlap.pack_seconds, 0.0);
-  EXPECT_GT(rep.overlap.wait_seconds, 0.0);
-  EXPECT_GT(rep.overlap.interior_seconds, 0.0);
-  EXPECT_GT(rep.overlap.frontier_seconds, 0.0);
-  // exchange accounting matches the synchronous path's structure: a serial
-  // run moves ghosts by local copies only (no wire bytes), but the phase
-  // time still lands in the exchange timer
-  EXPECT_EQ(rep.exchange_bytes, 0u);
-  EXPECT_GT(rep.exchange_seconds, 0.0);
-  // per-kernel timers still carry one launch per block/kernel/step so the
-  // drift layer's count x cells accounting stays valid
-  for (const auto& [name, t] : rep.kernel_timers) {
-    EXPECT_EQ(t.count, 3 * 4) << name;  // steps x blocks
-  }
+    // phase timers land in the overlap report block
+    EXPECT_GT(rep.overlap.pack_seconds, 0.0);
+    EXPECT_GT(rep.overlap.wait_seconds, 0.0);
+    EXPECT_GT(rep.overlap.interior_seconds, 0.0);
+    EXPECT_GT(rep.overlap.frontier_seconds, 0.0);
+    // exchange accounting matches the synchronous path's structure: the
+    // remote x faces move wire bytes, and the phase time lands in the
+    // exchange timer
+    EXPECT_GT(rep.exchange_bytes, 0u);
+    EXPECT_GT(rep.exchange_seconds, 0.0);
+    // per-kernel timers still carry one launch per block/kernel/step so the
+    // drift layer's count x cells accounting stays valid
+    for (const auto& [name, t] : rep.kernel_timers) {
+      EXPECT_EQ(t.count, 3 * 4) << name;  // steps x local blocks
+    }
 
-  // the four overlap phases appear as spans in the timeline
-  int frontier = 0, interior = 0, pack = 0, wait = 0;
-  const obs::Json doc = dist.tracer().to_chrome_json();
-  for (const obs::Json& e : doc.find("traceEvents")->elements()) {
-    const obs::Json* name = e.find("name");
-    if (name == nullptr) continue;
-    if (name->str() == "kernel.frontier") ++frontier;
-    if (name->str() == "kernel.interior") ++interior;
-    if (name->str() == "exchange.pack") ++pack;
-    if (name->str() == "exchange.wait") ++wait;
-  }
-  EXPECT_EQ(frontier, 6);  // two groups x three steps
-  EXPECT_EQ(interior, 6);
-  EXPECT_EQ(pack, 6);
-  EXPECT_EQ(wait, 6);
-  std::remove(
-      (::testing::TempDir() + "pfc_test_overlap_trace.json").c_str());
+    // the four overlap phases appear as spans in the timeline
+    int frontier = 0, interior = 0, pack = 0, wait = 0;
+    const obs::Json doc = dist.tracer().to_chrome_json();
+    for (const obs::Json& e : doc.find("traceEvents")->elements()) {
+      const obs::Json* name = e.find("name");
+      if (name == nullptr) continue;
+      if (name->str() == "kernel.frontier") ++frontier;
+      if (name->str() == "kernel.interior") ++interior;
+      if (name->str() == "exchange.pack") ++pack;
+      if (name->str() == "exchange.wait") ++wait;
+    }
+    EXPECT_EQ(frontier, 6);  // two groups x three steps
+    EXPECT_EQ(interior, 6);
+    EXPECT_EQ(pack, 6);
+    EXPECT_EQ(wait, 6);
+    std::remove(obs::rank_trace_path(path, comm.rank()).c_str());
+  });
 }
 
 }  // namespace

@@ -210,6 +210,55 @@ TEST(BindingTest, ValidationErrors) {
   EXPECT_THROW(marshal(setup.kernel, b, n), Error);
 }
 
+TEST(BindingTest, PrecomputedRangesKeepEveryLaunchCheck) {
+  // Launches that reuse a precomputed read analysis (CompiledKernel, the
+  // interpreter) still validate every binding: too few ghost layers and a
+  // too-small array throw the same pfc::Error as a fresh analysis.
+  auto setup = make_diffusion_kernel(3);
+  const ir::Kernel& k = setup.kernel;
+  const std::array<long long, 3> n{8, 8, 8};
+  const ReadRanges reads = read_offset_ranges(k);
+  JitLibrary lib = JitLibrary::compile(emit_c(k));
+  const KernelFn fn = lib.get(entry_name(k));
+  const InterpreterKernel interp(k);
+
+  const auto message = [](const auto& launch) -> std::string {
+    try {
+      launch();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto bind = [&](Array& src, Array& dst) {
+    Binding b;
+    for (const auto& f : k.fields) {
+      b.arrays.push_back(f->id() == setup.src->id() ? &src : &dst);
+    }
+    return b;
+  };
+
+  Array src_ok(setup.src, {8, 8, 8}, 1), dst_ok(setup.dst, {8, 8, 8}, 1);
+  Array src_no_ghost(setup.src, {8, 8, 8}, 0);
+  Array dst_small(setup.dst, {7, 8, 8}, 1);
+  const struct {
+    Binding binding;
+    const char* expected;
+  } cases[] = {{bind(src_no_ghost, dst_ok), "lacks ghost layers"},
+               {bind(src_ok, dst_small), "too small for kernel"}};
+  for (const auto& c : cases) {
+    const std::string fresh = message([&] { marshal(k, c.binding, n); });
+    EXPECT_NE(fresh.find(c.expected), std::string::npos) << fresh;
+    EXPECT_EQ(message([&] { marshal(k, c.binding, n, &reads); }), fresh);
+    EXPECT_EQ(message([&] {
+                run_compiled(k, fn, c.binding, n, 0.0, 0, nullptr, nullptr,
+                             1, nullptr, nullptr, &reads);
+              }),
+              fresh);
+    EXPECT_EQ(message([&] { interp.run(c.binding, n, 0.0, 0); }), fresh);
+  }
+}
+
 TEST(GeneratedRngTest, JitPhiloxMatchesHost) {
   // kernel that writes pure noise; compare against host philox_uniform
   auto dst = Field::create("noise_dst", 3, 1);

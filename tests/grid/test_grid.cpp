@@ -1,6 +1,7 @@
 // Block forest, boundary fills, ghost exchange and in-process MPI tests.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -208,6 +209,110 @@ TEST(GhostExchangeTest, ZeroGradientAtDomainWalls) {
   const Array& left = *view[0].array;
   EXPECT_DOUBLE_EQ(left.at(-1, 3, 0), left.at(0, 3, 0));  // wall
   EXPECT_DOUBLE_EQ(left.at(4, 3, 0), global_pattern(4, 3, 0, 0));  // seam
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(GhostExchangeTest, BeginFinishMatchesExchange) {
+  // begin() only posts the remote x messages and writes no ghost cell;
+  // finish() must leave every ghost cell, corners included, bit-identical
+  // to exchange() — periodic and wall-bounded, 2-D and 3-D, one and two
+  // ranks.
+  constexpr double kSentinel = -777.0;
+  for (int dims : {2, 3}) {
+    for (BoundaryKind kind : {BoundaryKind::Periodic,
+                              BoundaryKind::ZeroGradient}) {
+      for (int ranks : {1, 2}) {
+        SCOPED_TRACE("dims " + std::to_string(dims) + ", " +
+                     (kind == BoundaryKind::Periodic ? "periodic"
+                                                     : "zero-gradient") +
+                     ", ranks " + std::to_string(ranks));
+        const auto body = [&](mpi::Comm* comm) {
+          const int rank = comm != nullptr ? comm->rank() : 0;
+          const int g = dims == 3 ? 2 : 1;
+          const std::array<long long, 3> cells =
+              dims == 3 ? std::array<long long, 3>{16, 8, 8}
+                        : std::array<long long, 3>{16, 8, 1};
+          const std::array<int, 3> blocks =
+              dims == 3 ? std::array<int, 3>{4, 2, 2}
+                        : std::array<int, 3>{4, 2, 1};
+          BlockForest f(cells, blocks, ranks, dims, kind);
+          auto fld = Field::create("bf", dims, 2);
+          std::vector<std::unique_ptr<Array>> ref_arrays, arrays;
+          std::vector<LocalBlockField> ref_view, view;
+          for (const Block* b : f.blocks_of_rank(rank)) {
+            for (auto* list : {&ref_arrays, &arrays}) {
+              list->push_back(std::make_unique<Array>(
+                  fld,
+                  std::array<std::int64_t, 3>{b->size[0], b->size[1],
+                                              b->size[2]},
+                  g));
+              list->back()->fill(kSentinel);
+              fill_global(*list->back(), *b, global_pattern);
+            }
+            ref_view.push_back({b, ref_arrays.back().get()});
+            view.push_back({b, arrays.back().get()});
+          }
+          GhostExchange ref_ex(f, comm, 2, g), ex(f, comm, 2, g);
+          ref_ex.exchange(ref_view, 0);
+          ex.begin(view, 1);
+          EXPECT_EQ(ex.last_bytes_sent(), ref_ex.last_bytes_sent());
+
+          // local-neighbour and wall ghosts of axis 0 wait for finish()
+          long long checked = 0, filled_early = 0;
+          for (const auto& lf : view) {
+            const Array& a = *lf.array;
+            const auto& n = a.size();
+            for (int side : {-1, +1}) {
+              const Block* nb = f.neighbor(*lf.block, 0, side);
+              if (nb != nullptr && nb->owner != rank) continue;
+              const long long x0 = side < 0 ? -g : n[0];
+              for (int c = 0; c < 2; ++c) {
+                for (long long z = 0; z < n[2]; ++z) {
+                  for (long long y = 0; y < n[1]; ++y) {
+                    for (long long x = x0; x < x0 + g; ++x) {
+                      ++checked;
+                      if (bits(a.at(x, y, z, c)) != bits(kSentinel)) {
+                        ++filled_early;
+                      }
+                    }
+                  }
+                }
+              }
+            }
+          }
+          EXPECT_GT(checked, 0);
+          EXPECT_EQ(filled_early, 0) << "begin() wrote local/wall ghosts";
+
+          ex.finish();
+          long long mismatches = 0;
+          for (std::size_t i = 0; i < view.size(); ++i) {
+            const Array& a = *view[i].array;
+            const Array& r = *ref_view[i].array;
+            const auto& n = a.size();
+            const long long gz = dims == 3 ? g : 0;
+            for (int c = 0; c < 2; ++c) {
+              for (long long z = -gz; z < n[2] + gz; ++z) {
+                for (long long y = -g; y < n[1] + g; ++y) {
+                  for (long long x = -g; x < n[0] + g; ++x) {
+                    if (bits(a.at(x, y, z, c)) != bits(r.at(x, y, z, c))) {
+                      ++mismatches;
+                    }
+                  }
+                }
+              }
+            }
+          }
+          EXPECT_EQ(mismatches, 0) << "rank " << rank;
+        };
+        if (ranks == 1) {
+          body(nullptr);
+        } else {
+          mpi::run(ranks, [&](mpi::Comm& comm) { body(&comm); });
+        }
+      }
+    }
+  }
 }
 
 TEST(VtkTest, WritesValidHeader) {

@@ -3,6 +3,7 @@
 // injected NaN must be caught by a monitored run under every policy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -121,6 +122,121 @@ TEST(HealthMonitorTest, MultiBlockScanAggregatesBeforePolicy) {
   EXPECT_THROW(mon.finish_scan(1), Error)
       << "violations from any block fail the joint scan";
   EXPECT_EQ(mon.stats().nonfinite_values, 1u);
+}
+
+/// The Array::at() scan the monitor's row-pointer scan must reproduce bit
+/// for bit: same cells, same per-cell component order, same accumulation.
+HealthStats reference_scan(const HealthOptions& o,
+                           const std::vector<std::pair<const Array*,
+                                                       const Array*>>& blocks) {
+  HealthStats st;
+  std::uint64_t nonfinite = 0, phase_sum = 0, simplex = 0, mu_blowups = 0;
+  std::uint64_t cells = 0;
+  double phase_total = 0.0;
+  const double lo = -o.simplex_tol, hi = 1.0 + o.simplex_tol;
+  for (const auto& [phi, mu] : blocks) {
+    const auto& n = phi->size();
+    for (long long z = 0; z < n[2]; ++z) {
+      for (long long y = 0; y < n[1]; ++y) {
+        for (long long x = 0; x < n[0]; ++x) {
+          double sum = 0.0;
+          bool finite = true;
+          for (int c = 0; c < phi->components(); ++c) {
+            const double v = phi->at(x, y, z, c);
+            if (!std::isfinite(v)) {
+              ++nonfinite;
+              finite = false;
+              continue;
+            }
+            if (v < lo || v > hi) ++simplex;
+            sum += v;
+          }
+          if (finite) {
+            const double err = std::abs(sum - 1.0);
+            if (err > o.phase_sum_tol) ++phase_sum;
+            st.max_phase_sum_error = std::max(st.max_phase_sum_error, err);
+            phase_total += sum;
+          }
+          ++cells;
+        }
+      }
+    }
+    if (mu == nullptr) continue;
+    const auto& m = mu->size();
+    for (int c = 0; c < mu->components(); ++c) {
+      for (long long z = 0; z < m[2]; ++z) {
+        for (long long y = 0; y < m[1]; ++y) {
+          for (long long x = 0; x < m[0]; ++x) {
+            const double v = mu->at(x, y, z, c);
+            if (!std::isfinite(v)) {
+              ++nonfinite;
+            } else if (std::abs(v) > o.mu_limit) {
+              ++mu_blowups;
+            }
+          }
+        }
+      }
+    }
+  }
+  st.checks = 1;
+  st.nonfinite_values = nonfinite;
+  st.phase_sum_violations = phase_sum;
+  st.simplex_violations = simplex;
+  st.mu_blowups = mu_blowups;
+  st.conservation_drift = std::abs(phase_total / double(cells) - 1.0);
+  return st;
+}
+
+TEST(HealthMonitorTest, RowScanMatchesAtReferenceBitwise) {
+  // Padded 3-D arrays (13-cell x lines, two ghost layers) whose ghosts and
+  // padding hold NaN: only interior cells may be read. Three φ components
+  // whose sums carry rounding noise, plus one cell of each violation kind.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::array<std::int64_t, 3> n{13, 5, 3};
+  Array phi(Field::create("phi", 3, 3), n, 2);
+  Array mu(Field::create("mu", 3, 2), n, 1);
+  phi.fill(kNaN);
+  mu.fill(kNaN);
+  for (long long z = 0; z < n[2]; ++z) {
+    for (long long y = 0; y < n[1]; ++y) {
+      for (long long x = 0; x < n[0]; ++x) {
+        const double a = 0.3 + 0.1 * std::sin(0.7 * double(x + 3 * y + 5 * z));
+        const double b = 0.2 + 0.05 * std::cos(1.3 * double(x * y + z));
+        phi.at(x, y, z, 0) = a;
+        phi.at(x, y, z, 1) = b;
+        phi.at(x, y, z, 2) = 1.0 - a - b + 1e-8 * double((x + y + z) % 3);
+        mu.at(x, y, z, 0) = 0.1 * double(x - y);
+        mu.at(x, y, z, 1) = -0.05 * double(z + 1);
+      }
+    }
+  }
+  phi.at(0, 0, 0, 1) = kNaN;
+  phi.at(12, 4, 2, 2) = kInf;
+  phi.at(3, 1, 1, 0) = -0.2;  // below the simplex, breaks Σφ = 1
+  phi.at(7, 2, 0, 2) = 1.3;   // above the simplex
+  phi.at(5, 3, 2, 1) += 1e-3;  // phase sum only
+  mu.at(1, 1, 1, 0) = -kInf;
+  mu.at(2, 4, 0, 1) = kNaN;
+  mu.at(11, 0, 2, 0) = 50.0;  // beyond mu_limit
+
+  HealthOptions o = HealthOptions{}.enable().with_mu_limit(10.0);
+  o.phase_sum_tol = 1e-9;
+  HealthMonitor mon(o);
+  mon.scan_block(phi, &mu);
+  mon.scan_block(phi, nullptr);
+  mon.finish_scan(1);
+  const HealthStats ref = reference_scan(o, {{&phi, &mu}, {&phi, nullptr}});
+  const HealthStats& s = mon.stats();
+  ASSERT_GT(ref.phase_sum_violations, 2u) << "rounding noise must register";
+  EXPECT_EQ(s.checks, ref.checks);
+  EXPECT_EQ(s.nonfinite_values, ref.nonfinite_values);
+  EXPECT_EQ(s.phase_sum_violations, ref.phase_sum_violations);
+  EXPECT_EQ(s.simplex_violations, ref.simplex_violations);
+  EXPECT_EQ(s.mu_blowups, ref.mu_blowups);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.max_phase_sum_error),
+            std::bit_cast<std::uint64_t>(ref.max_phase_sum_error));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.conservation_drift),
+            std::bit_cast<std::uint64_t>(ref.conservation_drift));
 }
 
 TEST(HealthMonitorTest, PolicyControlsReaction) {
