@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "pfc/app/distributed.hpp"
+#include "pfc/app/options_json.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
 #include "pfc/app/tuning.hpp"
@@ -13,52 +14,9 @@
 namespace pfc::app {
 
 using obs::Json;
+using namespace json_field;
 
 namespace {
-
-[[noreturn]] void bad(const std::string& where, const std::string& msg) {
-  throw Error("jobspec: " + where + ": " + msg);
-}
-
-void require_object(const Json& j, const std::string& where) {
-  if (!j.is_object()) bad(where, "expected an object");
-}
-
-void check_keys(const Json& j, std::initializer_list<const char*> allowed,
-                const std::string& where) {
-  for (const auto& [key, v] : j.items()) {
-    (void)v;
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) bad(where + "." + key, "unknown key");
-  }
-}
-
-double read_num(const Json& j, const char* key, double def,
-                const std::string& where) {
-  const Json* v = j.find(key);
-  if (v == nullptr) return def;
-  if (!v->is_number()) bad(where + "." + key, "expected a number");
-  return v->number();
-}
-
-long long read_int(const Json& j, const char* key, long long def,
-                   const std::string& where) {
-  const Json* v = j.find(key);
-  if (v == nullptr) return def;
-  if (!v->is_number() || v->number() != std::floor(v->number())) {
-    bad(where + "." + key, "expected an integer");
-  }
-  return (long long)(v->number());
-}
-
-std::string read_str(const Json& j, const char* key, const std::string& def,
-                     const std::string& where) {
-  const Json* v = j.find(key);
-  if (v == nullptr) return def;
-  if (!v->is_string()) bad(where + "." + key, "expected a string");
-  return v->str();
-}
 
 std::string hex64(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";

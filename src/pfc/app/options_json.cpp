@@ -8,11 +8,11 @@ namespace pfc::app {
 
 using obs::Json;
 
-namespace {
-
 // --- strict readers ----------------------------------------------------------
 // from_json tolerates absent keys (they keep the default) but rejects
 // unknown keys and type mismatches, naming the full path in the error.
+
+namespace json_field {
 
 [[noreturn]] void bad(const std::string& where, const std::string& msg) {
   throw Error("jobspec: " + where + ": " + msg);
@@ -52,15 +52,12 @@ long long read_int(const Json& j, const char* key, long long def,
   if (!v->is_number()) bad(where + "." + key, "expected a number");
   const double x = v->number();
   if (x != std::floor(x)) bad(where + "." + key, "expected an integer");
+  // A double holds every integer below 2^53 exactly; a larger one may
+  // already have been rounded by the parser, or overflow long long.
+  if (std::abs(x) >= 9007199254740992.0) {
+    bad(where + "." + key, "integer magnitude must be below 2^53");
+  }
   return (long long)(x);
-}
-
-bool read_bool(const Json& j, const char* key, bool def,
-               const std::string& where) {
-  const Json* v = j.find(key);
-  if (v == nullptr) return def;
-  if (v->kind() != Json::Kind::Bool) bad(where + "." + key, "expected a bool");
-  return v->boolean();
 }
 
 std::string read_str(const Json& j, const char* key, const std::string& def,
@@ -69,6 +66,20 @@ std::string read_str(const Json& j, const char* key, const std::string& def,
   if (v == nullptr) return def;
   if (!v->is_string()) bad(where + "." + key, "expected a string");
   return v->str();
+}
+
+}  // namespace json_field
+
+using namespace json_field;
+
+namespace {
+
+bool read_bool(const Json& j, const char* key, bool def,
+               const std::string& where) {
+  const Json* v = j.find(key);
+  if (v == nullptr) return def;
+  if (v->kind() != Json::Kind::Bool) bad(where + "." + key, "expected a bool");
+  return v->boolean();
 }
 
 template <typename T, std::size_t N>

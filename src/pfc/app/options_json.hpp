@@ -14,11 +14,31 @@
 //   from_json(to_json(opts)) == opts, field for field.
 #pragma once
 
+#include <initializer_list>
+#include <string>
+
 #include "pfc/app/distributed.hpp"
 #include "pfc/app/simulation.hpp"
 #include "pfc/obs/json.hpp"
 
 namespace pfc::app {
+
+// --- strict field readers (also the jobspec decoder's) -----------------------
+// An absent key keeps `def`. A present key of the wrong type, an unknown key
+// or an integer a double cannot hold exactly (|v| >= 2^53) throws a
+// pfc::Error "jobspec: <where>.<key>: <what>".
+namespace json_field {
+[[noreturn]] void bad(const std::string& where, const std::string& msg);
+void require_object(const obs::Json& j, const std::string& where);
+void check_keys(const obs::Json& j, std::initializer_list<const char*> allowed,
+                const std::string& where);
+double read_num(const obs::Json& j, const char* key, double def,
+                const std::string& where);
+long long read_int(const obs::Json& j, const char* key, long long def,
+                   const std::string& where);
+std::string read_str(const obs::Json& j, const char* key,
+                     const std::string& def, const std::string& where);
+}  // namespace json_field
 
 // --- leaf option blocks ------------------------------------------------------
 obs::Json compile_options_to_json(const CompileOptions& o);

@@ -110,14 +110,16 @@ sym::PrintOptions make_vector_print_options(
   return po;
 }
 
-}  // namespace
+/// emit_c's text in three pieces: the header comments and includes, the
+/// runtime preamble this kernel needs (scalar Philox etc., plus the vector
+/// runtime when it is vectorized) and the entry point.
+struct KernelText {
+  std::string head, preamble, body;
+};
 
-std::string entry_name(const ir::Kernel& k) {
-  return sanitize_identifier(k.name);
-}
-
-std::string emit_c(const ir::Kernel& k, const CEmitOptions& opts) {
+KernelText emit_parts(const ir::Kernel& k, const CEmitOptions& opts) {
   PFC_REQUIRE(k.dims >= 1 && k.dims <= 3, "emit_c: dims out of range");
+  KernelText out;
   std::ostringstream os;
 
   ir::VectorizeOptions vo;
@@ -169,10 +171,10 @@ std::string emit_c(const ir::Kernel& k, const CEmitOptions& opts) {
        << plan.lane_serial_calls << " lane-serial call(s)/cell\n";
   }
   os << "#include <math.h>\n\n";
-  if (opts.include_preamble) {
-    os << runtime_preamble() << "\n";
-    if (plan.enabled()) os << vector_preamble(plan.width) << "\n";
-  }
+  out.head = os.str();
+  out.preamble = std::string(runtime_preamble()) + "\n";
+  if (plan.enabled()) out.preamble += vector_preamble(plan.width) + "\n";
+  os.str("");
 
   os << "extern \"C\" void " << entry_name(k)
      << "(double* const* fields, const long long* strides,\n"
@@ -383,13 +385,14 @@ std::string emit_c(const ir::Kernel& k, const CEmitOptions& opts) {
     os << ind
        << "const long long _xv1 = _xv0 + ((_xhi - _xv0) / PFC_VW) * "
           "PFC_VW;\n";
-    os << ind << "for (long long x = _xlo; x < _xv0; ++x) {\n";
-    emit_body_scalar(bind);
-    os << ind << "}\n";
     os << ind << "for (long long x = _xv0; x < _xv1; x += PFC_VW) {\n";
     emit_body_vector(bind);
     os << ind << "}\n";
-    os << ind << "for (long long x = _xv1; x < _xhi; ++x) {\n";
+    // one scalar body serves the peel [_xlo, _xv0), then the remainder
+    // [_xv1, _xhi): cells are independent, so their order is free
+    os << ind
+       << "for (long long x = _xv0 > _xlo ? _xlo : _xv1; x < _xhi;\n"
+       << ind << "     x = x + 1 == _xv0 ? _xv1 : x + 1) {\n";
     emit_body_scalar(bind);
     os << ind << "}\n";
     os << indent << "}\n";
@@ -402,7 +405,32 @@ std::string emit_c(const ir::Kernel& k, const CEmitOptions& opts) {
   }
   if (streams) os << "  pfc_vd_stream_fence();\n";
   os << "}\n";
-  return os.str();
+  out.body = os.str();
+  return out;
+}
+
+}  // namespace
+
+std::string entry_name(const ir::Kernel& k) {
+  return sanitize_identifier(k.name);
+}
+
+std::string emit_c(const ir::Kernel& k, const CEmitOptions& opts) {
+  KernelText t = emit_parts(k, opts);
+  if (opts.include_preamble) t.head += t.preamble;
+  return t.head + t.body;
+}
+
+ModelSource emit_model(const std::vector<const ir::Kernel*>& kernels,
+                       const CEmitOptions& opts) {
+  ModelSource out;
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    const KernelText t = emit_parts(*kernels[i], opts);
+    out.units.push_back(t.head + t.preamble + t.body);
+    out.joined += i == 0 ? out.units.back() : t.head + t.body;
+    out.joined += "\n";
+  }
+  return out;
 }
 
 }  // namespace pfc::backend

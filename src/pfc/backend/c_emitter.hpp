@@ -11,13 +11,16 @@
 // With vector_width > 1 the emitter consumes an ir::VectorPlan and renders
 // the paper's "C + OpenMP + SIMD" form explicitly: the x loop splits into a
 // scalar alignment peel, an aligned vector main loop stepping `width` cells
-// through GCC/Clang vector extensions, and a scalar remainder. Hoisted
-// scalars get one broadcast at their definition level, contiguous field
-// accesses become vector loads, and write-only destinations can use
-// non-temporal streaming stores (fenced before the slab returns).
+// through GCC/Clang vector extensions, and a scalar remainder; the scalar
+// body is emitted once, in a loop that walks the peel and then the
+// remainder after the vector loop. Hoisted scalars get one broadcast at
+// their definition level, contiguous field accesses become vector loads,
+// and write-only destinations can use non-temporal streaming stores (fenced
+// before the slab returns).
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "pfc/ir/kernel.hpp"
 
@@ -27,7 +30,7 @@ struct CEmitOptions {
   /// Use approximate fast-math forms for div/sqrt/rsqrt (paper §3.5).
   bool fast_math = false;
   /// Include the runtime preamble (Philox etc.). Disable when several
-  /// kernels are emitted into one translation unit.
+  /// kernels are emitted into one translation unit. emit_model ignores it.
   bool include_preamble = true;
   /// Emit `#pragma omp simd`-style ivdep hints on the inner loop (scalar
   /// code only; explicit vectorization needs no hint).
@@ -47,5 +50,20 @@ std::string emit_c(const ir::Kernel& k, const CEmitOptions& opts = {});
 
 /// The sanitized entry-point name for a kernel.
 std::string entry_name(const ir::Kernel& k);
+
+/// A model's kernels as the JIT tiers compile them.
+struct ModelSource {
+  /// One translation unit per kernel, each with the preamble it needs, so
+  /// the kernels compile side by side.
+  std::vector<std::string> units;
+  /// The same kernels as one translation unit: each emit_c output followed
+  /// by a newline, the preamble only in the first. It keys the model's
+  /// kernel-cache entry and is the source the compile report shows.
+  std::string joined;
+};
+
+/// Emits `kernels` at one width (opts.include_preamble is ignored).
+ModelSource emit_model(const std::vector<const ir::Kernel*>& kernels,
+                       const CEmitOptions& opts);
 
 }  // namespace pfc::backend

@@ -64,7 +64,14 @@ static inline double pfc_rsqrt_fast(double v) {
 
 std::string vector_preamble(int width) {
   // One vector width per translation unit; the guard makes concatenated
-  // emit_c outputs (one TU for all kernels of a model) idempotent.
+  // emit_c outputs (one TU for all kernels of a model) idempotent. The
+  // splat and lane-index initialisers are spelled out for this width, so
+  // the compiler sees vector values, not lane loops it must re-vectorize.
+  std::string splat, lanes;
+  for (int i = 0; i < width; ++i) {
+    splat += i == 0 ? "s" : ", s";
+    lanes += (i == 0 ? "" : ", ") + std::to_string(i) + ".0";
+  }
   std::string out = "#ifndef PFC_VW\n#define PFC_VW " +
                     std::to_string(width) + "\n";
   out += R"PFC(
@@ -76,18 +83,22 @@ typedef double pfc_vd __attribute__((vector_size(sizeof(double) * PFC_VW)));
 /* same lanes, 8-byte alignment: the type behind unaligned loads/stores */
 typedef double pfc_vd_unaligned
     __attribute__((vector_size(sizeof(double) * PFC_VW), aligned(8)));
+/* integer lanes of the vector Philox: one 32-bit word per 64-bit lane */
+typedef pfc_u64 pfc_vu __attribute__((vector_size(sizeof(pfc_u64) * PFC_VW)));
 
 static inline pfc_vd pfc_vd_set1(double s) {
-  pfc_vd v;
-  for (int i = 0; i < PFC_VW; ++i) v[i] = s;
+  const pfc_vd v = {)PFC";
+  out += splat;
+  out += R"PFC(};
   return v;
 }
 
 /* {x0, x0+1, ...} — the per-lane x coordinate of a vector iteration */
 static inline pfc_vd pfc_vd_iota(double x0) {
-  pfc_vd v;
-  for (int i = 0; i < PFC_VW; ++i) v[i] = x0 + (double)i;
-  return v;
+  const pfc_vd lanes = {)PFC";
+  out += lanes;
+  out += R"PFC(};
+  return pfc_vd_set1(x0) + lanes;
 }
 
 static inline pfc_vd pfc_vd_loadu(const double* p) {
@@ -182,17 +193,14 @@ static inline pfc_vd pfc_vd_rsqrt_fast(pfc_vd a) {
   return r;
 }
 
-/* lane-wise min/max/abs: vectorized by the compiler (no errno concerns) */
+/* Lane-wise min/max as the scalar dialect's fmin/fmax: a NaN operand
+   yields the other one, and equal operands (+0, -0) yield b. */
 static inline pfc_vd pfc_vd_fmin(pfc_vd a, pfc_vd b) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) r[i] = a[i] < b[i] ? a[i] : b[i];
-  return r;
+  return (a < b) | (b != b) ? a : b;
 }
 
 static inline pfc_vd pfc_vd_fmax(pfc_vd a, pfc_vd b) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) r[i] = a[i] > b[i] ? a[i] : b[i];
-  return r;
+  return (a > b) | (b != b) ? a : b;
 }
 
 static inline pfc_vd pfc_vd_fabs(pfc_vd a) {
@@ -203,34 +211,24 @@ static inline pfc_vd pfc_vd_fabs(pfc_vd a) {
 
 /* comparisons as 0.0/1.0 masks, matching the scalar dialect's ternaries */
 static inline pfc_vd pfc_vd_lt(pfc_vd a, pfc_vd b) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) r[i] = a[i] < b[i] ? 1.0 : 0.0;
-  return r;
+  return a < b ? pfc_vd_set1(1.0) : pfc_vd_set1(0.0);
 }
 
 static inline pfc_vd pfc_vd_gt(pfc_vd a, pfc_vd b) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) r[i] = a[i] > b[i] ? 1.0 : 0.0;
-  return r;
+  return a > b ? pfc_vd_set1(1.0) : pfc_vd_set1(0.0);
 }
 
 static inline pfc_vd pfc_vd_le(pfc_vd a, pfc_vd b) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) r[i] = a[i] <= b[i] ? 1.0 : 0.0;
-  return r;
+  return a <= b ? pfc_vd_set1(1.0) : pfc_vd_set1(0.0);
 }
 
 static inline pfc_vd pfc_vd_ge(pfc_vd a, pfc_vd b) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) r[i] = a[i] >= b[i] ? 1.0 : 0.0;
-  return r;
+  return a >= b ? pfc_vd_set1(1.0) : pfc_vd_set1(0.0);
 }
 
 /* Select(c, a, b): per-lane blend, c != 0 picks a */
 static inline pfc_vd pfc_vd_sel(pfc_vd c, pfc_vd a, pfc_vd b) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) r[i] = c[i] != 0.0 ? a[i] : b[i];
-  return r;
+  return c != pfc_vd_set1(0.0) ? a : b;
 }
 
 /* lane-serial libm calls: no packed form, one scalar call per lane */
@@ -270,16 +268,36 @@ static inline pfc_vd pfc_vd_pow(pfc_vd a, pfc_vd b) {
   return r;
 }
 
-/* lane-serial Philox: same casts as the scalar dialect, bit-identical */
+/* Philox on integer vectors: every 32-bit word of pfc_philox_uniform sits
+   in the low half of a pfc_u64 lane, so each lane computes exactly what
+   the scalar routine computes, with the same casts from double. */
 static inline pfc_vd pfc_vd_philox(pfc_vd x, pfc_vd y, pfc_vd z, pfc_vd t,
-                                   pfc_vd seed, pfc_vd stream) {
-  pfc_vd r;
-  for (int i = 0; i < PFC_VW; ++i) {
-    r[i] = pfc_philox_uniform((pfc_u64)x[i], (pfc_u64)y[i], (pfc_u64)z[i],
-                              (pfc_u64)t[i], (pfc_u64)seed[i],
-                              (pfc_u64)stream[i]);
+                                   pfc_vd seed_lo, pfc_vd stream,
+                                   pfc_vd seed_hi) {
+  const pfc_u64 m = 0xFFFFFFFFull;
+  const pfc_vu s = __builtin_convertvector(stream, pfc_vu);
+  pfc_vu c0 = __builtin_convertvector(x, pfc_vu) & m;
+  pfc_vu c1 = __builtin_convertvector(y, pfc_vu) & m;
+  pfc_vu c2 = __builtin_convertvector(z, pfc_vu) & m;
+  pfc_vu c3 = __builtin_convertvector(t, pfc_vu) & m;
+  pfc_vu k0 = __builtin_convertvector(seed_lo, pfc_vu) ^ (s * 0x9E3779B9ull);
+  pfc_vu k1 = __builtin_convertvector(seed_hi, pfc_vu) + s;
+  k0 &= m;
+  k1 &= m;
+  for (int r = 0; r < 10; ++r) {
+    const pfc_vu p0 = c0 * 0xD2511F53ull;
+    const pfc_vu p1 = c2 * 0xCD9E8D57ull;
+    const pfc_vu n0 = (p1 >> 32) ^ c1 ^ k0;
+    const pfc_vu n2 = (p0 >> 32) ^ c3 ^ k1;
+    c1 = p1 & m;
+    c3 = p0 & m;
+    c0 = n0;
+    c2 = n2;
+    k0 = (k0 + 0x9E3779B9ull) & m;
+    k1 = (k1 + 0xBB67AE85ull) & m;
   }
-  return r;
+  const pfc_vd u = __builtin_convertvector((c0 << 32) | c1, pfc_vd);
+  return u * pfc_vd_set1(2.0 / 18446744073709551616.0) - pfc_vd_set1(1.0);
 }
 )PFC";
   out += "#endif /* PFC_VW */\n";

@@ -18,11 +18,12 @@ const char* runtime_preamble();
 
 /// C source of the SIMD runtime for one translation unit: the pfc_vd vector
 /// type (`width` doubles, GCC/Clang vector extensions), broadcast/iota
-/// constructors, unaligned/aligned/non-temporal load-store helpers, and
-/// lane-wise fallbacks for the operations without packed hardware forms
-/// (libm transcendentals, Philox). Each TU has exactly one width; the text
-/// is `#ifndef`-guarded so concatenating kernels stays safe. Must follow
-/// runtime_preamble() in the TU (the Philox helper calls into it).
+/// constructors, unaligned/aligned/non-temporal load-store helpers,
+/// min/max/compare/select as vector selects, Philox on integer vectors,
+/// and lane-wise fallbacks for the libm transcendentals. Each TU has
+/// exactly one width; the text is `#ifndef`-guarded so concatenating
+/// kernels stays safe. Must follow runtime_preamble() in the TU (it uses
+/// pfc_u64 and pfc_rsqrt_fast from there).
 std::string vector_preamble(int width);
 
 /// The generated entry point signature, documented once:

@@ -203,7 +203,7 @@ int InterpreterKernel::compile_expr(const Expr& e, std::vector<Instr>& seg,
         case sym::Func::GreaterEq: in.op = Op::GreaterEq; break;
         case sym::Func::PhiloxUniform: {
           in.op = Op::Philox;
-          for (std::size_t i = 0; i < 6; ++i) {
+          for (std::size_t i = 0; i < in.rng_args.size(); ++i) {
             in.rng_args[i] = compile_expr(e->arg(i), seg, ctx);
           }
           return emit(in);
@@ -315,7 +315,8 @@ void InterpreterKernel::run(const Binding& b,
             const auto v = [&](int i) {
               return (unsigned long long)(r[in.rng_args[std::size_t(i)]]);
             };
-            r[in.dst] = rng::philox_uniform(v(0), v(1), v(2), v(3), v(4), v(5));
+            r[in.dst] = rng::philox_uniform(v(0), v(1), v(2), v(3),
+                                            v(6) << 32 | v(4), v(5));
             break;
           }
           case Op::CopyReg: r[in.dst] = r[in.a]; break;

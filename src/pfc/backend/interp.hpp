@@ -48,7 +48,7 @@ class InterpreterKernel {
     std::array<int, 3> off{0, 0, 0};
     int component = 0;
     long pow_n = 0;                 ///< PowInt exponent / Coord dim / Param i
-    std::array<int, 6> rng_args{};  ///< Philox operand registers
+    std::array<int, 7> rng_args{};  ///< Philox operand registers
   };
 
   struct CompileCtx;

@@ -3,6 +3,7 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "pfc/support/assert.hpp"
+#include "pfc/support/thread_pool.hpp"
 #include "pfc/support/timer.hpp"
 
 namespace pfc::backend {
@@ -26,7 +28,7 @@ std::string read_file(const std::string& path) {
 }
 
 void remove_tree(const std::string& dir) {
-  // Besides our own kernel.cpp/kernel.so/cc.log the external compiler may
+  // Besides our own kernel*.cpp/.o/.log and kernel.so the compiler may
   // leave temp objects behind on a failed compile or link (LTO scratch,
   // -save-temps passed via extra flags); remove whatever is there so a
   // failure never leaks scratch space.
@@ -102,8 +104,9 @@ JitLibrary JitLibrary::load(const std::string& so_path) {
   return lib;
 }
 
-JitLibrary JitLibrary::compile(const std::string& source,
+JitLibrary JitLibrary::compile(const std::vector<std::string>& units,
                                const Options& opts) {
+  PFC_REQUIRE(!units.empty(), "JitLibrary::compile: no translation unit");
   // pid + atomic counter make the scratch name unique before mkdtemp even
   // runs: two threads compiling concurrently (the job server does this all
   // day) and two processes sharing PFC_JIT_TMPDIR each get their own
@@ -123,15 +126,22 @@ JitLibrary JitLibrary::compile(const std::string& source,
   lib.dir_ = dir;
   lib.keep_ = opts.keep_sources;
 
-  const std::string src_path = lib.dir_ + "/kernel.cpp";
-  {
-    std::ofstream out(src_path);
+  // The units compile to objects side by side, at most one per CPU the
+  // process may use, and link into one shared object; a failed unit stops
+  // the queue.
+  const std::size_t n = units.size();
+  const std::string stem = lib.dir_ + "/kernel";
+  const auto unit_path = [&](std::size_t i, const char* ext) {
+    return stem + std::to_string(i) + ext;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    std::ofstream out(unit_path(i, ".cpp"));
+    out << units[i];
     if (!out.good()) {
       remove_tree(lib.dir_);
       lib.dir_.clear();
-      throw Error("cannot write JIT source file " + src_path);
+      throw Error("cannot write JIT source file " + unit_path(i, ".cpp"));
     }
-    out << source;
   }
 
   std::string compiler = opts.compiler;
@@ -139,20 +149,51 @@ JitLibrary JitLibrary::compile(const std::string& source,
     const char* env = std::getenv("CXX");
     compiler = (env != nullptr && *env != '\0') ? env : "c++";
   }
-
-  std::ostringstream cmd;
-  cmd << compiler << " " << opts.optimization
-      << " -shared -fPIC -o " << lib.dir_ << "/kernel.so " << src_path
-      << " " << opts.extra_flags << " -lm > " << lib.dir_ << "/cc.log 2>&1";
+  const auto command = [&](const std::string& args, const char* libs,
+                           const std::string& log) {
+    return compiler + " " + opts.optimization + " -fPIC " + args + " " +
+           opts.extra_flags + libs + " > " + log + " 2>&1";
+  };
+  const auto fail = [&](const std::string& what, const std::string& log) {
+    const std::string text = read_file(log);
+    if (!opts.keep_sources) remove_tree(lib.dir_);
+    throw Error("pfc JIT " + what + " failed:\n" + text);
+  };
 
   Timer timer;
-  const int rc = std::system(cmd.str().c_str());
-  lib.compile_seconds_ = timer.seconds();
-  if (rc != 0) {
-    const std::string log = read_file(lib.dir_ + "/cc.log");
-    if (!opts.keep_sources) remove_tree(lib.dir_);
-    throw Error("pfc JIT compilation failed:\n" + log);
+  std::vector<std::string> cmds;
+  for (std::size_t i = 0; i < n; ++i) {
+    cmds.push_back(command(
+        "-c -o " + unit_path(i, ".o") + " " + unit_path(i, ".cpp"), "",
+        unit_path(i, ".log")));
   }
+  std::vector<int> rc(n, 0);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  ThreadPool pool(
+      int(std::min(n, std::size_t(ThreadPool::hardware_threads()))));
+  pool.run_on_all([&](int) {
+    for (std::size_t i = next++; i < n && !failed; i = next++) {
+      rc[i] = std::system(cmds[i].c_str());
+      if (rc[i] != 0) failed = true;
+    }
+  });
+  // Units start in index order, so the lowest failed unit always ran.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rc[i] != 0) {
+      fail("compilation (unit " + std::to_string(i + 1) + " of " +
+               std::to_string(n) + ")",
+           unit_path(i, ".log"));
+    }
+  }
+  std::string objects;
+  for (std::size_t i = 0; i < n; ++i) {
+    objects.append(" ").append(unit_path(i, ".o"));
+  }
+  const std::string cmd =
+      command("-shared -o " + stem + ".so" + objects, " -lm", stem + ".log");
+  if (std::system(cmd.c_str()) != 0) fail("link", stem + ".log");
+  lib.compile_seconds_ = timer.seconds();
 
   lib.so_path_ = lib.dir_ + "/kernel.so";
   lib.handle_ = ::dlopen(lib.so_path_.c_str(), RTLD_NOW | RTLD_LOCAL);

@@ -39,9 +39,15 @@ class JitLibrary {
     std::string optimization = "-O3 -march=native";
   };
 
-  /// Compiles `source`; throws pfc::Error with the compiler diagnostics on
-  /// failure.
-  static JitLibrary compile(const std::string& source, const Options& opts);
+  /// Compiles the translation units into one shared object: one object
+  /// per unit, side by side (at most one compile per CPU of the affinity
+  /// mask), then one link. Throws pfc::Error with the diagnostics of the
+  /// lowest-numbered failed unit, or of the link.
+  static JitLibrary compile(const std::vector<std::string>& units,
+                            const Options& opts);
+  static JitLibrary compile(const std::string& source, const Options& opts) {
+    return compile(std::vector<std::string>{source}, opts);
+  }
   static JitLibrary compile(const std::string& source) {
     return compile(source, Options{});
   }

@@ -157,7 +157,8 @@ std::string KernelCache::key_of(const std::string& source,
   return out;
 }
 
-KernelCacheResult KernelCache::acquire(const std::string& source,
+KernelCacheResult KernelCache::acquire(const std::string& key_source,
+                                       const std::vector<std::string>& units,
                                        const JitLibrary::Options& opts,
                                        const KernelCacheConfig& config) {
   PFC_REQUIRE(!config.directory.empty(),
@@ -165,7 +166,7 @@ KernelCacheResult KernelCache::acquire(const std::string& source,
   std::shared_ptr<Impl> impl = impl_;
 
   KernelCacheResult result;
-  result.key = key_of(source, opts);
+  result.key = key_of(key_source, opts);
   const std::string cache_path =
       config.directory + "/" + result.key + ".so";
 
@@ -212,7 +213,7 @@ KernelCacheResult KernelCache::acquire(const std::string& source,
   std::shared_ptr<JitLibrary> library;
   std::uint64_t so_bytes = 0;
   try {
-    JitLibrary compiled = JitLibrary::compile(source, opts);
+    JitLibrary compiled = JitLibrary::compile(units, opts);
     result.compile_seconds = compiled.compile_seconds();
     // Publish atomically: copy into the cache under a unique tmp name,
     // then rename. Readers only ever see complete files.

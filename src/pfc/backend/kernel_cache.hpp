@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "pfc/backend/jit.hpp"
 
@@ -72,6 +73,18 @@ class KernelCache {
   /// key across all concurrent callers. Throws pfc::Error only when a
   /// fresh compile fails (a corrupted cache entry recompiles instead).
   KernelCacheResult acquire(const std::string& source,
+                            const JitLibrary::Options& opts,
+                            const KernelCacheConfig& config) {
+    return acquire(source, {source}, opts, config);
+  }
+
+  /// The same for source compiled as several translation units: the entry
+  /// is keyed by key_of(key_source, opts), a miss compiles `units` into
+  /// one shared object. A model passes its kernels as one TU
+  /// (ModelSource::joined) and one unit per kernel, so a probe that
+  /// compiles the joined text as one unit shares the model's entry.
+  KernelCacheResult acquire(const std::string& key_source,
+                            const std::vector<std::string>& units,
                             const JitLibrary::Options& opts,
                             const KernelCacheConfig& config);
 

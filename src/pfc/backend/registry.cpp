@@ -63,9 +63,10 @@ std::vector<ChainEntry> BackendRegistry::chain(int requested_width) const {
 
 namespace {
 
-/// Shared body of the two JIT tiers: emit all kernels into one translation
-/// unit at the resolved width, run the external compiler (through the
-/// content-addressed cache when configured), resolve the entry points.
+/// Shared body of the two JIT tiers: emit the kernels at the resolved
+/// width, one translation unit each, run the external compiler on them side
+/// by side (through the content-addressed cache when configured, keyed by
+/// the kernels joined into one TU), resolve the entry points.
 void compile_jit_tier(const std::vector<const ir::Kernel*>& kernels,
                       const TierOptions& o, int width, TierArtifact& art) {
   Timer stage;
@@ -74,19 +75,16 @@ void compile_jit_tier(const std::vector<const ir::Kernel*>& kernels,
   eo.vector_width = width;
   eo.streaming_stores = o.streaming_stores;
   art.emit_width = width;
-  bool first = true;
   for (const ir::Kernel* k : kernels) {
-    eo.include_preamble = first;
-    first = false;
     const ir::VectorPlan plan =
         ir::plan_vectorize(*k, {width, o.streaming_stores});
     art.ops_per_cell_widened += plan.enabled()
                                     ? plan.flops_per_cell_vector
                                     : double(plan.flops_per_cell_scalar);
     art.widths.push_back(plan.enabled() ? plan.width : 1);
-    art.source += emit_c(*k, eo);
-    art.source += "\n";
   }
+  ModelSource src = emit_model(kernels, eo);
+  art.source = std::move(src.joined);
   art.emit_seconds = stage.seconds();
 
   JitLibrary::Options jo;
@@ -95,7 +93,7 @@ void compile_jit_tier(const std::vector<const ir::Kernel*>& kernels,
 
   if (o.use_cache && !o.cache.directory.empty()) {
     KernelCacheResult cached =
-        KernelCache::shared().acquire(art.source, jo, o.cache);
+        KernelCache::shared().acquire(art.source, src.units, jo, o.cache);
     art.library = std::move(cached.library);
     art.jit_seconds = cached.compile_seconds;
     art.cache_used = true;
@@ -104,7 +102,7 @@ void compile_jit_tier(const std::vector<const ir::Kernel*>& kernels,
     art.cache_stats = KernelCache::shared().stats();
   } else {
     art.library =
-        std::make_shared<JitLibrary>(JitLibrary::compile(art.source, jo));
+        std::make_shared<JitLibrary>(JitLibrary::compile(src.units, jo));
     art.jit_seconds = art.library->compile_seconds();
   }
   for (const ir::Kernel* k : kernels) {

@@ -54,7 +54,7 @@ struct TierOptions {
 /// artifact in place so a throwing JIT attempt still leaves the generated
 /// source and emit timing behind for the compile report.
 struct TierArtifact {
-  std::string source;                   ///< generated TU ("" for interpreter)
+  std::string source;  ///< kernels joined into one TU ("" for interpreter)
   std::shared_ptr<JitLibrary> library;  ///< null for the interpreter
   std::vector<KernelFn> fns;            ///< per input kernel (JIT tiers)
   std::vector<std::shared_ptr<InterpreterKernel>> interps;  ///< interpreter

@@ -178,8 +178,10 @@ class Discretizer {
     PFC_ASSERT(e->kind() == Kind::Random);
     return sym::call(sym::Func::PhiloxUniform,
                      {sym::coord(0), sym::coord(1), sym::coord(2),
-                      sym::time_step(), num(double(opts_.rng_seed)),
-                      num(double(e->random_stream()))});
+                      sym::time_step(),
+                      num(double(opts_.rng_seed & 0xFFFFFFFFu)),
+                      num(double(e->random_stream())),
+                      num(double(opts_.rng_seed >> 32))});
   }
 
  private:

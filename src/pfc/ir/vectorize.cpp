@@ -79,9 +79,9 @@ VectorPlan plan_vectorize(const Kernel& k, const VectorizeOptions& opts) {
   }
 
   // Widened cost model: one vector instruction covers `width` cells for the
-  // vectorizable op classes; transcendentals and RNG stay one scalar call
-  // per lane and do not amortize.
-  plan.lane_serial_calls = ops.transcendental + ops.rng_calls;
+  // vectorizable op classes (Philox included: it runs on integer vectors);
+  // transcendentals stay one scalar call per lane and do not amortize.
+  plan.lane_serial_calls = ops.transcendental;
   const double lane_cost = 20.0 * double(ops.transcendental);
   plan.flops_per_cell_vector =
       (double(plan.flops_per_cell_scalar) - lane_cost) / double(plan.width) +

@@ -11,13 +11,14 @@
 //   * broadcast   — scalars defined above Body level (hoisted temps,
 //                   runtime parameters, y/z coordinates, time); widened
 //                   once at their definition level, not per cell,
-//   * lane-serial — operations with no vector form (Philox, libm
+//   * lane-serial — operations with no vector form (libm
 //                   transcendentals); executed per lane inside the vector
-//                   body, so they do not amortize with the width.
+//                   body, so they do not amortize with the width. Philox
+//                   is not one: it runs on integer vectors.
 //
 // The x loop itself is split into a scalar alignment peel (so the primary
 // destination row reaches a full-vector boundary), an aligned vector main
-// loop, and a scalar remainder.
+// loop, and a scalar remainder; one scalar loop serves peel and remainder.
 #pragma once
 
 #include <utility>
@@ -67,7 +68,7 @@ struct VectorPlan {
   /// the width, lane-serial calls do not.
   long long flops_per_cell_scalar = 0;
   double flops_per_cell_vector = 0.0;
-  /// Lane-serial calls per cell (transcendentals + RNG).
+  /// Lane-serial calls per cell (libm transcendentals).
   long long lane_serial_calls = 0;
 
   bool is_streamed(std::size_t field_index) const {

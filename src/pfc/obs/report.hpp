@@ -275,7 +275,7 @@ struct CompileReport {
   /// scalar code and the interpreter backend.
   int vector_width = 1;
   /// Per-cell FLOPs after widening: packable ops amortize over the vector
-  /// width, lane-serial calls (transcendentals, RNG) do not. Equals
+  /// width, lane-serial calls (libm transcendentals) do not. Equals
   /// ops_per_cell_post at width 1.
   double ops_per_cell_widened = 0.0;
   std::vector<std::string> kernel_names;  ///< IR names, execution order

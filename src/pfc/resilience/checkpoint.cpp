@@ -31,7 +31,7 @@ std::string hex64(std::uint64_t v) {
 
 std::uint64_t parse_hex64(const std::string& s, const std::string& where) {
   PFC_REQUIRE(s.rfind("0x", 0) == 0 && s.size() == 18,
-              "checkpoint: malformed checksum in " + where);
+              "checkpoint: malformed hex value in " + where);
   std::uint64_t v = 0;
   for (std::size_t i = 2; i < s.size(); ++i) {
     const char c = s[i];
@@ -39,7 +39,7 @@ std::uint64_t parse_hex64(const std::string& s, const std::string& where) {
     if (c >= '0' && c <= '9') d = c - '0';
     else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
     else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-    else throw Error("pfc checkpoint: malformed checksum in " + where);
+    else throw Error("pfc checkpoint: malformed hex value in " + where);
     v = (v << 4) | std::uint64_t(d);
   }
   return v;
@@ -131,7 +131,7 @@ void write_checkpoint(const std::string& dir, const CheckpointMeta& meta,
           .set("step", obs::Json(meta.step))
           .set("time", obs::Json(meta.time))
           .set("dt", obs::Json(meta.dt))
-          .set("rng_seed", obs::Json(meta.rng_seed))
+          .set("rng_seed", obs::Json(hex64(meta.rng_seed)))
           .set("layout", obs::Json(meta.layout))
           .set("data_file", obs::Json(state_name(rank)))
           .set("arrays", std::move(entries))
@@ -166,7 +166,19 @@ CheckpointMeta read_checkpoint(const std::string& dir,
   meta.step = (long long)need(j, "step", mpath).number();
   meta.time = need(j, "time", mpath).number();
   meta.dt = need(j, "dt", mpath).number();
-  meta.rng_seed = (std::uint64_t)need(j, "rng_seed", mpath).number();
+  // The seed is a hex string like the checksums: a JSON number is a double
+  // and rounds a seed above 2^53. Older manifests wrote a number, exact
+  // only below 2^53.
+  const obs::Json& seed = need(j, "rng_seed", mpath);
+  if (seed.is_string()) {
+    meta.rng_seed = parse_hex64(seed.str(), "rng_seed of " + mpath);
+  } else {
+    PFC_REQUIRE(seed.is_number() && seed.number() >= 0.0 &&
+                    seed.number() < 9007199254740992.0,
+                "checkpoint: rng_seed in " + mpath +
+                    " is not a hex string or an integer below 2^53");
+    meta.rng_seed = (std::uint64_t)seed.number();
+  }
   meta.layout = need(j, "layout", mpath).str();
   PFC_REQUIRE(expect_layout.empty() || meta.layout == expect_layout,
               "checkpoint: layout mismatch — checkpoint is \"" +
@@ -240,7 +252,8 @@ CheckpointMeta read_checkpoint(const std::string& dir,
                 "checkpoint: short read from " + data_path);
     const std::uint64_t sum = fnv1a64(staged[i].data(), bytes);
     const std::uint64_t want =
-        parse_hex64(need(*entry, "fnv1a64", mpath).str(), ra.name);
+        parse_hex64(need(*entry, "fnv1a64", mpath).str(),
+                    "fnv1a64 of " + ra.name);
     PFC_REQUIRE(sum == want, "checkpoint: checksum mismatch for \"" +
                                  ra.name + "\" in " + data_path +
                                  " — refusing to restore corrupt state");

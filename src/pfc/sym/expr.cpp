@@ -79,7 +79,7 @@ int func_arity(Func f) {
     case Func::LessEq:
     case Func::GreaterEq: return 2;
     case Func::Select: return 3;
-    case Func::PhiloxUniform: return 6;
+    case Func::PhiloxUniform: return 7;
   }
   return -1;
 }

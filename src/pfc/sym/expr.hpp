@@ -54,7 +54,10 @@ enum class Func : std::uint8_t {
   Greater,
   LessEq,
   GreaterEq,
-  PhiloxUniform,  ///< PhiloxUniform(x,y,z,t, seed, stream) in [-1,1]
+  /// PhiloxUniform(x,y,z,t, seed_lo, stream, seed_hi) in [-1,1]. The 64-bit
+  /// seed travels as two exact 32-bit halves (a double holds 53 bits); the
+  /// high half comes last, so a seed below 2^32 reads as argument 4.
+  PhiloxUniform,
 };
 
 const char* func_name(Func f);

@@ -200,8 +200,8 @@ class Printer {
       }
       if (f == Func::Sqrt) return sqrt_of(print(e->arg(0), 0));
       if (f == Func::RSqrt) return rsqrt_of(print(e->arg(0), 0));
-      // Lane-serial helpers: Philox and the libm functions have no packed
-      // form; the preamble loops over lanes calling the scalar routine.
+      // Preamble helpers: Philox runs on integer vectors; the libm
+      // functions have no packed form and loop over the lanes.
       std::ostringstream os;
       os << "pfc_vd_" << (f == Func::PhiloxUniform ? "philox" : func_name(f))
          << '(';
@@ -232,14 +232,14 @@ class Printer {
       if (f == Func::Sqrt) return sqrt_of(print(e->arg(0), 0));
       if (f == Func::RSqrt) return rsqrt_of(print(e->arg(0), 0));
       if (f == Func::PhiloxUniform) {
+        const auto u64 = [&](std::size_t i) {
+          return "(unsigned long long)(" + print(e->arg(i), 0) + ")";
+        };
         std::ostringstream os;
         os << "pfc_philox_uniform(";
-        for (int i = 0; i < 4; ++i) {
-          os << "(unsigned long long)(" << print(e->arg(std::size_t(i)), 0)
-             << "), ";
-        }
-        os << "(unsigned long long)(" << print(e->arg(4), 0) << "), "
-           << "(unsigned long long)(" << print(e->arg(5), 0) << "))";
+        for (std::size_t i = 0; i < 4; ++i) os << u64(i) << ", ";
+        os << "(" << u64(6) << " << 32 | " << u64(4) << "), " << u64(5)
+           << ")";
         return os.str();
       }
     }

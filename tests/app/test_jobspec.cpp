@@ -205,6 +205,49 @@ TEST(JobSpec, ValidateRejectsBadValues) {
   }
 }
 
+/// A default spec's JSON text with `key` set to the number `literal`, at
+/// the top level or in the object at `section` ("" = top level; the
+/// model's overrides are "model.overrides").
+std::string spec_with(const std::string& section, const std::string& key,
+                      const std::string& literal) {
+  Json inner = Json::object().set(key, Json(12345.0));
+  Json j = JobSpec{}.to_json();
+  if (section == "model.overrides") {
+    Json model = *j.find("model");
+    model.set("overrides", inner);
+    j.set("model", model);
+  } else {
+    j.set(section, inner);
+  }
+  std::string text = j.dump(-1);
+  const std::size_t at = text.find("12345");
+  return text.replace(at, text.find_first_of(",}", at) - at, literal);
+}
+
+// Integers beyond 2^53 are rejected by field name: a double cannot hold
+// them, so 9007199254740993 would arrive as 2^53 and 1e19 would overflow.
+TEST(JobSpec, RejectsIntegersADoubleCannotHold) {
+  const struct {
+    const char* section;
+    const char* key;
+  } fields[] = {{"model.overrides", "rng_seed"}, {"simulation", "threads"}};
+  for (const auto& f : fields) {
+    for (const char* literal : {"1e19", "-1e19", "9007199254740993"}) {
+      try {
+        JobSpec::parse(spec_with(f.section, f.key, literal));
+        ADD_FAILURE() << f.key << " = " << literal << " must be rejected";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(f.key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  const JobSpec ok =
+      JobSpec::parse(spec_with("model.overrides", "rng_seed",
+                               "9007199254740991"));
+  EXPECT_EQ(*ok.model.rng_seed, 9007199254740991u);
+}
+
 TEST(JobSpec, MakeParamsAppliesOverrides) {
   JobSpec spec;
   spec.model.preset = "two_phase";

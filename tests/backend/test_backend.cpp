@@ -259,40 +259,75 @@ TEST(BindingTest, PrecomputedRangesKeepEveryLaunchCheck) {
   }
 }
 
-TEST(GeneratedRngTest, JitPhiloxMatchesHost) {
-  // kernel that writes pure noise; compare against host philox_uniform
-  auto dst = Field::create("noise_dst", 3, 1);
-  auto src = Field::create("noise_src", 3, 1);
+/// A pure-noise kernel of stream 5 keyed on `seed`, run at `width` through
+/// the JIT and through the interpreter: every cell must equal the host
+/// generator bit for bit. The x extent gives width 8 peel, vector and
+/// remainder cells.
+void expect_noise_matches_host(std::uint64_t seed, int width) {
+  static int counter = 0;
+  const std::string suffix = std::to_string(counter++);
+  auto dst = Field::create("seed_dst" + suffix, 3, 1);
+  auto src = Field::create("seed_src" + suffix, 3, 1);
   fd::PdeUpdate pde;
-  pde.name = "noise";
+  pde.name = "seeded_noise" + suffix;
   pde.src = src;
   pde.dst = dst;
   pde.rhs = {sym::random_uniform(5)};
   fd::DiscretizeOptions o;
   o.dims = 3;
-  o.rng_seed = 1234;
+  o.rng_seed = seed;
   auto k = ir::build_kernel(fd::discretize(pde, o).kernels[0]);
 
-  const std::array<long long, 3> n{6, 5, 4};
+  const std::array<long long, 3> n{27, 5, 4};
   Array a_src(src, {n[0], n[1], n[2]}, 1);
-  Array a_dst(dst, {n[0], n[1], n[2]}, 1);
-  Binding b;
-  b.arrays.resize(k.fields.size());
-  for (std::size_t i = 0; i < k.fields.size(); ++i) {
-    b.arrays[i] = k.fields[i]->id() == src->id() ? &a_src : &a_dst;
-  }
-  JitLibrary lib = JitLibrary::compile(emit_c(k));
-  run_compiled(k, lib.get(entry_name(k)), b, n, 0.0, 17);
+  Array a_jit(dst, {n[0], n[1], n[2]}, 1);
+  Array a_int(dst, {n[0], n[1], n[2]}, 1);
+  const auto bind = [&](Array& d) {
+    Binding b;
+    b.arrays.resize(k.fields.size());
+    for (std::size_t i = 0; i < k.fields.size(); ++i) {
+      b.arrays[i] = k.fields[i]->id() == src->id() ? &a_src : &d;
+    }
+    return b;
+  };
+  CEmitOptions eo;
+  eo.vector_width = width;
+  JitLibrary lib = JitLibrary::compile(emit_c(k, eo));
+  run_compiled(k, lib.get(entry_name(k)), bind(a_jit), n, 0.0, 17, nullptr,
+               nullptr, width);
+  InterpreterKernel(k).run(bind(a_int), n, 0.0, 17);
 
+  int jit_diff = 0, interp_diff = 0;
   for (long long z = 0; z < n[2]; ++z) {
     for (long long y = 0; y < n[1]; ++y) {
       for (long long x = 0; x < n[0]; ++x) {
         const double expect = rng::philox_uniform(
-            std::uint64_t(x), std::uint64_t(y), std::uint64_t(z), 17, 1234,
+            std::uint64_t(x), std::uint64_t(y), std::uint64_t(z), 17, seed,
             5);
-        EXPECT_DOUBLE_EQ(a_dst.at(x, y, z), expect);
+        jit_diff += a_jit.at(x, y, z) != expect;
+        interp_diff += a_int.at(x, y, z) != expect;
       }
     }
+  }
+  EXPECT_EQ(jit_diff, 0) << "seed " << seed << " width " << width;
+  EXPECT_EQ(interp_diff, 0) << "seed " << seed;
+}
+
+TEST(GeneratedRngTest, JitPhiloxMatchesHost) {
+  expect_noise_matches_host(1234, 1);
+}
+
+// A seed reaches the generated code exactly even where a double cannot
+// hold it: above 2^53 (the low bit survives) and with bit 63 set.
+TEST(GeneratedRngTest, ExactSeedAbove2Pow53) {
+  for (const int width : {1, 8}) {
+    expect_noise_matches_host((1ull << 53) + 1, width);
+  }
+}
+
+TEST(GeneratedRngTest, ExactSeedWithBit63) {
+  for (const int width : {1, 8}) {
+    expect_noise_matches_host(0xd1b54a32d192ed03ull, width);
   }
 }
 

@@ -1,7 +1,8 @@
 // Content-addressed kernel cache (backend::KernelCache): key stability,
 // hit/miss/eviction accounting, corrupted-entry fallback, concurrent-compile
-// dedup — plus the PFC_JIT_TMPDIR isolation contract two compiles in one
-// process rely on.
+// dedup, one entry per multi-unit model — plus the PFC_JIT_TMPDIR
+// isolation contract two compiles in one process rely on, and the failure
+// paths of a multi-unit compile.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,8 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "pfc/backend/c_emitter.hpp"
 #include "pfc/backend/jit.hpp"
 #include "pfc/backend/kernel_cache.hpp"
+#include "pfc/fd/discretize.hpp"
+#include "pfc/ir/kernel.hpp"
 #include "pfc/support/assert.hpp"
 
 namespace pfc::backend {
@@ -200,6 +204,67 @@ TEST(KernelCache, ConcurrentAcquiresCompileOnce) {
   cache.reset();
 }
 
+/// A 2-D kernel `name`: diffusion of `src` into `dst`, plus noise.
+ir::Kernel noisy_diffusion(const std::string& name) {
+  auto src = Field::create(name + "_src", 2, 1);
+  auto dst = Field::create(name + "_dst", 2, 1);
+  fd::PdeUpdate pde;
+  pde.name = name;
+  pde.src = src;
+  pde.dst = dst;
+  const sym::Expr u = sym::at(src);
+  pde.rhs = {sym::diff_op(sym::diff_op(u, 0), 0) +
+             sym::diff_op(sym::diff_op(u, 1), 1) +
+             0.01 * sym::random_uniform(0)};
+  fd::DiscretizeOptions o;
+  o.dims = 2;
+  ir::BuildOptions bo;
+  bo.dims = 2;
+  return ir::build_kernel(fd::discretize(pde, o).kernels[0], bo);
+}
+
+// A model is one cache entry however it compiles: its kernels, compiled as
+// one unit each, publish under the key of the joined one-TU text, so
+// acquiring that text as a single unit — what a probe that emits the
+// kernels itself does — is a hit, in this process and in a fresh one.
+TEST(KernelCache, MultiUnitModelSharesTheJoinedEntry) {
+  TempDir dir;
+  KernelCacheConfig cfg;
+  cfg.directory = dir.path;
+  KernelCache& cache = KernelCache::shared();
+  cache.reset();
+
+  const ir::Kernel k1 = noisy_diffusion("mu_first");
+  const ir::Kernel k2 = noisy_diffusion("mu_second");
+  CEmitOptions eo;
+  eo.vector_width = 4;
+  const ModelSource model = emit_model({&k1, &k2}, eo);
+  ASSERT_EQ(model.units.size(), 2u);
+  std::string joined;
+  for (const ir::Kernel* k : {&k1, &k2}) {
+    eo.include_preamble = k == &k1;
+    joined += emit_c(*k, eo) + "\n";
+  }
+  EXPECT_EQ(model.joined, joined);
+
+  const KernelCacheResult built =
+      cache.acquire(model.joined, model.units, {}, cfg);
+  EXPECT_FALSE(built.hit);
+  EXPECT_EQ(built.key, KernelCache::key_of(joined, {}));
+  EXPECT_NO_THROW(built.library->get(entry_name(k1)));
+  EXPECT_NO_THROW(built.library->get(entry_name(k2)));
+
+  const KernelCacheResult probe = cache.acquire(joined, {}, cfg);
+  EXPECT_TRUE(probe.hit);
+  EXPECT_EQ(probe.key, built.key);
+  KernelCache fresh;
+  EXPECT_TRUE(fresh.acquire(joined, {}, cfg).hit);
+  const KernelCacheStats st = cache.stats();
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.entries, 1u);
+  cache.reset();
+}
+
 // PFC_JIT_TMPDIR isolation: two compiles in one process (here: truly
 // concurrent, as the serve daemon's workers run them) each get their own
 // pfc_jit_p<pid>_c<counter> scratch directory under the shared tmpdir and
@@ -228,6 +293,57 @@ TEST(JitTmpDir, ConcurrentCompilesGetUniqueScratchDirs) {
       dir.path + "/pfc_jit_p" + std::to_string(::getpid()) + "_c";
   EXPECT_EQ(dir_a.compare(0, prefix.size(), prefix), 0) << dir_a;
   EXPECT_EQ(dir_b.compare(0, prefix.size(), prefix), 0) << dir_b;
+}
+
+/// The message of the pfc::Error `f` throws ("" when it does not throw).
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A multi-unit compile that fails — a second unit stopped by #error, or a
+// compiler that always fails — throws with that unit's diagnostics, leaves
+// PFC_JIT_TMPDIR empty and publishes nothing to the cache; the good units
+// then still compile side by side and link into one library.
+TEST(JitTmpDir, FailedUnitThrowsItsDiagnosticsAndLeavesNoScratch) {
+  TempDir scratch, cache_dir;
+  ASSERT_EQ(::setenv("PFC_JIT_TMPDIR", scratch.path.c_str(), 1), 0);
+  KernelCacheConfig cfg;
+  cfg.directory = cache_dir.path;
+  KernelCache cache;
+  const std::vector<std::string> good = {tiny_source("unit_a"),
+                                         tiny_source("unit_b")};
+  const std::vector<std::string> broken = {
+      tiny_source("unit_a"), "#error second unit is broken\n"};
+
+  std::string what = error_of([&] { JitLibrary::compile(broken, {}); });
+  EXPECT_NE(what.find("unit 2 of 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("second unit is broken"), std::string::npos) << what;
+  what = error_of([&] { cache.acquire("broken", broken, {}, cfg); });
+  EXPECT_NE(what.find("second unit is broken"), std::string::npos) << what;
+
+  JitLibrary::Options no_compiler;
+  no_compiler.compiler = "false";
+  what = error_of([&] { JitLibrary::compile(good, no_compiler); });
+  EXPECT_NE(what.find("unit 1 of 2"), std::string::npos) << what;
+  what = error_of([&] { cache.acquire("good", good, no_compiler, cfg); });
+  EXPECT_NE(what.find("unit 1 of 2"), std::string::npos) << what;
+
+  EXPECT_TRUE(fs::is_empty(scratch.path));
+  EXPECT_TRUE(fs::is_empty(cache_dir.path));
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  const KernelCacheResult r = cache.acquire("good", good, {}, cfg);
+  EXPECT_FALSE(r.hit);
+  EXPECT_NO_THROW(r.library->get("pfc_cache_probe_unit_a"));
+  EXPECT_NO_THROW(r.library->get("pfc_cache_probe_unit_b"));
+  ::unsetenv("PFC_JIT_TMPDIR");
+  EXPECT_TRUE(fs::is_empty(scratch.path));
 }
 
 }  // namespace

@@ -5,11 +5,14 @@
 //
 // Bitwise equality holds because both variants are compiled with
 // -ffp-contract=off (no FMA re-association) and every vector op is either
-// an IEEE-exact packed instruction (+ - * / sqrt) or a lane loop calling
-// the identical scalar routine (exp, philox, ...).
+// an IEEE-exact packed instruction (+ - * / sqrt, the integer Philox), a
+// vector select with the scalar dialect's semantics (min/max/compare) or a
+// lane loop calling the identical scalar routine (exp, ...).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "pfc/app/compiler.hpp"
 #include "pfc/app/params.hpp"
@@ -18,8 +21,10 @@
 #include "pfc/backend/jit.hpp"
 #include "pfc/backend/kernel_runner.hpp"
 #include "pfc/fd/discretize.hpp"
+#include "pfc/fd/stencil.hpp"
 #include "pfc/ir/kernel.hpp"
 #include "pfc/ir/vectorize.hpp"
+#include "pfc/rng/philox.hpp"
 
 namespace pfc::backend {
 namespace {
@@ -161,6 +166,40 @@ TEST(VectorEmitTest, SourceContainsVectorConstructs) {
   EXPECT_EQ(scalar.find("pfc_vd"), std::string::npos);
 }
 
+/// Number of non-overlapping occurrences of `needle` in `hay`.
+int count_of(const std::string& hay, const std::string& needle) {
+  int count = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// The vectorized kernel holds its scalar body once: one loop serves the
+// alignment peel and the remainder, so every scalar store of the kernel
+// appears exactly as often as in the scalar emission.
+TEST(VectorEmitTest, ScalarBodyEmittedOnce) {
+  auto s = make_rich_kernel(3, true);
+  CEmitOptions eo;
+  eo.vector_width = 8;
+  const std::string vec = emit_c(s.kernel, eo);
+  const std::string scalar = emit_c(s.kernel);
+  const std::string body_start =
+      "const double _xg = (double)(x + block_off[0]);";
+  EXPECT_EQ(count_of(scalar, body_start), 1);
+  EXPECT_EQ(count_of(vec, body_start), 1) << vec;
+  // the scalar store line (f_<dst>[x + ...] = ...) appears once in each
+  const std::size_t store = scalar.find("  f_r_dst");
+  ASSERT_NE(store, std::string::npos) << scalar;
+  const std::string line =
+      scalar.substr(store, scalar.find('\n', store) - store);
+  const std::string trimmed = line.substr(line.find_first_not_of(' '));
+  EXPECT_EQ(count_of(scalar, trimmed), 1);
+  EXPECT_EQ(count_of(vec, trimmed), 1) << trimmed;
+  EXPECT_EQ(count_of(vec, "for (long long x ="), 2);  // vector + scalar
+}
+
 class VectorEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(VectorEquivalence, BitwiseMatchesScalar) {
@@ -173,6 +212,143 @@ TEST_P(VectorEquivalence, BitwiseMatchesScalar) {
   Array ref = run_at_width(s, 1, false, n, src_a);
   Array vec = run_at_width(s, width, false, n, src_a);
   EXPECT_EQ(Array::max_abs_diff(ref, vec), 0.0) << "width " << width;
+}
+
+/// Builds a kernel storing `rhs[c]` into component c of `out`.
+ir::Kernel make_store_kernel(const std::string& name, const FieldPtr& out,
+                             const std::vector<Expr>& rhs, int dims) {
+  fd::StencilKernel sk;
+  sk.name = name;
+  for (std::size_t c = 0; c < rhs.size(); ++c) {
+    sk.assignments.push_back({sym::at(out, int(c)), rhs[c]});
+  }
+  fd::recompute_field_lists(sk);
+  ir::BuildOptions bo;
+  bo.dims = dims;
+  return ir::build_kernel(sk, bo);
+}
+
+/// Runs `k` emitted at `width` over `n` with `arrays` bound in k.fields
+/// order.
+void run_kernel(const ir::Kernel& k, int width, std::vector<Array*> arrays,
+                const std::array<long long, 3>& n,
+                const std::array<long long, 3>& block_offset,
+                long long t_step) {
+  CEmitOptions eo;
+  eo.vector_width = width;
+  JitLibrary lib = JitLibrary::compile(emit_c(k, eo), exact_jit());
+  Binding b;
+  b.arrays = std::move(arrays);
+  b.block_offset = block_offset;
+  run_compiled(k, lib.get(entry_name(k)), b, n, 0.0, t_step, nullptr,
+               nullptr, width);
+}
+
+// min/max, the comparisons and select on NaN, ±0, ±inf and equal operands:
+// the vector helpers must give the scalar dialect's bits (fmin/fmax return
+// the non-NaN operand). Each (a, b) pair sits at a different x in every
+// row, so each pair meets vector lanes as well as peel/remainder cells.
+TEST_P(VectorEquivalence, HelpersMatchScalarDialectBitwise) {
+  const int width = GetParam();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double vals[] = {nan, -nan, 0.0, -0.0, inf, -inf, 1.0, -2.5};
+  constexpr int kVals = 8;
+  const std::string tag = "h" + std::to_string(width);
+  auto a = Field::create("ha_" + tag, 2, 1);
+  auto b = Field::create("hb_" + tag, 2, 1);
+  auto out = Field::create("hout_" + tag, 2, 8);
+  const Expr ea = sym::at(a), eb = sym::at(b);
+  const ir::Kernel k = make_store_kernel(
+      "helpers_" + tag, out,
+      {sym::min_(ea, eb), sym::max_(ea, eb),
+       sym::call(sym::Func::Less, {ea, eb}),
+       sym::call(sym::Func::Greater, {ea, eb}),
+       sym::call(sym::Func::LessEq, {ea, eb}),
+       sym::call(sym::Func::GreaterEq, {ea, eb}), sym::select(ea, eb, ea),
+       sym::select(eb, ea, eb)},
+      2);
+
+  const std::array<long long, 3> n{kVals * kVals + 3, 8, 1};
+  Array aa(a, {n[0], n[1], 1}, 0), ab(b, {n[0], n[1], 1}, 0);
+  for (long long y = 0; y < n[1]; ++y) {
+    for (long long x = 0; x < n[0]; ++x) {
+      const long long p = (x + 5 * y) % (kVals * kVals);
+      aa.at(x, y, 0) = vals[p / kVals];
+      ab.at(x, y, 0) = vals[p % kVals];
+    }
+  }
+  const auto run = [&](int w) {
+    Array o(out, {n[0], n[1], 1}, 0);
+    std::vector<Array*> arrays;
+    for (const auto& f : k.fields) {
+      arrays.push_back(f->id() == a->id() ? &aa
+                       : f->id() == b->id() ? &ab
+                                            : &o);
+    }
+    run_kernel(k, w, arrays, n, {0, 0, 0}, 0);
+    return o;
+  };
+  const Array ref = run(1);
+  const Array vec = run(width);
+  int differ = 0;
+  for (int c = 0; c < 8; ++c) {
+    for (long long y = 0; y < n[1]; ++y) {
+      for (long long x = 0; x < n[0]; ++x) {
+        const double r = ref.at(x, y, 0, c), v = vec.at(x, y, 0, c);
+        if (std::memcmp(&r, &v, sizeof r) != 0) {
+          ++differ;
+          ADD_FAILURE() << "output " << c << " a=" << aa.at(x, y, 0)
+                        << " b=" << ab.at(x, y, 0) << ": scalar " << r
+                        << ", width " << width << " " << v;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(differ, 0);
+}
+
+// The integer-vector Philox against the host generator: counters at and
+// above 2^32 (x + block_off, y, z and t_step are cut to their low 32 bits
+// in both), streams 0-2 and a seed with bit 63 set.
+TEST_P(VectorEquivalence, PhiloxMatchesHostAtLargeCounters) {
+  const int width = GetParam();
+  const std::uint64_t seed = 0xd1b54a32d192ed03ull;
+  const std::string tag = "p" + std::to_string(width);
+  auto out = Field::create("pout_" + tag, 3, 3);
+  fd::DiscretizeOptions o;
+  o.dims = 3;
+  o.rng_seed = seed;
+  std::vector<Expr> rhs;
+  for (int s = 0; s < 3; ++s) {
+    rhs.push_back(fd::discretize_expression(sym::random_uniform(s), o));
+  }
+  const ir::Kernel k = make_store_kernel("philox_" + tag, out, rhs, 3);
+
+  const long long two32 = 1ll << 32;
+  const std::array<long long, 3> n{37, 3, 2};
+  const std::array<long long, 3> off{two32 - 20, two32 - 1, two32};
+  for (const long long t_step : {two32, two32 + 3}) {
+    for (const int w : {1, width}) {
+      Array a(out, {n[0], n[1], n[2]}, 0);
+      run_kernel(k, w, {&a}, n, off, t_step);
+      int differ = 0;
+      for (int s = 0; s < 3; ++s) {
+        for (long long z = 0; z < n[2]; ++z) {
+          for (long long y = 0; y < n[1]; ++y) {
+            for (long long x = 0; x < n[0]; ++x) {
+              const double expect = rng::philox_uniform(
+                  std::uint64_t(x + off[0]), std::uint64_t(y + off[1]),
+                  std::uint64_t(z + off[2]), std::uint64_t(t_step), seed,
+                  std::uint64_t(s));
+              differ += a.at(x, y, z, s) != expect;
+            }
+          }
+        }
+      }
+      EXPECT_EQ(differ, 0) << "width " << w << " t_step " << t_step;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, VectorEquivalence,

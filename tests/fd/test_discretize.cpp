@@ -129,8 +129,9 @@ TEST(DiscretizeTest, RandomLoweredToPhilox) {
     if (e->kind() == sym::Kind::Call &&
         e->func() == sym::Func::PhiloxUniform) {
       found = true;
-      EXPECT_TRUE(e->arg(4)->is_number(7.0));  // seed
+      EXPECT_TRUE(e->arg(4)->is_number(7.0));  // seed, low half
       EXPECT_TRUE(e->arg(5)->is_number(3.0));  // stream
+      EXPECT_TRUE(e->arg(6)->is_number(0.0));  // seed, high half
     }
   });
   EXPECT_TRUE(found);

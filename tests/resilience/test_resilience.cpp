@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "pfc/backend/jit.hpp"
 #include "pfc/field/array.hpp"
 #include "pfc/field/field.hpp"
+#include "pfc/obs/json.hpp"
+#include "pfc/obs/report.hpp"
 #include "pfc/resilience/checkpoint.hpp"
 #include "pfc/resilience/resilience.hpp"
 #include "pfc/support/assert.hpp"
@@ -54,9 +58,10 @@ struct EnvVar {
   const char* name_;
 };
 
-app::GrandChemModel noisy_model() {
+app::GrandChemModel noisy_model(std::uint64_t rng_seed = 42) {
   app::GrandChemParams p = app::make_p2(2);
   p.dt = 0.005;
+  p.rng_seed = rng_seed;
   // keep the side-branching noise on: the whole point is that the Philox
   // stream survives a restart bitwise
   EXPECT_GT(p.noise_amplitude, 0.0);
@@ -88,10 +93,10 @@ void init_seed(app::Simulation& sim, double eps) {
 
 /// A noise-enabled run split by checkpoint/restart must match the
 /// uninterrupted run bitwise: state, step counter and accumulated time.
-void check_bitwise_split_run(int vector_width) {
+void check_bitwise_split_run(int vector_width, std::uint64_t rng_seed = 42) {
   TempDir dir("ckpt");
   ASSERT_FALSE(dir.path.empty());
-  const app::GrandChemModel model = noisy_model();
+  const app::GrandChemModel model = noisy_model(rng_seed);
   const double eps = model.params().epsilon;
 
   app::Simulation whole(model, noisy_opts(vector_width));
@@ -128,6 +133,46 @@ TEST(CheckpointRestart, BitwiseWithNoiseScalar) {
 
 TEST(CheckpointRestart, BitwiseWithNoiseVector) {
   check_bitwise_split_run(4);
+  // A seed above 2^53 (bit 63 set) survives the manifest exactly, so the
+  // restarted run passes the seed check and replays the same noise.
+  check_bitwise_split_run(4, 0xd1b54a32d192ed03ull);
+}
+
+// The manifest stores the seed as a hex string. A manifest that holds it
+// as a JSON number still reads when the number is an exact integer, and
+// is rejected when a double cannot hold it.
+TEST(CheckpointRestart, SeedRoundTripsExactly) {
+  TempDir dir("seed");
+  ASSERT_FALSE(dir.path.empty());
+  const FieldPtr f = Field::create("a", 2, 1);
+  Array a(f, {4, 2, 1}, 1);
+  resilience::CheckpointMeta meta;
+  meta.dt = 0.25;
+  meta.rng_seed = 0xd1b54a32d192ed03ull;
+  meta.layout = "test";
+  resilience::write_checkpoint(dir.path, meta, {{"a", &a}});
+  EXPECT_EQ(resilience::read_checkpoint(dir.path, {{"a", &a}}).rng_seed,
+            0xd1b54a32d192ed03ull);
+
+  const std::string path = resilience::manifest_path(dir.path);
+  const auto rewrite_seed = [&](const obs::Json& seed) {
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    obs::Json j = obs::Json::parse(text);
+    j.set("rng_seed", seed);
+    obs::write_json(path, j);
+  };
+  rewrite_seed(obs::Json(9007199254740991.0));
+  EXPECT_EQ(resilience::read_checkpoint(dir.path, {{"a", &a}}).rng_seed,
+            9007199254740991ull);
+  for (const double bad : {9007199254740992.0, 1e19, -1.0}) {
+    rewrite_seed(obs::Json(bad));
+    EXPECT_THROW(resilience::read_checkpoint(dir.path, {{"a", &a}}), Error)
+        << bad;
+  }
+  rewrite_seed(obs::Json("0xd1b54a32d192ed0"));
+  EXPECT_THROW(resilience::read_checkpoint(dir.path, {{"a", &a}}), Error);
 }
 
 TEST(CheckpointRestart, RejectsTruncatedState) {
@@ -253,6 +298,16 @@ TEST(JitFallback, DegradesToInterpreterAndStillRuns) {
   EXPECT_LT(app::phase_statistics(sim.phi()).simplex_violation, 1e-6);
 }
 
+/// Number of entries in `dir`.
+int entries_in(const std::string& dir) {
+  int n = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
 TEST(JitFallback, NoTempLeakOnRealCompilerError) {
   TempDir scratch("jitscratch");
   ASSERT_FALSE(scratch.path.empty());
@@ -267,13 +322,61 @@ TEST(JitFallback, NoTempLeakOnRealCompilerError) {
   EXPECT_FALSE(cr.fallback_reason.empty());
   EXPECT_NE(cr.fallback_reason, "injected jit fault");
   // the failed attempts must have cleaned up their pfc_jit_* scratch dirs
-  int leftovers = 0;
-  for (const auto& e : fs::directory_iterator(scratch.path)) {
-    (void)e;
-    ++leftovers;
+  EXPECT_EQ(entries_in(scratch.path), 0)
+      << "JIT scratch directories leaked in " << scratch.path;
+}
+
+// The model compiles as one unit per kernel (phi-full, mu-full). An
+// injected failing compiler fails the vector attempt's units; the scalar
+// tier takes over, and only its live library's scratch directory remains
+// until the simulation goes away.
+TEST(JitFallback, MultiUnitInjectedFaultDegradesWithoutLeak) {
+  TempDir scratch("jitunits");
+  ASSERT_FALSE(scratch.path.empty());
+  EnvVar env("PFC_JIT_TMPDIR", scratch.path.c_str());
+  const app::GrandChemModel model = noisy_model();
+  app::SimulationOptions o = noisy_opts(4);
+  resilience::FaultPlan faults;
+  faults.fail_jit_attempts = 1;
+  o.with_resilience(resilience::ResilienceOptions{}.with_faults(faults));
+  {
+    app::Simulation sim(model, o);
+    const obs::CompileReport& cr = sim.compiled().compile_report();
+    EXPECT_EQ(cr.kernel_names.size(), 2u);
+    EXPECT_EQ(cr.backend_tier, "scalar");
+    EXPECT_EQ(cr.fallback_reason, "injected jit fault");
+    init_seed(sim, model.params().epsilon);
+    sim.run(3);
+    EXPECT_LT(app::phase_statistics(sim.phi()).simplex_violation, 1e-6);
+    EXPECT_EQ(entries_in(scratch.path), 1);
   }
-  EXPECT_EQ(leftovers, 0) << "JIT scratch directories leaked in "
-                          << scratch.path;
+  EXPECT_EQ(entries_in(scratch.path), 0);
+}
+
+// A real error in the second unit only: the flag turns the mu-full entry
+// point into a GCC error pragma, so phi-full compiles and mu-full fails.
+// Both JIT tiers fail on that unit, name it in the reason, leave no
+// scratch, and the interpreter runs the job.
+TEST(JitFallback, SecondUnitErrorDegradesToInterpreter) {
+  TempDir scratch("jitunit2");
+  ASSERT_FALSE(scratch.path.empty());
+  EnvVar env("PFC_JIT_TMPDIR", scratch.path.c_str());
+  const app::GrandChemModel model = noisy_model();
+  app::SimulationOptions o = noisy_opts(4);
+  o.compile.jit_extra_flags +=
+      R"( '-Dmu_full=_Pragma("GCC error \"mu unit broken\"") mu_full')";
+  app::Simulation sim(model, o);
+  const obs::CompileReport& cr = sim.compiled().compile_report();
+  EXPECT_EQ(cr.backend_tier, "interpreter");
+  EXPECT_EQ(cr.fallback_attempts, 2);
+  EXPECT_NE(cr.fallback_reason.find("unit 2 of 2"), std::string::npos)
+      << cr.fallback_reason;
+  EXPECT_NE(sim.compiled().generated_source().find("mu_full"),
+            std::string::npos);
+  init_seed(sim, model.params().epsilon);
+  sim.run(3);
+  EXPECT_LT(app::phase_statistics(sim.phi()).simplex_violation, 1e-6);
+  EXPECT_EQ(entries_in(scratch.path), 0);
 }
 
 TEST(JitFallback, StrictVectorWidthEnv) {
