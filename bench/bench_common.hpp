@@ -1,7 +1,8 @@
 // Shared helpers for the benchmark harness: lowering single PDEs of the
 // P1/P2 models to optimized IR kernels, formatting, and emitting the
-// BENCH_<name>.json reports in the same pfc-obs-report-v2 schema the
-// examples write (tools/report_check.cpp validates it).
+// BENCH_<name>.json reports in the same pfc-obs-report-v7 schema the
+// examples write (tools/report_check.cpp validates it; v2-v6 are still
+// read).
 #pragma once
 
 #include <cstdio>

@@ -47,8 +47,10 @@ struct CompileOptions {
   /// the vectorized loop — bypasses the write-allocate read of the store
   /// stream (paper §3.5's memory-bandwidth discussion).
   bool streaming_stores = false;
-  /// Extra flags appended to the JIT compile line (e.g. "-ffp-contract=off"
-  /// for bitwise-reproducible equivalence tests).
+  /// Extra flags appended to the JIT compile line, after the default
+  /// "-O3 -march=native -ffp-contract=off" (e.g. "-DNAME=..."). A flag
+  /// that turns FMA contraction back on voids the bitwise agreement of
+  /// tiers, widths and sub-ranges.
   std::string jit_extra_flags;
   /// Fault injection: force the first N JIT attempts to fail (the external
   /// compiler is replaced by `false`), driving the vector → scalar →

@@ -216,7 +216,10 @@ KernelText emit_parts(const ir::Kernel& k, const CEmitOptions& opts) {
   // Alignment contract of the vector path: the peel aligns the primary
   // write's component-0 row, so stores to further components (and the
   // streaming fast path) need vector-multiple strides. pfc::Array pads
-  // every line to 8 doubles, which satisfies all of these for width <= 8.
+  // every line to 8 doubles and puts x = 0 of every line on a 64-byte
+  // boundary, which satisfies all of these for width <= 8 and leaves a
+  // full row [0, n) with no peel; only sub-ranges starting off a vector
+  // boundary peel.
   if (plan.enabled()) {
     const auto& pbase =
         names.field_name.at(k.fields[plan.primary_write]->id());

@@ -36,7 +36,10 @@ class JitLibrary {
     std::string compiler;             ///< default: $CXX or "c++"
     std::string extra_flags;          ///< appended to the command line
     bool keep_sources = false;        ///< keep scratch dir for inspection
-    std::string optimization = "-O3 -march=native";
+    /// No FMA contraction: every tier, width and sub-range runs the
+    /// same IEEE operations per cell, so results never depend on which
+    /// loop body (vector, peel or remainder) computed a cell.
+    std::string optimization = "-O3 -march=native -ffp-contract=off";
   };
 
   /// Compiles the translation units into one shared object: one object

@@ -81,10 +81,13 @@ RawArgs marshal(const ir::Kernel& k, const Binding& b,
 /// the timeline shows the per-thread work distribution under the driver's
 /// kernel span. `vector_width` is the SIMD width the kernel was emitted
 /// with; for 1-D kernels (where x itself is the slab-split loop) slab
-/// boundaries are rounded to multiples of it so each slab keeps one
-/// aligned main loop instead of re-peeling mid-row. `range` restricts the
+/// boundaries are rounded to multiples of it, and since pfc::Array aligns
+/// x = 0 those boundaries are vector-aligned addresses, so each slab runs
+/// its main loop from its first cell with no peel. `range` restricts the
 /// sweep to a sub-box (nullptr = full box); the emitted peel re-anchors to
-/// the sub-box so results are bitwise identical to the monolithic sweep.
+/// the sub-box, and the compile line's lack of FMA contraction makes a
+/// cell's bits independent of the loop body that computes it, so results
+/// are bitwise identical to the monolithic sweep.
 ///
 /// `plan` switches the outer-loop split from dynamic parallel_for chunks to
 /// static ownership: worker w always executes the slab plan->slab(w, ...)

@@ -34,10 +34,15 @@ Array::Array(FieldPtr field, std::array<std::int64_t, 3> interior_size,
   const std::int64_t line = std::int64_t(round_up(std::size_t(nx), kLinePad));
   strides_ = {1, line, line * ny};
   comp_stride_ = line * ny * nz;
-  origin_offset_ = ghosts_per_dim_[0] * strides_[0] +
-                   ghosts_per_dim_[1] * strides_[1] +
+  // x = 0 of every line starts a line slot, so it is vector-aligned. A
+  // line's left x ghosts sit in the tail padding of the slot before it
+  // (line >= nx leaves g spare doubles there); the first line's sit at the
+  // end of one lead pad.
+  const std::int64_t lead =
+      std::int64_t(round_up(std::size_t(ghosts_per_dim_[0]), kLinePad));
+  origin_offset_ = lead + ghosts_per_dim_[1] * strides_[1] +
                    ghosts_per_dim_[2] * strides_[2];
-  alloc_ = comp_stride_ * field_->components();
+  alloc_ = lead + comp_stride_ * field_->components();
   data_ = make_aligned<double>(std::size_t(alloc_));
   first_touch_fill(first_touch_pool, 0.0);
 }
@@ -58,9 +63,16 @@ void Array::first_touch_fill(ThreadPool* pool, double v) {
   const std::int64_t g = ghosts_per_dim_[std::size_t(outer)];
   const std::int64_t row_stride = strides_[std::size_t(outer)];
   const SlabPlan plan = SlabPlan::make(0, n, pool->num_threads());
-  double* base = data_.get();
   const int comps = field_->components();
   const std::int64_t comp_stride = comp_stride_;
+  // the rows below start at each component's first ghost cell; the lead
+  // pad before component 0 and the g spare doubles after the last
+  // component are filled here
+  const std::int64_t first = first_cell();
+  const std::int64_t end = first + comps * comp_stride;
+  std::fill_n(data_.get(), std::size_t(first), v);
+  std::fill_n(data_.get() + end, std::size_t(alloc_ - end), v);
+  double* base = data_.get() + first;
   pool->run_on_all([&](int w) {
     const auto [lo, hi] = plan.slab(w, -g, n + g);
     if (lo >= hi) return;
@@ -86,7 +98,13 @@ void Array::fill(double v) {
 }
 
 void Array::fill_component(int c, double v) {
-  std::fill_n(data_.get() + c * comp_stride_, std::size_t(comp_stride_), v);
+  std::fill_n(data_.get() + first_cell() + c * comp_stride_,
+              std::size_t(comp_stride_), v);
+}
+
+std::int64_t Array::first_cell() const {
+  return origin_offset_ - ghosts_per_dim_[0] * strides_[0] -
+         ghosts_per_dim_[1] * strides_[1] - ghosts_per_dim_[2] * strides_[2];
 }
 
 void Array::copy_from(const Array& other) {

@@ -1,10 +1,14 @@
 // Runtime lattice storage bound to a symbolic Field.
 //
 // Layout is waLBerla's "fzyx": the component index is the outermost (slowest)
-// dimension, i.e. a structure-of-arrays layout, and each x-line is padded so
-// that line starts are SIMD/cache-line aligned (paper §3.5: "arrays are
+// dimension, i.e. a structure-of-arrays layout. Each x-line occupies
+// round_up(n_x + 2g, 8) doubles and its first interior cell x = 0 is 64-byte
+// aligned, in every line of every component (paper §3.5: "arrays are
 // allocated and padded such that the beginning of each line is sufficiently
-// aligned").
+// aligned"), so a full-row sweep runs its SIMD loop from x = 0 with no
+// scalar peel. A line's left ghosts x = -g .. -1 sit in the tail padding of
+// the line before it; the very first line's sit at the end of one lead pad
+// of round_up(g, 8) doubles, the only memory this layout adds.
 //
 // Coordinates are *interior* coordinates: (0,0,0) is the first non-ghost
 // cell; ghost cells live at -g .. -1 and n .. n+g-1.
@@ -48,7 +52,8 @@ class Array {
   std::int64_t stride(int d) const { return strides_[std::size_t(d)]; }
   std::int64_t component_stride() const { return comp_stride_; }
 
-  /// Total allocated doubles.
+  /// Total allocated doubles: the lead pad plus one component stride per
+  /// component.
   std::int64_t allocated() const { return alloc_; }
 
   /// Pointer to interior origin (0,0,0) of component c.
@@ -120,6 +125,11 @@ class Array {
   double interior_sum(int c = 0) const;
 
  private:
+  /// Offset of component 0's first cell (x, y, z) = (-g, -g, -g). Component
+  /// c's cells, ghosts included, lie in [first_cell() + c * comp_stride,
+  /// first_cell() + (c + 1) * comp_stride).
+  std::int64_t first_cell() const;
+
   FieldPtr field_;
   std::array<std::int64_t, 3> size_{};
   std::array<std::int64_t, 3> strides_{};

@@ -22,6 +22,15 @@ double phi_init(long long x, long long y, long long, int c) {
   return c == 1 ? solid : 1.0 - solid;
 }
 
+/// Three-phase seed of radius 20 centred on (64, 32), so its interface
+/// crosses the x = 64 face between two 64-wide blocks.
+double p2_phi_init(long long x, long long y, long long, int c) {
+  const double d = std::sqrt(double((x - 64) * (x - 64) + (y - 32) * (y - 32)));
+  const double solid = interface_profile(d - 20.0, 10.0);
+  if (c == 1) return solid;
+  return c == 0 ? 1.0 - solid : 0.0;
+}
+
 double mu_init(long long x, long long y, long long, int) {
   return 0.01 * std::sin(0.2 * double(x)) * std::cos(0.2 * double(y));
 }
@@ -33,10 +42,12 @@ struct RunResult {
 };
 
 RunResult run_mode(const GrandChemModel& model, DistributedOptions o,
-                   OverlapMode mode, mpi::Comm* comm, int steps) {
+                   OverlapMode mode, mpi::Comm* comm, int steps,
+                   double (*phi0)(long long, long long, long long,
+                                  int) = &phi_init) {
   o.with_overlap(mode);
   DistributedSimulation dist(model, o, comm);
-  dist.init(&phi_init, &mu_init);
+  dist.init(phi0, &mu_init);
   RunResult r;
   r.report = dist.run(steps);
   r.phi = dist.gather_phi();
@@ -174,6 +185,31 @@ TEST(DistributedOverlapTest, MixedLocalRemoteBitwise) {
         << "rank " << comm.rank();
     EXPECT_EQ(on.report.overlap.interior_cells,
               rank_cells - remote_face_cells);
+  });
+}
+
+TEST(DistributedOverlapTest, P2NoiseRemoteXBitwise) {
+  // P2 with noise on two ranks of 64-wide blocks, both x faces remote. The
+  // synchronous step sweeps each full row as vector code from the aligned
+  // x = 0; the overlapped step sweeps the x slabs {0} and {63} apart and
+  // an interior [1, 63) that starts mid-vector, so its peel and remainder
+  // cells run the scalar body. Only the default compile line's lack of FMA
+  // contraction keeps the two bodies, and so the two steps, bitwise equal:
+  // with contraction on, tens of phi values differ after 40 steps.
+  const GrandChemParams p = make_p2(2);
+  ASSERT_GT(p.noise_amplitude, 0.0);
+  GrandChemModel model(p);
+  DistributedOptions o;
+  o.cells = {128, 64, 1};
+  o.blocks_per_dim = {2, 1, 1};
+  mpi::run(2, [&](mpi::Comm& comm) {
+    const RunResult off =
+        run_mode(model, o, OverlapMode::Off, &comm, 40, &p2_phi_init);
+    const RunResult on = run_mode(model, o, OverlapMode::InteriorFrontier,
+                                  &comm, 40, &p2_phi_init);
+    expect_bitwise_equal(off, on);
+    // the frontier is the two one-cell x slabs of this rank's block
+    EXPECT_EQ(on.report.overlap.frontier_cells, 2 * 64);
   });
 }
 

@@ -4,9 +4,13 @@
 //
 // This is the contract the distributed overlap path relies on: frontier
 // slabs run first, the interior runs while the ghost exchange is in
-// flight, and the union must equal one full sweep exactly. The vector
-// peel re-anchors per row from the actual `lo[0]` pointer, so sub-range
-// x bounds never shift lane assignment relative to the full sweep.
+// flight, and the union must equal one full sweep exactly. A sub-range
+// moves cells between loop bodies: a full row starts its vector loop at
+// the aligned x = 0, while a box starting at x = 1 peels up to w - 1
+// cells in scalar code. The union stays exact because the default compile
+// line has no FMA contraction, so every body computes a cell with the
+// same IEEE operations; these tests compile with that default and guard
+// it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -79,12 +83,6 @@ void fill_pattern(Array& a) {
   }
 }
 
-JitLibrary::Options exact_jit() {
-  JitLibrary::Options jo;
-  jo.extra_flags = "-ffp-contract=off";
-  return jo;
-}
-
 /// Onion decomposition of `full` into an inset interior plus <= 2*dims
 /// disjoint frontier slabs of width `w`, peeled outermost-dim-first (the
 /// same shape the distributed driver builds).
@@ -114,7 +112,7 @@ struct Compiled {
 Compiled compile_at(const Setup& s, int width) {
   CEmitOptions eo;
   eo.vector_width = width;
-  JitLibrary lib = JitLibrary::compile(emit_c(s.kernel, eo), exact_jit());
+  JitLibrary lib = JitLibrary::compile(emit_c(s.kernel, eo));
   KernelFn fn = lib.get(entry_name(s.kernel));
   return {std::move(lib), fn};
 }
@@ -263,7 +261,6 @@ TEST(SubRangeTest, SplitStaggeredPipelineMatches) {
   co.split_phi = true;
   co.split_mu = true;
   co.vector_width = 8;
-  co.jit_extra_flags = "-ffp-contract=off";
   const app::CompiledModel cm = app::ModelCompiler(co).compile(model);
   ASSERT_GE(cm.phi_kernels.size(), 2u) << "split must stage a flux kernel";
   ASSERT_TRUE(cm.phi_flux_field.has_value());

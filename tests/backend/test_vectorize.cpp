@@ -3,11 +3,13 @@
 // extents (peel + remainder loops), streaming stores, lane-serial calls
 // (philox, exp) and the full split-staggered model pipeline.
 //
-// Bitwise equality holds because both variants are compiled with
-// -ffp-contract=off (no FMA re-association) and every vector op is either
-// an IEEE-exact packed instruction (+ - * / sqrt, the integer Philox), a
-// vector select with the scalar dialect's semantics (min/max/compare) or a
-// lane loop calling the identical scalar routine (exp, ...).
+// Bitwise equality holds because the production compile line has no FMA
+// contraction (-ffp-contract=off in JitLibrary::Options::optimization) and
+// every vector op is either an IEEE-exact packed instruction (+ - * / sqrt,
+// the integer Philox), a vector select with the scalar dialect's semantics
+// (min/max/compare) or a lane loop calling the identical scalar routine
+// (exp, ...). The suite compiles with the default options, so it guards
+// that default.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,21 +90,13 @@ void fill_pattern(Array& a) {
   }
 }
 
-/// JIT options pinning the FP contract so scalar and vector code execute
-/// identical IEEE operation sequences.
-JitLibrary::Options exact_jit() {
-  JitLibrary::Options jo;
-  jo.extra_flags = "-ffp-contract=off";
-  return jo;
-}
-
 /// Runs `kernel` emitted at `width` and returns the destination array.
 Array run_at_width(const Setup& s, int width, bool streaming,
                    const std::array<long long, 3>& n, Array& src_a) {
   CEmitOptions eo;
   eo.vector_width = width;
   eo.streaming_stores = streaming;
-  JitLibrary lib = JitLibrary::compile(emit_c(s.kernel, eo), exact_jit());
+  JitLibrary lib = JitLibrary::compile(emit_c(s.kernel, eo));
   KernelFn fn = lib.get(entry_name(s.kernel));
 
   Array dst(s.dst, {n[0], n[1], n[2]}, 1);
@@ -236,7 +230,7 @@ void run_kernel(const ir::Kernel& k, int width, std::vector<Array*> arrays,
                 long long t_step) {
   CEmitOptions eo;
   eo.vector_width = width;
-  JitLibrary lib = JitLibrary::compile(emit_c(k, eo), exact_jit());
+  JitLibrary lib = JitLibrary::compile(emit_c(k, eo));
   Binding b;
   b.arrays = std::move(arrays);
   b.block_offset = block_offset;
@@ -398,7 +392,7 @@ TEST(VectorEquivalenceTest, ThreadedVectorMatchesSerialVector) {
 
   CEmitOptions eo;
   eo.vector_width = 8;
-  JitLibrary lib = JitLibrary::compile(emit_c(s.kernel, eo), exact_jit());
+  JitLibrary lib = JitLibrary::compile(emit_c(s.kernel, eo));
   KernelFn fn = lib.get(entry_name(s.kernel));
   const auto bind = [&](Array& dst) {
     Binding b;
@@ -428,7 +422,6 @@ TEST(VectorEquivalenceTest, SplitStaggeredModelMatches) {
     opts.compile.split_phi = true;
     opts.compile.split_mu = true;
     opts.compile.vector_width = width;
-    opts.compile.jit_extra_flags = "-ffp-contract=off";
     opts.time_scheme = app::TimeScheme::Heun;
     app::Simulation sim(model, opts);
     sim.init_phi([](long long x, long long, long long, int c) {

@@ -14,6 +14,7 @@
 
 #include "pfc/app/analysis.hpp"
 #include "pfc/app/distributed.hpp"
+#include "pfc/app/jobspec.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
 #include "pfc/backend/jit.hpp"
@@ -72,10 +73,10 @@ app::SimulationOptions noisy_opts(int vector_width) {
   app::SimulationOptions o;
   o.cells = {32, 32, 1};
   o.boundary = grid::BoundaryKind::ZeroGradient;
+  // the default compile line has no FMA contraction, so scalar and vector
+  // code stay bitwise comparable, and so do the pre- and post-restart
+  // halves of a split run
   o.compile.vector_width = vector_width;
-  // no FMA contraction: scalar and vector code stay bitwise comparable,
-  // and so do the pre- and post-restart halves of a split run
-  o.compile.jit_extra_flags = "-ffp-contract=off";
   o.with_health(obs::HealthOptions{}.enable().every(5));
   return o;
 }
@@ -281,6 +282,35 @@ TEST(JitFallback, DegradesToScalar) {
   EXPECT_EQ(cr.vector_width, 1);
   EXPECT_EQ(cr.fallback_attempts, 1);
   EXPECT_EQ(cr.fallback_reason, "injected jit fault");
+}
+
+// A run degraded to the scalar tier keeps the vector tier's bits: the
+// default compile line has no FMA contraction, so the scalar and vector
+// bodies run the same IEEE operations on every cell, noise included.
+TEST(JitFallback, ScalarTierMatchesVectorBitwise) {
+  const app::GrandChemModel model = noisy_model();
+  struct Result {
+    std::string tier;
+    std::uint64_t phi = 0, mu = 0;
+  };
+  const auto run = [&](int failed_jit_attempts) {
+    app::SimulationOptions o = noisy_opts(8);
+    resilience::FaultPlan faults;
+    faults.fail_jit_attempts = failed_jit_attempts;
+    o.with_resilience(resilience::ResilienceOptions{}.with_faults(faults));
+    app::Simulation sim(model, o);
+    init_seed(sim, model.params().epsilon);
+    sim.run(20);
+    return Result{sim.compiled().compile_report().backend_tier,
+                  app::interior_checksum(sim.phi()),
+                  app::interior_checksum(sim.mu())};
+  };
+  const Result vector = run(0);
+  const Result scalar = run(1);
+  EXPECT_EQ(vector.tier, "vector");
+  EXPECT_EQ(scalar.tier, "scalar");
+  EXPECT_EQ(scalar.phi, vector.phi) << "phi checksum moved with the tier";
+  EXPECT_EQ(scalar.mu, vector.mu) << "mu checksum moved with the tier";
 }
 
 TEST(JitFallback, DegradesToInterpreterAndStillRuns) {

@@ -1,8 +1,9 @@
 // Validates a pfc-obs report JSON file against the shared schema
-// (pfc-obs-report-v6; stored v5/v4/v3/v2 reports are still accepted),
+// (pfc-obs-report-v7; stored v6/v5/v4/v3/v2 reports are still accepted),
 // including the optional model_accuracy (ECM/netmodel drift), health,
 // resilience, overlap (communication-hiding phase split), cache
-// (kernel-cache provenance) and threading (execution resources) sections.
+// (kernel-cache provenance), threading (execution resources) and tuning
+// (measured-autotuning decision) sections.
 // Run by ctest against the file quickstart emits, so every producer that
 // funnels through obs::make_report_json stays honest.
 //
