@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 
-#include "pfc/app/distributed.hpp"
+#include "pfc/app/simulation.hpp"
 #include "pfc/perf/gpu_model.hpp"
 #include "pfc/perf/netmodel.hpp"
 #include "pfc/support/timer.hpp"
@@ -36,11 +36,11 @@ MeasuredMode run_measured(app::OverlapMode mode, int steps) {
   app::GrandChemModel model(params);
   MeasuredMode out;
   mpi::run(4, [&](mpi::Comm& comm) {
-    const auto opts = app::DistributedOptions{}
+    const auto opts = app::SimulationOptions{}
                           .with_cells(256, 256)
                           .with_blocks(4, 2)
                           .with_overlap(mode);
-    app::DistributedSimulation sim(model, opts, &comm);
+    app::Simulation sim(model, opts, &comm);
     sim.init(
         [&](long long x, long long y, long long, int c) {
           const double d = std::sqrt(double((x - 128) * (x - 128) +

@@ -1,10 +1,10 @@
 // Cooperative cancellation of running simulations. A CancelToken is owned
 // by whoever supervises a job (the serve daemon's per-job control record)
-// and handed to the driver through ProgressOptions; Simulation::run and
-// DistributedSimulation::run check it once per step, so a cancelled or
-// expired job stops within one step cadence, writes a final checkpoint
-// when the spec configured a checkpoint directory, and surfaces as a
-// JobCancelled exception carrying why it stopped.
+// and handed to the driver through ProgressOptions; Simulation::run checks
+// it once per step, so a cancelled or expired job stops within one step
+// cadence, writes a final checkpoint when the spec configured a checkpoint
+// directory, and surfaces as a JobCancelled exception carrying why it
+// stopped.
 //
 // request() is thread-safe and idempotent: the first caller's kind/reason
 // win (a client cancel racing a deadline keeps whichever landed first),

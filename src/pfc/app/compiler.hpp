@@ -78,7 +78,7 @@ class CompiledKernel {
   ir::Kernel ir;
 
   /// `range` restricts the sweep to a sub-box (nullptr = full box); the
-  /// distributed driver uses it for interior/frontier overlap execution.
+  /// driver uses it for its frontier and interior sweeps.
   /// `plan` selects static slab ownership (see backend::run_compiled);
   /// the interpreter backend ignores it (fallback path, dynamic split).
   void run(const backend::Binding& b, const std::array<long long, 3>& n,

@@ -1,5 +1,5 @@
-// In-flight progress reporting of a running simulation: the drivers
-// (Simulation / DistributedSimulation) sample their own step loop every
+// In-flight progress reporting of a running simulation: the driver
+// (Simulation) samples its own step loop every
 // `every` steps and hand the sample to a caller-provided ProgressSink.
 // The serve daemon threads a sink through app::run_job so each job streams
 // periodic "progress" events (step, fraction, live MLUPS, ETA from a
@@ -33,8 +33,7 @@ struct ProgressUpdate {
 
 using ProgressSink = std::function<void(const ProgressUpdate&)>;
 
-/// Driver-side configuration (Simulation::set_progress /
-/// DistributedSimulation::set_progress).
+/// Driver-side configuration (Simulation::set_progress).
 struct ProgressOptions {
   ProgressSink sink;          ///< null = progress reporting off
   long long every = 0;        ///< steps between samples (<= 0 = off)

@@ -5,8 +5,8 @@
 // materializes in code. Every loop dim d runs over the caller's
 // [lo[d], hi[d]) sub-box: a thread pool splits the outermost loop into
 // slabs (the role OpenMP plays in the paper's generated code), and the
-// distributed driver runs disjoint interior/frontier boxes to hide ghost
-// exchange behind interior compute.
+// driver runs disjoint interior/frontier boxes to hide ghost exchange
+// behind interior compute.
 //
 // With vector_width > 1 the emitter consumes an ir::VectorPlan and renders
 // the paper's "C + OpenMP + SIMD" form explicitly: the x loop splits into a

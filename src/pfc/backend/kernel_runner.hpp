@@ -33,8 +33,8 @@ struct RawArgs {
 
 /// Half-open iteration sub-box [lo, hi) in kernel loop coordinates (same
 /// coordinates as the generated loop nest: 0..n+extent_plus per used dim,
-/// [0, 1) on unused dims). Used by the distributed driver to run the
-/// interior/frontier decomposition that hides ghost exchange.
+/// [0, 1) on unused dims). Used by the driver to run the interior/frontier
+/// decomposition that hides ghost exchange.
 struct CellRange {
   std::array<long long, 3> lo{0, 0, 0};
   std::array<long long, 3> hi{1, 1, 1};
@@ -61,8 +61,8 @@ struct OffsetRange {
 using ReadRanges = std::unordered_map<std::uint64_t, OffsetRange>;
 
 /// Exact per-field read-offset ranges of a kernel. The same analysis
-/// marshal() uses for ghost validation; the distributed driver derives
-/// frontier widths from it. It walks every assignment's expression tree,
+/// marshal() uses for ghost validation; the driver derives frontier
+/// widths from it. It walks every assignment's expression tree,
 /// so callers that launch a kernel repeatedly compute it once.
 ReadRanges read_offset_ranges(const ir::Kernel& k);
 

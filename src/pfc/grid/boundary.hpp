@@ -1,7 +1,8 @@
 // Single-block boundary handling: fills ghost layers either periodically or
-// with zero-gradient (Neumann) copies of the boundary cells. Distributed
-// runs use ghost_exchange for inter-block faces and these fills only at
-// true domain boundaries.
+// with zero-gradient (Neumann) copies of the boundary cells. The driver
+// goes through ghost_exchange, which copies between blocks (a periodic
+// one-block forest is its own neighbour) and uses these fills only at
+// domain walls; the wavefront schedule and perfbench call them directly.
 #pragma once
 
 #include "pfc/field/array.hpp"
@@ -15,7 +16,7 @@ enum class BoundaryKind { Periodic, ZeroGradient };
 /// range fill edge and corner ghosts without diagonal copies.
 void fill_ghosts(Array& a, BoundaryKind kind);
 
-/// Fills ghosts along a single axis (used by the distributed runtime for
+/// Fills ghosts along a single axis (used by the ghost exchange for
 /// non-periodic domain boundaries on boundary blocks).
 void fill_ghosts_axis(Array& a, int axis, BoundaryKind kind,
                       bool lower = true, bool upper = true);

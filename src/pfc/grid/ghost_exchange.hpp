@@ -71,7 +71,7 @@ class GhostExchange {
   std::size_t last_bytes_sent() const { return bytes_sent_; }
 
   /// Cumulative remote bytes / exchange rounds since construction (feeds
-  /// the observability registry of the distributed driver).
+  /// the driver's observability registry).
   std::size_t total_bytes_sent() const { return total_bytes_sent_; }
   std::size_t rounds() const { return rounds_; }
 

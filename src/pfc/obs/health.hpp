@@ -40,7 +40,7 @@ const char* health_policy_name(HealthPolicy p);
 /// listing the accepted values otherwise).
 HealthPolicy parse_health_policy(const std::string& name);
 
-/// Driver-level health knobs (lives on app::DomainOptions).
+/// Driver-level health knobs (lives on app::SimulationOptions).
 struct HealthOptions {
   bool enabled = false;
   int every_n_steps = 1;  ///< scan after every N-th completed step

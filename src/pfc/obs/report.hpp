@@ -1,79 +1,59 @@
-// The redesigned reporting API: drivers return a RunReport from run(), the
-// compiler exposes a CompileReport, and both (plus the bench harness) emit
-// one JSON schema:
+// The reporting API: drivers return a RunReport from run(), the compiler
+// exposes a CompileReport, and both (plus the bench harness) emit one JSON
+// schema, pfc-obs-report-v7:
 //
 //   {
-//     "schema":   "pfc-obs-report-v2",
+//     "schema":   "pfc-obs-report-v7",
 //     "kind":     "run" | "compile" | "bench",
 //     "name":     "<producer>",
 //     "timers":   { "<path>": {"seconds": s, "count": n}, ... },
 //     "counters": { "<path>": n, ... },
-//     "derived":  { "<stat>": x, ... }
+//     "derived":  { "<stat>": x, ... },
+//     ...sections below
 //   }
 //
-// v2 added two optional run-report sections (validated when present):
+// Run reports carry:
 //
 //     "model_accuracy": { "<target>": {"predicted_seconds": p,
 //                                      "measured_seconds": m,
-//                                      "ratio": m/p}, ... }
-//     "health":         HealthStats::to_json() + "policy"
-//
-// where <target> is "kernel/<ir name>" (ECM prediction, paper Fig. 2) or
-// "exchange" (network model, Table 2).
-//
-// v3 adds the resilience accounting:
-//
+//                                      "ratio": m/p}, ... } — <target> is
+//                       "kernel/<ir name>" (ECM prediction, paper Fig. 2)
+//                       or "exchange" (network model, Table 2); omitted
+//                       before the first step.
+//     "health":         HealthStats::to_json() + "policy".
 //     "resilience":     ResilienceStats::to_json() — checkpoints captured/
 //                       written, rollbacks, dt shrinks, injected faults,
-//                       restart provenance (run reports), and
-//     "backend_tier" / "fallback_reason" on compile reports — which rung of
-//     the JIT fallback chain (vector → scalar → interpreter) actually runs.
-//
-// v4 adds the communication-hiding accounting of the overlapped distributed
-// step (OverlapMode::InteriorFrontier):
-//
-//     "overlap":        OverlapStats::to_json() — pack/wait/interior/
-//                       frontier seconds, interior/frontier cell counts,
-//                       and the netmodel-derived hidden-seconds /
-//                       hidden-fraction. Emitted only when the run
-//                       overlapped; synchronous runs stay v3-shaped (plus
-//                       the bumped schema string).
-//
-// v5 adds the kernel-cache provenance of a compile (pfc-jobspec-v1 /
-// pfc::serve era — the content-addressed shared-object cache):
-//
-//     "cache":          on compile reports whose JIT consulted the cache —
-//                       {"hit", "key", "hits", "misses", "evictions",
-//                        "bytes"}: whether *this* compile was served from
-//                       the cache, its SHA-256 content address, and the
-//                       process-wide cache counters after the request.
-//                       Uncached compiles omit the section.
-//
-// v6 adds the execution-resources accounting of the NUMA-aware threading
-// layer (DESIGN.md §11):
-//
-//     "threading":      ThreadingStats::to_json() on every run report —
-//                       pool width, pin policy, dispatch mode, first-touch
-//                       placement, the topology the process saw (cpus/
-//                       cores/packages/numa_nodes after the affinity mask)
-//                       and the temporal-blocking decision (enabled, tile
-//                       rows, lookahead, fused stage/substep counts, sizing
-//                       rationale, modeled bytes-per-update with and
-//                       without fusion).
-//
-// v7 adds the measured-autotuning decision (perf/autotune.hpp):
-//
-//     "tuning":         TuningStats::to_json() on run reports whose driver
-//                       ran with tune != off — mode (cached/full), tuning-
-//                       cache key + hit/miss, machine signature, candidates
+//                       restart provenance.
+//     "threading":      ThreadingStats::to_json() — pool width, pin policy,
+//                       dispatch mode, first-touch placement, the topology
+//                       the process saw (cpus/cores/packages/numa_nodes
+//                       after the affinity mask) and the temporal-blocking
+//                       decision (enabled, tile rows, lookahead, fused
+//                       stage/substep counts, sizing rationale, modeled
+//                       bytes-per-update with and without fusion).
+//     "overlap":        OverlapStats::to_json() — only when the step ran
+//                       with OverlapMode::InteriorFrontier: pack/wait/
+//                       interior/frontier seconds, interior/frontier cell
+//                       counts and the netmodel-derived hidden-seconds /
+//                       hidden-fraction.
+//     "tuning":         TuningStats::to_json() — only when the driver ran
+//                       with tune != off: mode (cached/full), tuning-cache
+//                       key + hit/miss, machine signature, candidates
 //                       enumerated vs. measured, search seconds, the
 //                       winning configuration and the prior-vs-measured
-//                       ranking of every measured candidate. Untuned runs
-//                       omit the section (overlap-style).
+//                       ranking of every measured candidate.
+//
+// Compile reports carry "backend_tier" / "fallback_reason" — which rung of
+// the JIT fallback chain (vector → scalar → interpreter) actually runs —
+// and, when the JIT consulted the kernel cache, "cache": {"hit", "key",
+// "hits", "misses", "evictions", "bytes"} (whether *this* compile was
+// served from the cache, its SHA-256 content address, and the
+// process-wide cache counters after the request).
 //
 // Producers may add extra keys (e.g. quickstart embeds its CompileReport
-// under "compile"); validators require only the six core sections. See
-// tools/report_check.cpp for the machine check run by ctest.
+// under "compile"); validators require only the six core sections and
+// the per-kind sections named above. See tools/report_check.cpp for the
+// machine check run by ctest.
 #pragma once
 
 #include <array>
@@ -87,14 +67,6 @@
 namespace pfc::obs {
 
 inline constexpr const char* kReportSchema = "pfc-obs-report-v7";
-/// Previous schema revisions; validators still accept them for stored
-/// reports.
-inline constexpr const char* kReportSchemaV6 = "pfc-obs-report-v6";
-inline constexpr const char* kReportSchemaV5 = "pfc-obs-report-v5";
-inline constexpr const char* kReportSchemaV4 = "pfc-obs-report-v4";
-inline constexpr const char* kReportSchemaV3 = "pfc-obs-report-v3";
-inline constexpr const char* kReportSchemaV2 = "pfc-obs-report-v2";
-inline constexpr const char* kReportSchemaV1 = "pfc-obs-report-v1";
 
 /// Model-vs-measured drift of one prediction target: how long the
 /// performance model said a component should have taken over the whole run
@@ -108,7 +80,7 @@ struct ModelAccuracy {
   double ratio = 0.0;
 };
 
-/// Resilience accounting of one run (the v3 "resilience" report section):
+/// Resilience accounting of one run (the "resilience" report section):
 /// how often the run checkpointed, rolled back, shrank dt or absorbed an
 /// injected fault, and whether it was restored from disk. All-zero when the
 /// resilience layer never acted.
@@ -126,8 +98,8 @@ struct ResilienceStats {
   Json to_json() const;
 };
 
-/// Communication-hiding accounting of one run (the v4 "overlap" report
-/// section): phase timings of the split distributed step and the
+/// Communication-hiding accounting of one run (the "overlap" report
+/// section): phase timings of the split step and the
 /// netmodel-derived hidden-communication estimate. All-zero with
 /// enabled == false when the driver ran the synchronous exchange.
 struct OverlapStats {
@@ -147,7 +119,7 @@ struct OverlapStats {
   Json to_json() const;
 };
 
-/// Execution-resources accounting of one run (the v6 "threading" section):
+/// Execution-resources accounting of one run (the "threading" section):
 /// pool geometry, worker placement policy and the temporal-blocking
 /// decision. Always serialized, so consumers can read how a run used the
 /// node even for single-threaded runs (the all-default shape).
@@ -186,7 +158,7 @@ struct TuningRankEntry {
   Json to_json() const;
 };
 
-/// Measured-autotuning decision of one run (the v7 "tuning" section):
+/// Measured-autotuning decision of one run (the "tuning" section):
 /// whether the winning configuration came from the per-machine tuning cache
 /// or a fresh measured search, what the search cost, and how the analytic
 /// prior ranked against reality. enabled == false (tune = off, the default)
@@ -208,10 +180,9 @@ struct TuningStats {
   Json to_json() const;
 };
 
-/// Cumulative signals of a (possibly distributed) simulation run. Returned
-/// by Simulation::run() / DistributedSimulation::run(); totals cover the
-/// simulation's whole lifetime, not just the last run() call, so the
-/// deprecated accessors and the report always agree.
+/// Cumulative signals of one rank's part of a simulation run. Returned by
+/// Simulation::run(); totals cover the simulation's whole lifetime, not
+/// just the last run() call.
 struct RunReport {
   std::string name = "run";
   long long steps = 0;
@@ -219,7 +190,7 @@ struct RunReport {
   std::uint64_t cell_updates = 0;   ///< Heun's two substeps count as one
   std::map<std::string, TimerStat> kernel_timers;  ///< by kernel IR name
   double kernel_seconds_total = 0.0;
-  double exchange_seconds = 0.0;    ///< ghost exchange (distributed runs)
+  double exchange_seconds = 0.0;    ///< exposed ghost-exchange time
   std::uint64_t exchange_bytes = 0; ///< bytes sent to remote ranks, total
   int num_blocks = 1;
   /// max/mean of per-block kernel seconds (1.0 = perfectly balanced; 0 if
@@ -235,14 +206,14 @@ struct RunReport {
   HealthStats health;
   /// Policy the run's health monitor applied (serialized with health).
   HealthPolicy health_policy = HealthPolicy::Warn;
-  /// Checkpoint/rollback/restart accounting (v3 "resilience" section).
+  /// Checkpoint/rollback/restart accounting ("resilience" section).
   ResilienceStats resilience;
-  /// Communication-hiding accounting (v4 "overlap" section; serialized
+  /// Communication-hiding accounting ("overlap" section; serialized
   /// only when enabled).
   OverlapStats overlap;
-  /// Execution-resources accounting (v6 "threading" section).
+  /// Execution-resources accounting ("threading" section).
   ThreadingStats threading;
-  /// Measured-autotuning decision (v7 "tuning" section; serialized only
+  /// Measured-autotuning decision ("tuning" section; serialized only
   /// when enabled).
   TuningStats tuning;
   /// Worst measured/predicted ratio distance from 1.0 across all targets
@@ -254,7 +225,7 @@ struct RunReport {
   double mlups() const;
   /// Seconds accumulated by one kernel (0.0 if it never ran).
   double kernel_seconds(const std::string& kernel_name) const;
-  /// Exchange bandwidth in bytes/s (0.0 for node-level runs).
+  /// Exchange bandwidth in bytes/s (0.0 when no block has a remote neighbour).
   double exchange_bytes_per_second() const;
 
   Json to_json() const;
@@ -287,7 +258,7 @@ struct CompileReport {
   std::string fallback_reason;
   /// External-compiler invocations that failed before the surviving tier.
   int fallback_attempts = 0;
-  /// Kernel-cache provenance (v5 "cache" section). cache_used is false
+  /// Kernel-cache provenance ("cache" section). cache_used is false
   /// when no cache was configured; the section is emitted only when true.
   bool cache_used = false;
   bool cache_hit = false;        ///< this compile was served from the cache

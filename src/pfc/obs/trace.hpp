@@ -12,9 +12,9 @@
 //     array of "X" complete and "i" instant events). pid encodes the rank,
 //     tid the recording thread, args carry step / block id.
 //
-// Drivers own one TraceRecorder each and configure it from
-// TraceOptions on DomainOptions; a default-constructed recorder is disabled
-// and every record call is a cheap early-out.
+// Drivers own one TraceRecorder each and configure it from TraceOptions
+// on SimulationOptions; a default-constructed recorder is disabled and
+// every record call is a cheap early-out.
 #pragma once
 
 #include <atomic>
@@ -29,7 +29,7 @@
 
 namespace pfc::obs {
 
-/// Driver-level tracing knobs (lives on app::DomainOptions).
+/// Driver-level tracing knobs (lives on app::SimulationOptions).
 struct TraceOptions {
   bool enabled = false;
   /// Record spans only on steps where step % sample_every == 0 (1 = all).

@@ -12,9 +12,9 @@
 // noise stream is keyed on (cell, step), so a restored step counter replays
 // the identical fluctuations.
 //
-// Multi-rank drivers write one manifest/state pair per rank
-// ("manifest.rank<r>.json" / "state.rank<r>.bin"); single-block drivers use
-// rank −1 ("manifest.json" / "state.bin").
+// Multi-rank runs write one manifest/state pair per rank
+// ("manifest.rank<r>.json" / "state.rank<r>.bin"); runs without a
+// communicator use rank −1 ("manifest.json" / "state.bin").
 //
 // Snapshot is the in-memory equivalent used for health-driven rollback:
 // capture() copies interiors into private buffers, restore() copies them

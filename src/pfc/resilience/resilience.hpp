@@ -52,7 +52,7 @@ struct FaultPlan {
   static FaultPlan from_env();
 };
 
-/// Driver-level resilience knobs (lives on app::DomainOptions).
+/// Driver-level resilience knobs (lives on app::SimulationOptions).
 struct ResilienceOptions {
   /// Capture a rollback snapshot every N completed steps (0 = only the
   /// baseline snapshot HealthPolicy::Recover captures before stepping).

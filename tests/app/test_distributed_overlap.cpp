@@ -5,11 +5,12 @@
 // multi-block, split-kernel, threaded and wall-bounded configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
-#include "pfc/app/distributed.hpp"
 #include "pfc/app/params.hpp"
+#include "pfc/app/simulation.hpp"
 #include "pfc/obs/report.hpp"
 #include "pfc/obs/trace.hpp"
 
@@ -39,19 +40,21 @@ struct RunResult {
   std::vector<double> phi;
   obs::RunReport report;
   obs::HealthStats health;
+  int vector_width = 1;  ///< SIMD width of the compiled kernels
 };
 
-RunResult run_mode(const GrandChemModel& model, DistributedOptions o,
+RunResult run_mode(const GrandChemModel& model, SimulationOptions o,
                    OverlapMode mode, mpi::Comm* comm, int steps,
                    double (*phi0)(long long, long long, long long,
                                   int) = &phi_init) {
   o.with_overlap(mode);
-  DistributedSimulation dist(model, o, comm);
+  Simulation dist(model, o, comm);
   dist.init(phi0, &mu_init);
   RunResult r;
   r.report = dist.run(steps);
   r.phi = dist.gather_phi();
   r.health = dist.health().stats();
+  r.vector_width = dist.compiled().compile_report().vector_width;
   return r;
 }
 
@@ -70,7 +73,7 @@ void expect_bitwise_equal(const RunResult& off, const RunResult& on) {
 
 TEST(DistributedOverlapTest, SerialMultiBlockBitwise) {
   GrandChemModel model(make_two_phase(2));
-  DistributedOptions o;
+  SimulationOptions o;
   o.cells = {32, 32, 1};
   o.blocks_per_dim = {2, 2, 1};
   o.with_health(obs::HealthOptions{}.enable());
@@ -99,7 +102,7 @@ TEST(DistributedOverlapTest, SerialMultiBlockBitwise) {
 
 TEST(DistributedOverlapTest, FourRanksBitwise) {
   GrandChemModel model(make_two_phase(2));
-  DistributedOptions o;
+  SimulationOptions o;
   o.cells = {32, 32, 1};
   o.blocks_per_dim = {4, 2, 1};  // two blocks per rank: remote + local copies
   o.with_health(obs::HealthOptions{}.enable());
@@ -118,7 +121,7 @@ TEST(DistributedOverlapTest, SplitKernelsFourRanksBitwise) {
   // split staggered pipelines widen the flux kernel's frontier slab; the
   // width derivation from read-offset ranges must keep this bitwise too
   GrandChemModel model(make_two_phase(2));
-  DistributedOptions o;
+  SimulationOptions o;
   o.cells = {32, 32, 1};
   o.blocks_per_dim = {2, 2, 1};
   o.compile.split_phi = true;
@@ -133,7 +136,7 @@ TEST(DistributedOverlapTest, SplitKernelsFourRanksBitwise) {
 
 TEST(DistributedOverlapTest, ThreadedInteriorBitwise) {
   GrandChemModel model(make_two_phase(2));
-  DistributedOptions o;
+  SimulationOptions o;
   o.cells = {32, 32, 1};
   o.blocks_per_dim = {2, 2, 1};
   o.with_threads(4);
@@ -151,7 +154,7 @@ TEST(DistributedOverlapTest, MixedLocalRemoteBitwise) {
   // frontier slabs, the deferred local copies and the deferred boundary
   // fills all run in one step, with split kernels and a threaded interior.
   GrandChemModel model(make_two_phase(2));
-  DistributedOptions o;
+  SimulationOptions o;
   o.cells = {32, 32, 1};
   o.blocks_per_dim = {4, 2, 1};
   o.with_boundary(grid::BoundaryKind::ZeroGradient);
@@ -166,19 +169,22 @@ TEST(DistributedOverlapTest, MixedLocalRemoteBitwise) {
     expect_bitwise_equal(off, on);
     EXPECT_EQ(off.report.exchange_bytes, on.report.exchange_bytes);
 
-    // the frontier is the one-cell (ghost-layer) x slab of every remote x
-    // face of this rank's blocks, on the dst lattice
+    // the frontier is a slab one vector wide (the ghost layer rounded up
+    // to the SIMD width) on every remote x face of this rank's blocks,
+    // clipped to the block, on the dst lattice
     const grid::BlockForest forest(o.cells, o.blocks_per_dim, comm.size(),
                                    /*dims=*/2, o.boundary);
+    const long long v = on.vector_width;
     long long remote_face_cells = 0, rank_cells = 0;
     for (const grid::Block* b : forest.blocks_of_rank(comm.rank())) {
       rank_cells += b->size[0] * b->size[1] * b->size[2];
+      long long faces = 0;
       for (int side : {-1, +1}) {
         const grid::Block* nb = forest.neighbor(*b, 0, side);
-        if (nb != nullptr && nb->owner != comm.rank()) {
-          remote_face_cells += b->size[1] * b->size[2];
-        }
+        if (nb != nullptr && nb->owner != comm.rank()) ++faces;
       }
+      remote_face_cells +=
+          std::min(b->size[0], v * faces) * b->size[1] * b->size[2];
     }
     EXPECT_GT(remote_face_cells, 0);
     EXPECT_EQ(on.report.overlap.frontier_cells, remote_face_cells)
@@ -190,16 +196,15 @@ TEST(DistributedOverlapTest, MixedLocalRemoteBitwise) {
 
 TEST(DistributedOverlapTest, P2NoiseRemoteXBitwise) {
   // P2 with noise on two ranks of 64-wide blocks, both x faces remote. The
-  // synchronous step sweeps each full row as vector code from the aligned
-  // x = 0; the overlapped step sweeps the x slabs {0} and {63} apart and
-  // an interior [1, 63) that starts mid-vector, so its peel and remainder
-  // cells run the scalar body. Only the default compile line's lack of FMA
-  // contraction keeps the two bodies, and so the two steps, bitwise equal:
-  // with contraction on, tens of phi values differ after 40 steps.
+  // synchronous step sweeps each full row from the aligned x = 0; the
+  // overlapped step sweeps two vector-wide x slabs apart and an interior
+  // that starts on the next vector boundary, so every sweep runs its rows
+  // as whole vectors. (JitFallback.ScalarTierMatchesVectorBitwise and the
+  // sub-range tests pin the scalar and peel bodies to the vector body.)
   const GrandChemParams p = make_p2(2);
   ASSERT_GT(p.noise_amplitude, 0.0);
   GrandChemModel model(p);
-  DistributedOptions o;
+  SimulationOptions o;
   o.cells = {128, 64, 1};
   o.blocks_per_dim = {2, 1, 1};
   mpi::run(2, [&](mpi::Comm& comm) {
@@ -208,14 +213,14 @@ TEST(DistributedOverlapTest, P2NoiseRemoteXBitwise) {
     const RunResult on = run_mode(model, o, OverlapMode::InteriorFrontier,
                                   &comm, 40, &p2_phi_init);
     expect_bitwise_equal(off, on);
-    // the frontier is the two one-cell x slabs of this rank's block
-    EXPECT_EQ(on.report.overlap.frontier_cells, 2 * 64);
+    // the frontier is the two vector-wide x slabs of this rank's block
+    EXPECT_EQ(on.report.overlap.frontier_cells, 2 * on.vector_width * 64);
   });
 }
 
 TEST(DistributedOverlapTest, OverlapTimersAndTraceSpans) {
   GrandChemModel model(make_two_phase(2));
-  DistributedOptions o;
+  SimulationOptions o;
   o.cells = {32, 32, 1};
   o.blocks_per_dim = {4, 2, 1};  // every block has one remote x face
   o.with_overlap(OverlapMode::InteriorFrontier);
@@ -223,7 +228,7 @@ TEST(DistributedOverlapTest, OverlapTimersAndTraceSpans) {
       ::testing::TempDir() + "pfc_test_overlap_trace.json";
   o.with_trace(obs::TraceOptions{}.enable().with_path(path));
   mpi::run(2, [&](mpi::Comm& comm) {
-    DistributedSimulation dist(model, o, &comm);
+    Simulation dist(model, o, &comm);
     dist.init(&phi_init, &mu_init);
     const obs::RunReport rep = dist.run(3);
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "pfc/app/analysis.hpp"
-#include "pfc/app/distributed.hpp"
 #include "pfc/app/jobspec.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
@@ -519,12 +518,12 @@ TEST(Distributed, CheckpointRestartSerialMultiBlock) {
   TempDir dir("dist");
   ASSERT_FALSE(dir.path.empty());
   const app::GrandChemModel model = noisy_model();
-  const auto base = app::DistributedOptions{}
+  const auto base = app::SimulationOptions{}
                         .with_cells(32, 32)
                         .with_blocks(2, 2)
                         .with_boundary(grid::BoundaryKind::ZeroGradient)
                         .with_health(obs::HealthOptions{}.enable().every(5));
-  const auto init = [&](app::DistributedSimulation& sim) {
+  const auto init = [&](app::Simulation& sim) {
     sim.init(
         [&](long long x, long long y, long long, int c) {
           const double d =
@@ -537,7 +536,7 @@ TEST(Distributed, CheckpointRestartSerialMultiBlock) {
         [](long long, long long, long long, int) { return 0.0; });
   };
 
-  app::DistributedSimulation whole(model, base, nullptr);
+  app::Simulation whole(model, base, nullptr);
   init(whole);
   whole.run(20);
 
@@ -545,7 +544,7 @@ TEST(Distributed, CheckpointRestartSerialMultiBlock) {
     auto o = base;
     o.with_resilience(resilience::ResilienceOptions{}.every(10)
                           .with_directory(dir.path));
-    app::DistributedSimulation first(model, o, nullptr);
+    app::Simulation first(model, o, nullptr);
     init(first);
     first.run(10);
     EXPECT_EQ(first.resilience_stats().checkpoint_files, 1u);
@@ -553,7 +552,7 @@ TEST(Distributed, CheckpointRestartSerialMultiBlock) {
 
   auto o = base;
   o.with_resilience(resilience::ResilienceOptions{}.with_restart(dir.path));
-  app::DistributedSimulation second(model, o, nullptr);
+  app::Simulation second(model, o, nullptr);
   EXPECT_EQ(second.step_count(), 10);
   second.run(10);
 
@@ -567,7 +566,7 @@ TEST(Distributed, CheckpointRestartSerialMultiBlock) {
 
 TEST(Distributed, NanRecoversViaRollback) {
   const app::GrandChemModel model = noisy_model();
-  auto o = app::DistributedOptions{}
+  auto o = app::SimulationOptions{}
                .with_cells(32, 32)
                .with_blocks(2, 2)
                .with_boundary(grid::BoundaryKind::ZeroGradient)
@@ -578,7 +577,7 @@ TEST(Distributed, NanRecoversViaRollback) {
   faults.nan_cell = {20, 20, 0};  // lives in one specific block
   o.with_resilience(resilience::ResilienceOptions{}.every(3)
                         .with_faults(faults));
-  app::DistributedSimulation sim(model, o, nullptr);
+  app::Simulation sim(model, o, nullptr);
   sim.init(
       [&](long long x, long long y, long long, int c) {
         const double d =
