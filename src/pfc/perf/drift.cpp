@@ -74,7 +74,10 @@ void fill_model_accuracy(obs::RunReport& rep,
       a.predicted_seconds = comm_pred;
     }
     a.ratio = obs::safe_rate(a.measured_seconds, a.predicted_seconds);
-    rep.model_accuracy["exchange"] = a;
+    // The network model prices messages between ranks. Ghost copies that
+    // stay on the rank (a periodic block's self-copies, neighbouring blocks
+    // of one rank) send no byte, so such a run gets no entry.
+    if (rep.exchange_bytes > 0) rep.model_accuracy["exchange"] = a;
   }
 }
 
