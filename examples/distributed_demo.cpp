@@ -4,7 +4,7 @@
 //
 //   ./distributed_demo [--health=ignore|warn|throw|recover] [--overlap]
 //                      [--threads=N] [--report=report.json]
-//                      [--jobspec=FILE] [ranks] [steps]
+//                      [ranks] [steps]
 //
 // --health enables per-step in-situ physics checks on every rank.
 // --health=throw turns any NaN/phase-sum/conservation violation into a
@@ -15,34 +15,17 @@
 // (DESIGN.md §8): bitwise-identical results, exchange hidden behind the
 // interior sweep. --threads slab-splits every kernel sweep per rank.
 // --report writes rank 0's run report JSON (validated by the
-// report_overlap_valid ctest). --jobspec runs a pfc-jobspec-v1 file
-// (forced to distributed mode) through app::run_job instead.
+// report_overlap_valid ctest).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "pfc/app/jobspec.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
 #include "pfc/support/argparse.hpp"
 #include "pfc/support/assert.hpp"
-
-namespace {
-
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw pfc::Error("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace pfc;
@@ -50,15 +33,16 @@ int main(int argc, char** argv) {
   app::OverlapMode overlap = app::OverlapMode::Off;
   int threads = 1;
   std::string report_path;
-  std::string jobspec_path;
 
   support::ArgParser args(
       "distributed_demo",
-      "distributed_demo [--health=ignore|warn|throw|recover] [--overlap]\n"
-      "                 [--threads=N] [--report=report.json] "
-      "[--jobspec=FILE] [ranks] [steps]");
+      "distributed_demo [--health=" +
+          support::enum_spellings<obs::HealthPolicy>("|") +
+          "] [--overlap]\n"
+          "                 [--threads=N] [--report=report.json] "
+          "[ranks] [steps]");
   args.on_value("health", [&](const std::string& v) {
-    health.enable().with_policy(obs::parse_health_policy(v));
+    health.enable().with_policy(support::parse_enum<obs::HealthPolicy>(v));
   });
   args.on_flag("overlap",
                [&] { overlap = app::OverlapMode::InteriorFrontier; });
@@ -67,28 +51,7 @@ int main(int argc, char** argv) {
     if (v.empty()) throw Error("--report needs a file path");
     report_path = v;
   });
-  args.value("jobspec", &jobspec_path);
   const std::vector<const char*> pos = args.parse(argc, argv);
-
-  // --jobspec: run the spec through the serve engine, forced distributed
-  // (serial multi-block), and print its result summary.
-  if (!jobspec_path.empty()) {
-    try {
-      app::JobSpec spec = app::JobSpec::parse(read_file(jobspec_path));
-      spec.mode = "distributed";
-      const app::JobResult result = app::run_job(spec);
-      if (!report_path.empty()) {
-        obs::write_json(report_path, result.to_json());
-      }
-      std::printf("job \"%s\": %lld steps, %.2f MLUP/s, phi fnv1a64 "
-                  "%016llx\n",
-                  result.name.c_str(), result.steps, result.run.mlups(),
-                  (unsigned long long)result.phi_checksum);
-      return 0;
-    } catch (const Error& e) {
-      args.fail(e.what());
-    }
-  }
 
   const int ranks =
       pos.size() > 0 ? int(support::parse_count(pos[0], "ranks")) : 4;
@@ -143,7 +106,7 @@ int main(int argc, char** argv) {
       std::printf("rank 0 | health: %lld scans, %llu violations "
                   "(policy %s)\n",
                   hs.checks, (unsigned long long)hs.total_violations(),
-                  obs::health_policy_name(health.policy));
+                  support::enum_name(health.policy));
     }
     if (comm.rank() == 0 && !report_path.empty()) {
       obs::write_json(report_path, rep.to_json());

@@ -17,7 +17,7 @@
 // --overlap runs the same problem on a 2x2 block forest with
 // interior/frontier communication hiding (DESIGN.md §8) — bitwise-identical
 // physics, and the report gains an "overlap" section.
-// --jobspec runs a pfc-jobspec-v1 file through the same engine the serve
+// --jobspec runs a pfc-jobspec-v2 file through the same engine the serve
 // daemon uses (app::run_job) and writes its result JSON instead.
 // --threads sets the worker-pool width (default 4); --pin binds workers to
 // CPUs (compact fills a package first, scatter round-robins NUMA nodes);
@@ -72,20 +72,24 @@ int main(int argc, char** argv) {
 
   support::ArgParser args(
       "quickstart",
-      "quickstart [--trace[=trace.json]] "
-      "[--health=ignore|warn|throw|recover] [--overlap]\n"
-      "           [--checkpoint-every=N] [--checkpoint-dir=DIR] "
-      "[--restart[=DIR]]\n"
-      "           [--jobspec=FILE] [--threads=N] "
-      "[--pin=none|compact|scatter]\n"
-      "           [--blocking=off|auto|N] "
-      "[output.vtk] [report.json] [bursts]");
+      "quickstart [--trace[=trace.json]] [--health=" +
+          support::enum_spellings<obs::HealthPolicy>("|") +
+          "] [--overlap]\n"
+          "           [--checkpoint-every=N] [--checkpoint-dir=DIR] "
+          "[--restart[=DIR]]\n"
+          "           [--jobspec=FILE] [--threads=N] [--pin=" +
+          support::enum_spellings<support::PinPolicy>("|") +
+          "]\n"
+          "           [--blocking=" +
+          support::enum_name(app::BlockingMode::Off) + "|" +
+          support::enum_name(app::BlockingMode::Auto) +
+          "|N] [output.vtk] [report.json] [bursts]");
   args.on_optional_value("trace", [&](const std::string* v) {
     trace = true;
     if (v != nullptr) trace_path = *v;
   });
   args.on_value("health", [&](const std::string& v) {
-    health.with_policy(obs::parse_health_policy(v));
+    health.with_policy(support::parse_enum<obs::HealthPolicy>(v));
   });
   args.count("checkpoint-every", &ckpt_every);
   args.value("checkpoint-dir", &ckpt_dir);
@@ -97,13 +101,13 @@ int main(int argc, char** argv) {
   args.value("jobspec", &jobspec_path);
   args.count("threads", &threads);
   args.on_value("pin", [&](const std::string& v) {
-    pin = support::parse_pin_policy(v);
+    pin = support::parse_enum<support::PinPolicy>(v);
   });
+  // a number is a fixed tile height; "fixed" alone names no height
   args.on_value("blocking", [&](const std::string& v) {
-    if (v == "off") {
-      blocking = app::BlockingMode::Off;
-    } else if (v == "auto") {
-      blocking = app::BlockingMode::Auto;
+    const auto mode = support::find_enum<app::BlockingMode>(v);
+    if (mode && *mode != app::BlockingMode::Fixed) {
+      blocking = *mode;
     } else {
       blocking = app::BlockingMode::Fixed;
       blocking_tile = support::parse_count(v.c_str(), "blocking");
@@ -210,8 +214,10 @@ int main(int argc, char** argv) {
                 100.0 * report.overlap.hidden_fraction);
   }
   std::printf("threads: %lld (pin %s) | blocking: %s — %s\n", threads,
-              support::pin_policy_name(pin),
-              sim.blocking_active() ? "wavefront" : "off",
+              support::enum_name(pin),
+              sim.blocking_active()
+                  ? "wavefront"
+                  : support::enum_name(app::BlockingMode::Off),
               sim.blocking_plan().reason.c_str());
 
   gather();

@@ -12,10 +12,15 @@
 #include "pfc/backend/jit.hpp"
 #include "pfc/ir/kernel.hpp"
 #include "pfc/obs/report.hpp"
+#include "pfc/support/enum_names.hpp"
 
 namespace pfc::app {
 
 enum class Backend { Jit, Interpreter };
+constexpr support::EnumNames<Backend, 2> enum_names(Backend) {
+  return {"backend", {{Backend::Jit, "jit"},
+                      {Backend::Interpreter, "interpreter"}}};
+}
 
 /// Autotuning policy of a run (perf::autotune + app/tuning.hpp):
 ///   Off    — use the options exactly as given (the seed behaviour).
@@ -24,6 +29,11 @@ enum class Backend { Jit, Interpreter };
 ///            it) only on a miss.
 ///   Full   — always run the measured search and persist the winner.
 enum class TuneMode { Off, Cached, Full };
+constexpr support::EnumNames<TuneMode, 3> enum_names(TuneMode) {
+  return {"tune mode", {{TuneMode::Off, "off"},
+                        {TuneMode::Cached, "cached"},
+                        {TuneMode::Full, "full"}}};
+}
 
 struct CompileOptions {
   Backend backend = Backend::Jit;

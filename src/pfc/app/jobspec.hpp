@@ -1,25 +1,24 @@
-// pfc-jobspec-v1: the canonical, validated description of one simulation
-// job — what the serve daemon accepts over the wire, what the examples'
+// pfc-jobspec-v2: the canonical, validated description of one simulation
+// job — what the serve daemon accepts over the wire, what quickstart's
 // --jobspec flag loads, and what tools/report_check --jobspec validates.
 //
 // A spec names a model *preset* (the symbolic GrandChemParams cannot round-
 // trip through JSON — PairTable/Anisotropy carry expression trees) plus a
 // small set of scalar overrides, an initial condition, a step count, and
-// the full driver options (app/options_json.hpp, lossless). Parsing is
-// strict: unknown keys and type mismatches throw a pfc::Error naming the
-// JSON path, so a typo fails at submit time rather than silently running
-// defaults.
+// the one driver's options (app/options_json.hpp, lossless). Parsing is
+// strict: unknown keys, type mismatches and out-of-range values throw a
+// pfc::Error naming the JSON path, so a typo fails at submit time rather
+// than silently running defaults.
 //
 //   {
-//     "schema": "pfc-jobspec-v1",
+//     "schema": "pfc-jobspec-v2",
 //     "name": "shrinking-disk",
 //     "model": { "preset": "two_phase", "dims": 2,
 //                "overrides": { "dt": 0.01 } },
 //     "initial": { "kind": "disk", "radius_fraction": 0.3125 },
 //     "steps": 100,
-//     "mode": "single",
-//     "simulation": { "cells": [64, 64, 1], "threads": 2, ... },
-//     "distributed": { ... }
+//     "simulation": { "cells": [64, 64, 1], "blocks_per_dim": [2, 2, 1],
+//                     "threads": 2, ... }
 //   }
 #pragma once
 
@@ -31,7 +30,7 @@
 
 namespace pfc::app {
 
-inline constexpr const char* kJobSpecSchema = "pfc-jobspec-v1";
+inline constexpr const char* kJobSpecSchema = "pfc-jobspec-v2";
 
 /// Model selection: a named preset (app/params.hpp) plus scalar overrides.
 struct JobModelSpec {
@@ -60,7 +59,6 @@ struct JobSpec {
   JobModelSpec model;
   JobInitialSpec initial;
   long long steps = 100;
-  std::string mode = "single";  ///< "single" | "distributed"
   /// Steps between progress samples when a sink is attached (run_job's
   /// `progress` argument). 0 = caller default (the daemon picks ~steps/8).
   long long progress_every = 0;
@@ -72,13 +70,10 @@ struct JobSpec {
   /// deadline (queued or running) terminates with a "deadline_exceeded"
   /// event — running jobs stop cooperatively within one step cadence.
   double deadline_seconds = 0.0;
-  /// Driver options of each mode; `mode` picks the section that runs.
-  /// Each section's JSON carries its mode's keys only: "simulation" is one
-  /// block (no blocks_per_dim, no overlap), "distributed" takes the block
-  /// layout (default 2x2x1), overlap and threads. validate() refuses a
-  /// field set outside its section.
+  /// The driver options: one block by default; `blocks_per_dim` makes the
+  /// run a block forest. validate() refuses autotuning on a forest (the
+  /// tuner measures one block).
   SimulationOptions simulation;
-  SimulationOptions distributed = SimulationOptions{}.with_blocks(2, 2);
 
   /// Strict decode; throws pfc::Error naming the failing path.
   static JobSpec from_json(const obs::Json& j,
@@ -87,7 +82,8 @@ struct JobSpec {
   static JobSpec parse(const std::string& text);
   /// Writes every field (the canonical form two specs are diffed by).
   obs::Json to_json() const;
-  /// Cross-field checks beyond per-key decoding (preset/mode/steps/...).
+  /// Every field's range check (what decoding runs per key) plus the
+  /// cross-field rule above; throws pfc::Error naming the path.
   void validate() const;
 
   /// Resolves the preset and applies the overrides.
@@ -97,8 +93,8 @@ struct JobSpec {
 /// What one completed job reports back: the run + compile reports and
 /// FNV-1a checksums of the gathered global φ/µ interiors (component, z, y,
 /// x order — interior_checksum's order, so a one-block run hashes the same
-/// bytes), so two runs of the same spec, in either mode and on any block
-/// layout, can be compared bitwise without shipping field data.
+/// bytes), so two runs of the same spec on any block layout can be
+/// compared bitwise without shipping field data.
 struct JobResult {
   std::string name;
   long long steps = 0;
@@ -111,7 +107,7 @@ struct JobResult {
 };
 
 /// Runs one job start-to-finish in the calling thread (the serve workers
-/// and the --jobspec example path both land here). When `progress` is
+/// and quickstart --jobspec both land here). When `progress` is
 /// non-null the driver samples its step loop every
 /// `spec.progress_every > 0 ? spec.progress_every : max(1, steps / 8)`
 /// steps and invokes the sink on the stepping thread (see progress.hpp).

@@ -701,9 +701,8 @@ obs::RunReport Simulation::report() const {
   r.overlap.interior_cells = overlap_interior_cells_;
   r.overlap.frontier_cells = overlap_frontier_cells_;
   r.threading.threads = opts_.threads;
-  r.threading.pin_policy = support::pin_policy_name(opts_.pin);
-  r.threading.dispatch =
-      opts_.dispatch == Dispatch::Static ? "static" : "dynamic";
+  r.threading.pin_policy = support::enum_name(opts_.pin);
+  r.threading.dispatch = support::enum_name(opts_.dispatch);
   r.threading.first_touch = opts_.first_touch && pool_ != nullptr;
   r.threading.cpus = int(topology_.cpus.size());
   r.threading.cores = topology_.cores;

@@ -30,6 +30,7 @@
 #include "pfc/perf/machine.hpp"
 #include "pfc/resilience/checkpoint.hpp"
 #include "pfc/resilience/resilience.hpp"
+#include "pfc/support/enum_names.hpp"
 #include "pfc/support/topology.hpp"
 
 namespace pfc::app {
@@ -39,6 +40,10 @@ namespace pfc::app {
 /// "further temporal discretization options" extension, realized purely at
 /// the driver level.
 enum class TimeScheme { Euler, Heun };
+constexpr support::EnumNames<TimeScheme, 2> enum_names(TimeScheme) {
+  return {"time_scheme", {{TimeScheme::Euler, "euler"},
+                          {TimeScheme::Heun, "heun"}}};
+}
 
 /// How kernel launches split the outer loop across the pool.
 enum class Dispatch {
@@ -48,6 +53,10 @@ enum class Dispatch {
   /// of every step — the rows first-touch placed on w's NUMA node.
   Static,
 };
+constexpr support::EnumNames<Dispatch, 2> enum_names(Dispatch) {
+  return {"dispatch", {{Dispatch::Dynamic, "dynamic"},
+                       {Dispatch::Static, "static"}}};
+}
 
 /// Temporal-blocking (wavefront) schedule of the fused φ/µ substep.
 enum class BlockingMode {
@@ -55,6 +64,11 @@ enum class BlockingMode {
   Auto,  ///< fuse with perf::blocking_plan-sized tiles when profitable
   Fixed, ///< fuse with a caller-chosen tile height (blocking_tile_rows)
 };
+constexpr support::EnumNames<BlockingMode, 3> enum_names(BlockingMode) {
+  return {"blocking mode", {{BlockingMode::Off, "off"},
+                            {BlockingMode::Auto, "auto"},
+                            {BlockingMode::Fixed, "fixed"}}};
+}
 
 /// How a step schedules the ghost exchange against compute.
 enum class OverlapMode {
@@ -66,6 +80,11 @@ enum class OverlapMode {
   /// sweep. Bitwise-identical results to Off.
   InteriorFrontier,
 };
+constexpr support::EnumNames<OverlapMode, 2> enum_names(OverlapMode) {
+  return {"overlap mode", {{OverlapMode::Off, "off"},
+                           {OverlapMode::InteriorFrontier,
+                            "interior_frontier"}}};
+}
 
 /// Every driver knob. Plain aggregate — member assignment and brace-init
 /// both work — with named-setter chaining for fluent construction:

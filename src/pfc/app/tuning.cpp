@@ -104,19 +104,11 @@ void apply_tune_candidate(const perf::TuneCandidate& c,
   opts.compile.split_mu = c.split;
   opts.compile.vector_width = c.vector_width;
   opts.compile.streaming_stores = c.streaming_stores;
-  opts.dispatch =
-      c.dispatch == "dynamic" ? Dispatch::Dynamic : Dispatch::Static;
-  if (c.blocking == "off") {
-    opts.blocking = BlockingMode::Off;
-    opts.blocking_tile_rows = 0;
-  } else if (c.blocking == "auto") {
-    opts.blocking = BlockingMode::Auto;
-    opts.blocking_tile_rows = 0;
-  } else {
-    opts.blocking = BlockingMode::Fixed;
-    opts.blocking_tile_rows = c.blocking_tile_rows;
-  }
-  opts.pin = support::parse_pin_policy(c.pin);
+  opts.dispatch = support::parse_enum<Dispatch>(c.dispatch);
+  opts.blocking = support::parse_enum<BlockingMode>(c.blocking);
+  opts.blocking_tile_rows =
+      opts.blocking == BlockingMode::Fixed ? c.blocking_tile_rows : 0;
+  opts.pin = support::parse_enum<support::PinPolicy>(c.pin);
 }
 
 perf::TuneCandidate candidate_from_options(const SimulationOptions& opts) {
@@ -130,15 +122,11 @@ perf::TuneCandidate candidate_from_options(const SimulationOptions& opts) {
     c.vector_width = backend::probe_native_vector_width();
   }
   c.streaming_stores = opts.compile.streaming_stores && c.vector_width > 1;
-  c.dispatch = opts.dispatch == Dispatch::Dynamic ? "dynamic" : "static";
-  switch (opts.blocking) {
-    case BlockingMode::Off: c.blocking = "off"; break;
-    case BlockingMode::Auto: c.blocking = "auto"; break;
-    case BlockingMode::Fixed: c.blocking = "fixed"; break;
-  }
+  c.dispatch = support::enum_name(opts.dispatch);
+  c.blocking = support::enum_name(opts.blocking);
   c.blocking_tile_rows =
       opts.blocking == BlockingMode::Fixed ? opts.blocking_tile_rows : 0;
-  c.pin = support::pin_policy_name(opts.pin);
+  c.pin = support::enum_name(opts.pin);
   return c;
 }
 
@@ -147,7 +135,7 @@ obs::TuningStats autotune_apply(const GrandChemModel& model,
   obs::TuningStats stats;
   if (opts.compile.tune == TuneMode::Off) return stats;
   stats.enabled = true;
-  stats.mode = opts.compile.tune == TuneMode::Cached ? "cached" : "full";
+  stats.mode = support::enum_name(opts.compile.tune);
 
   const support::Topology topo = support::Topology::detect();
   stats.machine = perf::machine_signature(topo, opts.machine);

@@ -6,10 +6,15 @@
 #pragma once
 
 #include "pfc/field/array.hpp"
+#include "pfc/support/enum_names.hpp"
 
 namespace pfc::grid {
 
 enum class BoundaryKind { Periodic, ZeroGradient };
+constexpr support::EnumNames<BoundaryKind, 2> enum_names(BoundaryKind) {
+  return {"boundary", {{BoundaryKind::Periodic, "periodic"},
+                       {BoundaryKind::ZeroGradient, "zero_gradient"}}};
+}
 
 /// Fills all ghost layers of `a` along every used spatial dimension.
 /// Axis-sequential sweeps (x, then y, then z) over the already-extended

@@ -8,25 +8,6 @@
 
 namespace pfc::obs {
 
-const char* health_policy_name(HealthPolicy p) {
-  switch (p) {
-    case HealthPolicy::Ignore: return "ignore";
-    case HealthPolicy::Warn: return "warn";
-    case HealthPolicy::Throw: return "throw";
-    case HealthPolicy::Recover: return "recover";
-  }
-  return "?";
-}
-
-HealthPolicy parse_health_policy(const std::string& name) {
-  if (name == "ignore") return HealthPolicy::Ignore;
-  if (name == "warn") return HealthPolicy::Warn;
-  if (name == "throw") return HealthPolicy::Throw;
-  if (name == "recover") return HealthPolicy::Recover;
-  throw Error("pfc: unknown health policy \"" + name +
-              "\" (expected ignore, warn, throw or recover)");
-}
-
 Json HealthStats::to_json() const {
   return Json::object()
       .set("checks", Json(std::uint64_t(checks)))

@@ -23,6 +23,7 @@
 
 #include "pfc/obs/json.hpp"
 #include "pfc/obs/registry.hpp"
+#include "pfc/support/enum_names.hpp"
 
 namespace pfc {
 class Array;  // field/array.hpp — scanned, never mutated
@@ -34,11 +35,12 @@ namespace pfc::obs {
 /// resilience layer to roll back to the last good checkpoint (bounded
 /// retries, optional dt shrink) instead of warning or aborting.
 enum class HealthPolicy { Ignore, Warn, Throw, Recover };
-
-const char* health_policy_name(HealthPolicy p);
-/// Parses "ignore" / "warn" / "throw" / "recover" (throws pfc::Error
-/// listing the accepted values otherwise).
-HealthPolicy parse_health_policy(const std::string& name);
+constexpr support::EnumNames<HealthPolicy, 4> enum_names(HealthPolicy) {
+  return {"health policy", {{HealthPolicy::Ignore, "ignore"},
+                            {HealthPolicy::Warn, "warn"},
+                            {HealthPolicy::Throw, "throw"},
+                            {HealthPolicy::Recover, "recover"}}};
+}
 
 /// Driver-level health knobs (lives on app::SimulationOptions).
 struct HealthOptions {

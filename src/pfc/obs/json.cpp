@@ -146,10 +146,15 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+/// Objects and arrays nest at most this deep. The parser recurses once per
+/// level, so an unbounded depth lets one line of '[' overflow the stack.
+constexpr int kMaxDepth = 256;
+
 struct Parser {
   const std::string& text;
   std::size_t pos = 0;
   std::string error;
+  int depth = 0;
 
   bool fail(const std::string& msg) {
     if (error.empty()) {
@@ -178,8 +183,15 @@ struct Parser {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth;
+      return ok;
+    }
     if (c == '"') {
       std::string s;
       if (!parse_string(s)) return false;
@@ -315,7 +327,7 @@ struct Parser {
 }  // namespace
 
 Json Json::parse(const std::string& text, std::string* error) {
-  Parser p{text, 0, {}};
+  Parser p{text, 0, {}, 0};
   Json out;
   if (!p.parse_value(out)) {
     if (error != nullptr) *error = p.error;

@@ -136,7 +136,7 @@ Json RunReport::to_json() const {
     j.set("model_accuracy", std::move(ma));
   }
   Json h = health.to_json();
-  h.set("policy", Json(health_policy_name(health_policy)));
+  h.set("policy", Json(support::enum_name(health_policy)));
   j.set("health", std::move(h));
   j.set("resilience", resilience.to_json());
   if (overlap.enabled) j.set("overlap", overlap.to_json());

@@ -6,7 +6,7 @@
 //
 // Requests:
 //   {"op": "ping"}
-//   {"op": "submit", "spec": { <pfc-jobspec-v1> }}
+//   {"op": "submit", "spec": { <pfc-jobspec-v2> }}
 //   {"op": "cancel", "job": N}
 //   {"op": "list"}
 //   {"op": "metrics"}       JSON metrics snapshot (pfc-serve-metrics-v1)

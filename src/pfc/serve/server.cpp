@@ -503,14 +503,10 @@ void JobServer::handle_submit(LineChannel conn, const Json& req) {
 
   // The daemon's kernel cache is the default; an explicit cache_dir in
   // the spec wins (a job may opt into its own cache or out entirely).
-  if (!opts_.cache.directory.empty()) {
-    for (app::CompileOptions* co :
-         {&spec.simulation.compile, &spec.distributed.compile}) {
-      if (co->cache_dir.empty()) {
-        co->cache_dir = opts_.cache.directory;
-        co->cache_max_bytes = opts_.cache.max_bytes;
-      }
-    }
+  app::CompileOptions& co = spec.simulation.compile;
+  if (!opts_.cache.directory.empty() && co.cache_dir.empty()) {
+    co.cache_dir = opts_.cache.directory;
+    co.cache_max_bytes = opts_.cache.max_bytes;
   }
   // Daemon-level progress default: a spec that does not pin a cadence
   // samples at the daemon's configured one (run_job still falls back to
@@ -588,30 +584,27 @@ void JobServer::handle_tune(LineChannel conn, const Json& req) {
     conn.write_json(event_error(-1, "tune needs a \"spec\""));
     return;
   }
+  // A pre-warm request with tune left "off" means "run the search":
+  // keeping "cached" (hit = instant reply) and "full" as given. The spec
+  // is validated with the search on, so a forest is refused here as it
+  // would be on submit.
   app::JobSpec spec;
   try {
     spec = app::JobSpec::from_json(*spec_json, "spec");
+    if (spec.simulation.compile.tune == app::TuneMode::Off) {
+      spec.simulation.compile.tune = app::TuneMode::Full;
+    }
     spec.validate();
   } catch (const Error& e) {
     conn.write_json(event_error(-1, e.what()));
     return;
   }
-  if (spec.mode != "single") {
-    conn.write_json(
-        event_error(-1, "tune supports only \"single\" mode specs"));
-    return;
-  }
   // Same cache-dir defaulting as submit, so the pre-warmed entry lands
   // where the later job will look for it.
-  if (!opts_.cache.directory.empty() &&
-      spec.simulation.compile.cache_dir.empty()) {
-    spec.simulation.compile.cache_dir = opts_.cache.directory;
-    spec.simulation.compile.cache_max_bytes = opts_.cache.max_bytes;
-  }
-  // A pre-warm request with tune left "off" means "run the search":
-  // keeping "cached" (hit = instant reply) and "full" as given.
-  if (spec.simulation.compile.tune == app::TuneMode::Off) {
-    spec.simulation.compile.tune = app::TuneMode::Full;
+  app::CompileOptions& co = spec.simulation.compile;
+  if (!opts_.cache.directory.empty() && co.cache_dir.empty()) {
+    co.cache_dir = opts_.cache.directory;
+    co.cache_max_bytes = opts_.cache.max_bytes;
   }
   if (!opts_.quiet) {
     obs::log::info(kLogComponent, "tune requested",
@@ -868,17 +861,15 @@ bool JobServer::run_one(PendingJob job) {
   {
     const int budget =
         std::max(1, ThreadPool::hardware_threads() / opts_.workers);
-    int* threads = job.spec.mode == "distributed"
-                       ? &job.spec.distributed.threads
-                       : &job.spec.simulation.threads;
-    if (*threads > budget) {
+    int& threads = job.spec.simulation.threads;
+    if (threads > budget) {
       m_threads_clamped_->add(1);
       auto fields = job_fields(job.id, job.spec.name);
-      fields.push_back({"requested_threads", Json(*threads)});
+      fields.push_back({"requested_threads", Json(threads)});
       fields.push_back({"granted_threads", Json(budget)});
       fields.push_back({"workers", Json(opts_.workers)});
       obs::log::warn(kLogComponent, "thread request clamped", fields);
-      *threads = budget;
+      threads = budget;
     }
   }
 

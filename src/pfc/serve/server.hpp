@@ -1,5 +1,5 @@
 // The serve daemon's core (DESIGN.md §9, hardened in §12): accepts
-// pfc-jobspec-v1 jobs over a Unix-domain socket and/or TCP, runs them on a
+// pfc-jobspec-v2 jobs over a Unix-domain socket and/or TCP, runs them on a
 // worker pool, and streams accepted/started/progress/terminal events back
 // on the submitting connection. The dispatcher (accept loop) only parses,
 // admits and enqueues — every simulation runs on a worker, isolated by a

@@ -16,26 +16,6 @@
 
 namespace pfc::support {
 
-const char* pin_policy_name(PinPolicy p) {
-  switch (p) {
-    case PinPolicy::None:
-      return "none";
-    case PinPolicy::Compact:
-      return "compact";
-    case PinPolicy::Scatter:
-      return "scatter";
-  }
-  return "none";
-}
-
-PinPolicy parse_pin_policy(const std::string& name) {
-  if (name == "none") return PinPolicy::None;
-  if (name == "compact") return PinPolicy::Compact;
-  if (name == "scatter") return PinPolicy::Scatter;
-  throw Error("pfc: unknown pin policy '" + name +
-              "' (expected none|compact|scatter)");
-}
-
 namespace {
 
 /// Parses a sysfs cpu list like "0-3,8,10-11" into cpu ids. Malformed

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "pfc/support/enum_names.hpp"
+
 namespace pfc::support {
 
 /// How ThreadPool workers are bound to CPUs.
@@ -26,9 +28,16 @@ enum class PinPolicy {
   Scatter,
 };
 
-const char* pin_policy_name(PinPolicy p);
-/// Parses "none" | "compact" | "scatter" (throws pfc::Error otherwise).
-PinPolicy parse_pin_policy(const std::string& name);
+constexpr EnumNames<PinPolicy, 3> enum_names(PinPolicy) {
+  return {"pin policy", {{PinPolicy::None, "none"},
+                         {PinPolicy::Compact, "compact"},
+                         {PinPolicy::Scatter, "scatter"}}};
+}
+/// parse_enum<PinPolicy> under the name perfbench's eutectic workload
+/// calls.
+inline PinPolicy parse_pin_policy(const std::string& name) {
+  return parse_enum<PinPolicy>(name);
+}
 
 /// One logical CPU the process may run on.
 struct CpuSlot {

@@ -1,5 +1,5 @@
 // Options JSON round-trips (the serve daemon's lossless-config contract)
-// and the pfc-jobspec-v1 schema: strict decoding, validation, and the
+// and the pfc-jobspec-v2 schema: strict decoding, validation, and the
 // deterministic run_job engine.
 #include <gtest/gtest.h>
 
@@ -19,14 +19,24 @@ using obs::Json;
 /// Field-for-field equality via the lossless JSON form: to_json writes
 /// every member, so equal JSON means equal options.
 void expect_roundtrip(const SimulationOptions& opts) {
-  const Json j = simulation_options_to_json(opts);
-  const SimulationOptions back = simulation_options_from_json(j, "opts");
-  EXPECT_TRUE(j == simulation_options_to_json(back)) << j.dump(2);
+  const Json j = options_to_json(opts);
+  const auto back = options_from_json<SimulationOptions>(j, "opts");
+  EXPECT_TRUE(j == options_to_json(back)) << j.dump(2);
+}
+
+/// The error a strict decode of `j` throws ("" when it decodes).
+std::string decode_error(const Json& j) {
+  try {
+    options_from_json<SimulationOptions>(j, "opts");
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(OptionsJson, DefaultsRoundTrip) {
   expect_roundtrip(SimulationOptions{});
-  expect_roundtrip(JobSpec{}.distributed);
+  expect_roundtrip(SimulationOptions{}.with_blocks(2, 2));
 }
 
 // The exact presets the examples construct (quickstart single, quickstart
@@ -77,9 +87,14 @@ TEST(OptionsJson, EveryFieldSurvives) {
   opts.compile.vector_width = 8;
   opts.compile.streaming_stores = true;
   opts.compile.jit_extra_flags = "-ffp-contract=off";
-  opts.compile.fail_jit_attempts = 2;
   opts.compile.cache_dir = "/tmp/pfc_cache";
   opts.compile.cache_max_bytes = 1234567;
+  opts.compile.tune = TuneMode::Cached;
+  opts.pin = support::PinPolicy::Scatter;
+  opts.first_touch = false;
+  opts.dispatch = Dispatch::Dynamic;
+  opts.blocking = BlockingMode::Fixed;
+  opts.blocking_tile_rows = 6;
   opts.trace.enabled = true;
   opts.trace.sample_every = 5;
   opts.trace.max_events = 999;
@@ -111,54 +126,79 @@ TEST(OptionsJson, EveryFieldSurvives) {
 }
 
 TEST(OptionsJson, MachinePresetStringAccepted) {
-  Json j = simulation_options_to_json(SimulationOptions{});
+  Json j = options_to_json(SimulationOptions{});
   j.set("machine", Json("zen2"));
-  const SimulationOptions back = simulation_options_from_json(j, "opts");
+  const auto back = options_from_json<SimulationOptions>(j, "opts");
   EXPECT_EQ(back.machine.name, perf::MachineModel::by_name("zen2").name);
 }
 
+/// `j` with `value` at the dotted `path` ("compile.bogus"); an object on
+/// the way that `j` lacks is created.
+Json with(Json j, const std::string& path, const Json& value) {
+  const std::size_t dot = path.find('.');
+  if (dot == std::string::npos) return j.set(path, value);
+  const std::string head = path.substr(0, dot);
+  const Json* inner = j.find(head);
+  return j.set(head, with(inner ? *inner : Json::object(),
+                          path.substr(dot + 1), value));
+}
+
 TEST(OptionsJson, UnknownKeyNamesThePath) {
-  Json j = simulation_options_to_json(SimulationOptions{});
-  j.set("bogus_knob", Json(1.0));
-  try {
-    simulation_options_from_json(j, "opts");
-    FAIL() << "unknown key must be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("bogus_knob"), std::string::npos)
-        << e.what();
+  const Json def = options_to_json(SimulationOptions{});
+  // compile.fail_jit_attempts is the driver's copy of the fault plan's
+  // (resilience.faults.fail_jit_attempts, PFC_FAULT), so not a key
+  for (const char* path : {"bogus_knob", "compile.bogus",
+                           "resilience.faults.bogus",
+                           "compile.fail_jit_attempts"}) {
+    const std::string err = decode_error(with(def, path, Json(1.0)));
+    EXPECT_NE(err.find(std::string("opts.") + path + ": unknown key"),
+              std::string::npos)
+        << path << ": " << err;
   }
+  // machine.caches[0].bogus: an array element is a path step too
+  Json caches = *def.find("machine")->find("caches");
+  ASSERT_FALSE(caches.elements().empty());
+  Json first = caches.elements()[0];
+  first.set("bogus", Json(1.0));
+  Json patched = Json::array().push(first);
+  for (std::size_t i = 1; i < caches.elements().size(); ++i) {
+    patched.push(caches.elements()[i]);
+  }
+  const std::string err = decode_error(with(def, "machine.caches", patched));
+  EXPECT_NE(err.find("opts.machine.caches[0].bogus: unknown key"),
+            std::string::npos)
+      << err;
 }
 
 TEST(OptionsJson, TypeMismatchNamesThePath) {
-  Json j = simulation_options_to_json(SimulationOptions{});
-  j.set("threads", Json("four"));
-  try {
-    simulation_options_from_json(j, "opts");
-    FAIL() << "type mismatch must be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos)
-        << e.what();
-  }
+  const std::string err = decode_error(
+      with(options_to_json(SimulationOptions{}), "threads", Json("four")));
+  EXPECT_NE(err.find("opts.threads: expected a number"), std::string::npos)
+      << err;
 }
 
 TEST(OptionsJson, BadEnumRejected) {
-  Json j = compile_options_to_json(CompileOptions{});
-  j.set("backend", Json("fortran"));
-  EXPECT_THROW(compile_options_from_json(j, "compile"), Error);
+  const std::string err =
+      decode_error(with(options_to_json(SimulationOptions{}),
+                        "compile.backend", Json("fortran")));
+  EXPECT_NE(err.find("opts.compile.backend: unknown backend \"fortran\" "
+                     "(valid: jit, interpreter)"),
+            std::string::npos)
+      << err;
 }
 
 TEST(JobSpec, RoundTripsLosslessly) {
   JobSpec spec;
   spec.name = "roundtrip";
   spec.steps = 42;
-  spec.mode = "distributed";
   spec.model.preset = "p1";
   spec.model.dims = 3;
   spec.model.dt = 0.005;
   spec.model.rng_seed = 7;  // epsilon/noise left unset: absence round-trips
   spec.initial.kind = "uniform";
   spec.initial.solid_phase = 0;
-  spec.distributed.threads = 2;
+  spec.simulation.threads = 2;
+  spec.simulation.blocks_per_dim = {2, 2, 1};
 
   const Json j = spec.to_json();
   const JobSpec back = JobSpec::from_json(j);
@@ -183,7 +223,7 @@ TEST(JobSpec, ValidateRejectsBadValues) {
   }
   {
     JobSpec s;
-    s.mode = "mpi";
+    s.simulation.threads = 0;
     EXPECT_THROW(s.validate(), Error);
   }
   {
@@ -198,89 +238,97 @@ TEST(JobSpec, ValidateRejectsBadValues) {
   }
 }
 
-/// A default spec's JSON text with `key` set to the number `literal`, at
-/// the top level or in the object at `section` ("" = top level; the
-/// model's overrides are "model.overrides").
-std::string spec_with(const std::string& section, const std::string& key,
-                      const std::string& literal) {
-  Json inner = Json::object().set(key, Json(12345.0));
-  Json j = JobSpec{}.to_json();
-  if (section == "model.overrides") {
-    Json model = *j.find("model");
-    model.set("overrides", inner);
-    j.set("model", model);
-  } else {
-    j.set(section, inner);
-  }
-  std::string text = j.dump(-1);
-  const std::size_t at = text.find("12345");
-  return text.replace(at, text.find_first_of(",}", at) - at, literal);
+/// A default spec's JSON text with the JSON text `literal` at the dotted
+/// `path` ("simulation.compile.vector_width").
+std::string spec_with(const std::string& path, const std::string& literal) {
+  const std::string mark = "\"@literal@\"";
+  std::string text =
+      with(JobSpec{}.to_json(), path, Json("@literal@")).dump(-1);
+  return text.replace(text.find(mark), mark.size(), literal);
 }
 
-// Integers beyond 2^53 are rejected by field name: a double cannot hold
-// them, so 9007199254740993 would arrive as 2^53 and 1e19 would overflow.
+/// The error JobSpec::parse throws on `text` ("" when it parses).
+std::string parse_error(const std::string& text) {
+  try {
+    JobSpec::parse(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every integer field and array element is integral, below 2^53 in
+// magnitude and inside its member's type, or refused by its path: a
+// double cannot hold 9007199254740993 (it would arrive as 2^53), 1e19
+// overflows, 4294967297 would wrap an int to 1 and 48.7 would truncate.
 TEST(JobSpec, RejectsIntegersADoubleCannotHold) {
   const struct {
-    const char* section;
-    const char* key;
-  } fields[] = {{"model.overrides", "rng_seed"}, {"simulation", "threads"}};
-  for (const auto& f : fields) {
-    for (const char* literal : {"1e19", "-1e19", "9007199254740993"}) {
-      try {
-        JobSpec::parse(spec_with(f.section, f.key, literal));
-        ADD_FAILURE() << f.key << " = " << literal << " must be rejected";
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find(f.key), std::string::npos)
-            << e.what();
-      }
-    }
+    const char* path;
+    const char* literal;
+    const char* names;  ///< the path the error must name
+  } inputs[] = {
+      {"model.overrides.rng_seed", "1e19", "model.overrides.rng_seed"},
+      {"model.overrides.rng_seed", "-1e19", "model.overrides.rng_seed"},
+      {"model.overrides.rng_seed", "9007199254740993",
+       "model.overrides.rng_seed"},
+      {"model.overrides.rng_seed", "-1", "model.overrides.rng_seed"},
+      {"simulation.threads", "1e19", "simulation.threads"},
+      {"simulation.threads", "-1e19", "simulation.threads"},
+      {"simulation.threads", "9007199254740993", "simulation.threads"},
+      {"simulation.threads", "4294967297", "simulation.threads"},
+      {"simulation.compile.vector_width", "4294967300",
+       "simulation.compile.vector_width"},
+      {"simulation.cells", "[48.7, 48, 1]", "simulation.cells[0]"},
+      {"simulation.cells", "[48, 1e19, 1]", "simulation.cells[1]"},
+      {"simulation.blocks_per_dim", "[1, 1, 4294967297]",
+       "simulation.blocks_per_dim[2]"},
+      {"simulation.resilience.faults.nan_cell", "[0, 0.5, 0]",
+       "simulation.resilience.faults.nan_cell[1]"},
+      {"simulation.compile.cache_max_bytes", "-1",
+       "simulation.compile.cache_max_bytes"},
+      {"steps", "4294967297", "steps"}};
+  for (const auto& in : inputs) {
+    const std::string err = parse_error(spec_with(in.path, in.literal));
+    EXPECT_NE(err.find(std::string("jobspec.") + in.names + ": "),
+              std::string::npos)
+        << in.path << " = " << in.literal << ": \"" << err << "\"";
   }
-  const JobSpec ok =
-      JobSpec::parse(spec_with("model.overrides", "rng_seed",
-                               "9007199254740991"));
+  const JobSpec ok = JobSpec::parse(
+      spec_with("model.overrides.rng_seed", "9007199254740991"));
   EXPECT_EQ(*ok.model.rng_seed, 9007199254740991u);
 }
 
-// Each section accepts its own mode's keys only: the block layout and
-// overlap belong to "distributed", the time scheme and the threading and
-// blocking knobs to "simulation". A forest in "simulation" would otherwise
-// run, and be autotuned, as a one-block job.
-TEST(JobSpec, SectionsKeepTheirOwnKeys) {
+// v2 has one "simulation" section: a v1 tag, its "mode" and its
+// "distributed" section are refused by path, and so is autotuning a
+// forest (the tuner measures one block).
+TEST(JobSpec, RefusesV1KeysAndTunedForests) {
+  const Json def = JobSpec{}.to_json();
   const struct {
-    const char* section;
-    const char* key;
-    const char* literal;
-  } fields[] = {{"simulation", "blocks_per_dim", "[2,2,1]"},
-                {"simulation", "overlap", "\"interior_frontier\""},
-                {"distributed", "time_scheme", "\"heun\""},
-                {"distributed", "pin", "\"compact\""},
-                {"distributed", "first_touch", "false"},
-                {"distributed", "dispatch", "\"dynamic\""},
-                {"distributed", "blocking", "\"auto\""},
-                {"distributed", "blocking_tile_rows", "4"}};
-  const Json defaults = JobSpec{}.to_json();
-  for (const auto& f : fields) {
-    const std::string path = std::string(f.section) + "." + f.key;
-    EXPECT_EQ(defaults.find(f.section)->find(f.key), nullptr) << path;
-    try {
-      JobSpec::parse(spec_with(f.section, f.key, f.literal));
-      ADD_FAILURE() << path << " must be rejected";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << e.what();
-    }
+    Json spec;
+    const char* names;
+  } inputs[] = {
+      {with(def, "schema", Json("pfc-jobspec-v1")), "jobspec.schema: "},
+      {with(def, "mode", Json("single")), "jobspec.mode: unknown key"},
+      {with(def, "distributed", Json::object()),
+       "jobspec.distributed: unknown key"},
+      {with(with(def, "simulation.compile.tune", Json("full")),
+            "simulation.blocks_per_dim",
+            Json::array().push(Json(2)).push(Json(2)).push(Json(1))),
+       "simulation.compile.tune: "}};
+  for (const auto& in : inputs) {
+    const std::string err = parse_error(in.spec.dump(-1));
+    EXPECT_NE(err.find(in.names), std::string::npos)
+        << in.names << ": \"" << err << "\"";
   }
-  EXPECT_NE(defaults.find("distributed")->find("blocks_per_dim"), nullptr);
-  EXPECT_NE(defaults.find("simulation")->find("dispatch"), nullptr);
 
-  // A spec built in code meets the same rule in validate(), which run_job
+  // A spec built in code meets the tune rule in validate(), which run_job
   // calls before it tunes or compiles anything.
   JobSpec forest;
   forest.simulation.blocks_per_dim = {2, 2, 1};
+  forest.simulation.compile.tune = TuneMode::Full;
   EXPECT_THROW(run_job(forest), Error);
-  JobSpec heun;
-  heun.distributed.time_scheme = TimeScheme::Heun;
-  EXPECT_THROW(heun.validate(), Error);
+  forest.simulation.compile.tune = TuneMode::Off;
+  EXPECT_NO_THROW(forest.validate());
 }
 
 TEST(JobSpec, MakeParamsAppliesOverrides) {
@@ -321,26 +369,25 @@ TEST(JobSpec, RunJobIsDeterministic) {
   EXPECT_EQ(j.find("phi_fnv1a64")->str().size(), 16u);
 }
 
-TEST(JobSpec, DistributedModeGathersTheSameFields) {
-  // One spec, run as one block and as a 2x2 forest: the gathered φ and µ
-  // hash to the same checksums.
+TEST(JobSpec, BlockLayoutsGatherTheSameFields) {
+  // One spec, run at blocks_per_dim {1,1,1} and {2,2,1}: the gathered φ and
+  // µ hash to the same checksums.
   JobSpec spec;
-  spec.name = "modes";
+  spec.name = "layouts";
   spec.model.preset = "p2";
   spec.steps = 10;
   spec.simulation.cells = {64, 64, 1};
   spec.simulation.compile.cache_dir =
-      ::testing::TempDir() + "pfc_jobspec_modes_cache";
-  spec.distributed = spec.simulation;
-  spec.distributed.blocks_per_dim = {2, 2, 1};
+      ::testing::TempDir() + "pfc_jobspec_layouts_cache";
 
-  const JobResult single = run_job(spec);
-  spec.mode = "distributed";
-  const JobResult dist = run_job(spec);
-  EXPECT_EQ(dist.run.num_blocks, 4);
-  EXPECT_NE(single.mu_checksum, 0u);
-  EXPECT_EQ(single.phi_checksum, dist.phi_checksum);
-  EXPECT_EQ(single.mu_checksum, dist.mu_checksum);
+  const JobResult one = run_job(spec);
+  spec.simulation.blocks_per_dim = {2, 2, 1};
+  const JobResult forest = run_job(spec);
+  EXPECT_EQ(one.run.num_blocks, 1);
+  EXPECT_EQ(forest.run.num_blocks, 4);
+  EXPECT_NE(one.mu_checksum, 0u);
+  EXPECT_EQ(one.phi_checksum, forest.phi_checksum);
+  EXPECT_EQ(one.mu_checksum, forest.mu_checksum);
   std::filesystem::remove_all(spec.simulation.compile.cache_dir);
 }
 

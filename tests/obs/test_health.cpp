@@ -40,9 +40,9 @@ Array make_mu(double v) {
 TEST(HealthPolicyTest, NamesRoundTripAndRejectUnknown) {
   for (const HealthPolicy p :
        {HealthPolicy::Ignore, HealthPolicy::Warn, HealthPolicy::Throw}) {
-    EXPECT_EQ(parse_health_policy(health_policy_name(p)), p);
+    EXPECT_EQ(support::parse_enum<HealthPolicy>(support::enum_name(p)), p);
   }
-  EXPECT_THROW(parse_health_policy("panic"), Error);
+  EXPECT_THROW(support::parse_enum<HealthPolicy>("panic"), Error);
 }
 
 TEST(HealthMonitorTest, DisabledMonitorIsNoOp) {

@@ -150,6 +150,15 @@ TEST(ObsJsonTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(err.empty());
   Json::parse("{} trailing", &err);
   EXPECT_FALSE(err.empty());
+  // The parser recurses once per level: past the depth cap (256) nesting
+  // is an error, not a stack overflow; 256 levels still parse.
+  Json::parse(std::string(100000, '['), &err);
+  EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos) << err;
+  const std::string deep = std::string(256, '[') + std::string(256, ']');
+  Json::parse(deep, &err);
+  EXPECT_TRUE(err.empty()) << err;
+  Json::parse("{\"a\":" + deep + "}", &err);  // 257 levels
+  EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos) << err;
 }
 
 TEST(ObsReportTest, RunReportJsonHasSharedSchema) {

@@ -7,6 +7,8 @@
 // ping afterwards.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <functional>
 #include <string>
@@ -549,6 +551,33 @@ TEST(HardenTcp, SlowLorisConnectionIsDroppedDaemonLives) {
   EXPECT_FALSE(loris.read_line(line)) << "expected EOF from the daemon";
 
   Client client(opts.socket_path);
+  EXPECT_EQ(field(client.ping(), "event").str(), "pong");
+  server.stop();
+}
+
+TEST(HardenTcp, DeeplyNestedRequestIsRefusedDaemonLives) {
+  TempDir tmp;
+  JobServer server(quiet_options(tmp.path));
+  server.start();
+
+  // A 200000-byte line of '[' nests past the JSON parser's depth cap: a
+  // bad line that drops this connection, not a stack overflow.
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::Unix;
+  ep.path = tmp.path + "/serve.sock";
+  LineChannel deep(connect_endpoint(ep));
+  set_io_timeout(deep.fd(), 5.0);
+  const std::string request = std::string(200000, '[') + "\n";
+  for (std::size_t off = 0; off < request.size();) {
+    const ssize_t n = ::send(deep.fd(), request.data() + off,
+                             request.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << "send failed";
+    off += std::size_t(n);
+  }
+  std::string line;
+  EXPECT_FALSE(deep.read_line(line)) << "expected EOF, got " << line;
+
+  Client client(ep.path);
   EXPECT_EQ(field(client.ping(), "event").str(), "pong");
   server.stop();
 }

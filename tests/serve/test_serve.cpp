@@ -1,5 +1,5 @@
 // End-to-end serve round-trip: a JobServer on a Unix socket accepts two
-// identical pfc-jobspec-v1 jobs; the second is served from the content-
+// identical pfc-jobspec-v2 jobs; the second is served from the content-
 // addressed kernel cache (cache.hit=true, near-zero external-compiler
 // time) and both are bitwise-identical to a direct in-process run_job.
 #include <gtest/gtest.h>
@@ -326,6 +326,37 @@ TEST(Serve, FailedJobReportsErrorAndServerSurvives) {
   ASSERT_EQ(statuses.size(), 1u);
   EXPECT_EQ(statuses[0].state, "failed");
   EXPECT_FALSE(statuses[0].error.empty());
+  server.stop();
+}
+
+// The tune op runs the measured search, which measures one block: a forest
+// is refused by path before any search, whether the spec asks for "full"
+// or leaves tune "off" (the op turns that into a search).
+TEST(Serve, TuneOpRefusesForest) {
+  TempDir tmp;
+  ServeOptions opts;
+  opts.socket_path = tmp.path + "/serve.sock";
+  opts.workers = 1;
+  opts.quiet = true;
+  JobServer server(opts);
+  server.start();
+  Client client(opts.socket_path);
+
+  app::JobSpec forest = small_spec();
+  forest.simulation.blocks_per_dim = {2, 2, 1};
+  for (const app::TuneMode mode : {app::TuneMode::Full, app::TuneMode::Off}) {
+    forest.simulation.compile.tune = mode;
+    const Json reply = client.tune(forest.to_json());
+    EXPECT_EQ(field(reply, "event").str(), "error") << reply.dump(-1);
+    EXPECT_NE(field(reply, "message").str().find("simulation.compile.tune"),
+              std::string::npos)
+        << reply.dump(-1);
+  }
+  // and on submit, with tune on
+  forest.simulation.compile.tune = app::TuneMode::Full;
+  const Json terminal = client.submit(forest.to_json());
+  EXPECT_EQ(field(terminal, "event").str(), "error") << terminal.dump(-1);
+  EXPECT_TRUE(server.jobs().empty());
   server.stop();
 }
 

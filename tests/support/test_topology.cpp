@@ -107,7 +107,7 @@ TEST(TopologyTest, DetectRespectingAffinityNeverExceedsAllowedCpus) {
 TEST(TopologyTest, PinPolicyNamesRoundTrip) {
   for (PinPolicy p :
        {PinPolicy::None, PinPolicy::Compact, PinPolicy::Scatter}) {
-    EXPECT_EQ(parse_pin_policy(pin_policy_name(p)), p);
+    EXPECT_EQ(parse_pin_policy(enum_name(p)), p);
   }
   EXPECT_THROW(parse_pin_policy("wat"), Error);
 }

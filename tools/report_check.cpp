@@ -37,9 +37,9 @@
 // the temporal-blocking decision). The section is structurally validated
 // whenever present, flag or not.
 //
-// With --jobspec the argument is a pfc-jobspec-v1 file; it is parsed with
-// the same strict decoder the serve daemon uses (unknown keys and type
-// mismatches are errors) and cross-field validated.
+// With --jobspec the argument is a pfc-jobspec-v2 file; it is parsed with
+// the same strict decoder the serve daemon uses (unknown keys, type
+// mismatches and out-of-range values are errors) and cross-field validated.
 //
 // With --metrics the argument is a pfc-serve-metrics-v1 snapshot (what
 // the daemon's "metrics" request returns): schema, per-family type/help,
@@ -75,6 +75,7 @@
 #include "pfc/obs/metrics.hpp"
 #include "pfc/obs/report.hpp"
 #include "pfc/resilience/checkpoint.hpp"
+#include "pfc/support/enum_names.hpp"
 
 namespace {
 
@@ -92,6 +93,14 @@ void check_finite_nonneg(const pfc::obs::Json& v, const std::string& where) {
   }
   const double x = v.number();
   if (!(x >= 0.0)) fail(where + ": negative or non-finite value");
+}
+
+/// A string spelled by enum E's table (support/enum_names.hpp).
+template <typename E>
+void check_enum(const pfc::obs::Json* v, const std::string& where) {
+  if (!v || !v->is_string() || !pfc::support::find_enum<E>(v->str())) {
+    fail(where + " must be one of " + pfc::support::enum_spellings<E>());
+  }
 }
 
 std::string read_file(const char* path) {
@@ -362,17 +371,9 @@ void check_threading(const pfc::obs::Json& t) {
     }
     check_finite_nonneg(*v, std::string("threading/") + key);
   }
-  const pfc::obs::Json* pin = t.find("pin_policy");
-  if (!pin || !pin->is_string() ||
-      (pin->str() != "none" && pin->str() != "compact" &&
-       pin->str() != "scatter")) {
-    fail("threading/pin_policy must be \"none\", \"compact\" or \"scatter\"");
-  }
-  const pfc::obs::Json* dispatch = t.find("dispatch");
-  if (!dispatch || !dispatch->is_string() ||
-      (dispatch->str() != "dynamic" && dispatch->str() != "static")) {
-    fail("threading/dispatch must be \"dynamic\" or \"static\"");
-  }
+  check_enum<pfc::support::PinPolicy>(t.find("pin_policy"),
+                                      "threading/pin_policy");
+  check_enum<pfc::app::Dispatch>(t.find("dispatch"), "threading/dispatch");
   const pfc::obs::Json* ft = t.find("first_touch");
   if (!ft || ft->kind() != pfc::obs::Json::Kind::Bool) {
     fail("threading/first_touch must be a bool");
@@ -419,9 +420,12 @@ void check_tuning(const pfc::obs::Json& t) {
     fail("tuning/enabled must be a bool");
   }
   const pfc::obs::Json* mode = t.find("mode");
+  using pfc::app::TuneMode;
   if (!mode || !mode->is_string() ||
-      (mode->str() != "cached" && mode->str() != "full")) {
-    fail("tuning/mode must be \"cached\" or \"full\"");
+      pfc::support::find_enum<TuneMode>(mode->str()).value_or(
+          TuneMode::Off) == TuneMode::Off) {
+    fail(std::string("tuning/mode must be a tune mode other than ") +
+         pfc::support::enum_name(TuneMode::Off));
   }
   const pfc::obs::Json* hit = t.find("cache_hit");
   if (!hit || hit->kind() != pfc::obs::Json::Kind::Bool) {
@@ -871,10 +875,11 @@ int check_jobspec(const char* path) {
   if (g_errors) return 1;
   try {
     const pfc::app::JobSpec spec = pfc::app::JobSpec::parse(text);
+    const auto& b = spec.simulation.blocks_per_dim;
     std::printf("report_check: %s OK (jobspec \"%s\", preset %s, %lld "
-                "steps, mode %s)\n",
+                "steps, blocks %dx%dx%d)\n",
                 path, spec.name.c_str(), spec.model.preset.c_str(),
-                spec.steps, spec.mode.c_str());
+                spec.steps, b[0], b[1], b[2]);
     return 0;
   } catch (const pfc::Error& e) {
     fail(e.what());
@@ -1035,13 +1040,7 @@ int main(int argc, char** argv) {
     if (!h->is_object()) {
       fail("health must be an object");
     } else {
-      const pfc::obs::Json* policy = h->find("policy");
-      if (!policy || !policy->is_string() ||
-          (policy->str() != "ignore" && policy->str() != "warn" &&
-           policy->str() != "throw" && policy->str() != "recover")) {
-        fail("health/policy must be \"ignore\", \"warn\", \"throw\" or "
-             "\"recover\"");
-      }
+      check_enum<pfc::obs::HealthPolicy>(h->find("policy"), "health/policy");
       for (const auto& [stat, v] : h->items()) {
         if (stat == "policy") continue;
         check_finite_nonneg(v, "health/" + stat);

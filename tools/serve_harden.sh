@@ -50,12 +50,11 @@ spec() { # name steps extra-keys...
   local name=$1 steps=$2 extra=${3:-}
   cat >"$WORKDIR/$name.json" <<EOF
 {
-  "schema": "pfc-jobspec-v1",
+  "schema": "pfc-jobspec-v2",
   "name": "$name",
   "model": { "preset": "two_phase", "dims": 2, "overrides": { "dt": 0.01 } },
   "initial": { "kind": "disk" },
-  "steps": $steps,
-  "mode": "single"${extra:+,
+  "steps": $steps${extra:+,
   $extra}
 }
 EOF
