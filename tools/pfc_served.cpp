@@ -1,4 +1,4 @@
-// The serve daemon: accepts pfc-jobspec-v1 jobs over a Unix-domain socket
+// The serve daemon: accepts pfc-jobspec-v2 jobs over a Unix-domain socket
 // (and optionally TCP) and runs them concurrently on a worker pool,
 // sharing one content-addressed kernel cache across jobs (DESIGN.md §9;
 // hardening knobs in §12).
