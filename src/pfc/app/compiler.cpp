@@ -5,6 +5,7 @@
 #include "pfc/backend/kernel_cache.hpp"
 #include "pfc/backend/registry.hpp"
 #include "pfc/ir/opcount.hpp"
+#include "pfc/ir/passes.hpp"
 #include "pfc/ir/schedule.hpp"
 #include "pfc/ir/vectorize.hpp"
 #include "pfc/support/timer.hpp"
@@ -62,6 +63,8 @@ std::vector<ir::Kernel> ModelCompiler::lower(
   for (const auto& sk : dres.kernels) {
     stage.reset();
     ir::Kernel k = ir::build_kernel(sk, bo);
+    ir::fold_reciprocals(k);
+    ir::share_sums(k);
     if (report != nullptr) report->add_stage("ir_build", stage.seconds());
     if (opts.schedule) {
       stage.reset();

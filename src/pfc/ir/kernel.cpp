@@ -180,4 +180,19 @@ Kernel build_kernel(const fd::StencilKernel& sk, const BuildOptions& opts) {
   return k;
 }
 
+Level level_of(const Expr& e, int dims,
+               const std::unordered_map<std::string, Level>& temps) {
+  // the coordinate mask each level stands for (innermost coordinate bit)
+  std::unordered_map<std::string, unsigned> deps;
+  for (const auto& [name, level] : temps) {
+    switch (level) {
+      case Level::Invariant: deps[name] = 0; break;
+      case Level::PerZ: deps[name] = 0b100; break;
+      case Level::PerY: deps[name] = 0b010; break;
+      case Level::Body: deps[name] = 0b001; break;
+    }
+  }
+  return level_from_deps(coord_deps(e, dims, deps));
+}
+
 }  // namespace pfc::ir

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "pfc/fd/stencil.hpp"
@@ -80,5 +81,11 @@ class Kernel {
 
 /// Lowers a stencil kernel into the IR.
 Kernel build_kernel(const fd::StencilKernel& sk, const BuildOptions& opts = {});
+
+/// The level build_kernel gives a temp defined as `e`: the innermost loop
+/// whose coordinate `e` depends on, where `temps` holds the level of each
+/// temp it reads (field accesses and Philox draws are per cell).
+Level level_of(const sym::Expr& e, int dims,
+               const std::unordered_map<std::string, Level>& temps);
 
 }  // namespace pfc::ir

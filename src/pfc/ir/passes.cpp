@@ -1,6 +1,8 @@
 #include "pfc/ir/passes.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 
 #include "pfc/sym/simplify.hpp"
 #include "pfc/sym/subs.hpp"
@@ -23,7 +25,360 @@ std::size_t count_uses(const Kernel& k, const Expr& temp_sym) {
   return uses;
 }
 
+bool negative_power(const Expr& e, long* n) {
+  return e->kind() == Kind::Pow && e->arg(1)->integer_value(n) && *n < 0;
+}
+
+bool divides(const Expr& e) {
+  bool found = false;
+  sym::for_each(e, [&](const Expr& x) {
+    long n = 0;
+    found = found || negative_power(x, &n);
+  });
+  return found;
+}
+
+constexpr std::size_t kNone = std::size_t(-1);
+
+/// Distinct expressions by structure, numbered in order of first sight.
+class ExprIndex {
+ public:
+  std::size_t find(const Expr& e) const {
+    const auto it = by_hash_.find(e->hash());
+    if (it == by_hash_.end()) return kNone;
+    for (const std::size_t i : it->second) {
+      if (sym::equals(items_[i], e)) return i;
+    }
+    return kNone;
+  }
+
+  std::size_t intern(const Expr& e) {
+    std::size_t i = find(e);
+    if (i != kNone) return i;
+    i = items_.size();
+    items_.push_back(e);
+    by_hash_[e->hash()].push_back(i);
+    return i;
+  }
+
+  const Expr& operator[](std::size_t i) const { return items_[i]; }
+  std::size_t size() const { return items_.size(); }
+
+ private:
+  std::vector<Expr> items_;
+  std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash_;
+};
+
+/// The divisions a kernel's C rendering performs: a product divides once by
+/// all of its negative-power factors, and a bare negative power divides by
+/// its base. `sites` holds each division's bases as indices into `bases`.
+struct Divisions {
+  ExprIndex bases;
+  std::vector<std::vector<std::size_t>> sites;
+
+  void scan(const Expr& e) {
+    long n = 0;
+    if (e->kind() == Kind::Mul) {
+      std::vector<std::size_t> site;
+      for (const auto& f : e->args()) {
+        if (negative_power(f, &n)) {
+          site.push_back(bases.intern(f->arg(0)));
+          scan(f->arg(0));
+        } else {
+          scan(f);
+        }
+      }
+      if (!site.empty()) sites.push_back(std::move(site));
+      return;
+    }
+    if (negative_power(e, &n)) sites.push_back({bases.intern(e->arg(0))});
+    for (const auto& a : e->args()) scan(a);
+  }
+
+  /// Divisions left when each base flagged in `fold` divides once, into its
+  /// reciprocal.
+  std::size_t count(const std::vector<char>& fold) const {
+    std::size_t d = std::size_t(std::count(fold.begin(), fold.end(), 1));
+    for (const auto& site : sites) {
+      for (const std::size_t b : site) {
+        if (fold[b] == 0) {
+          ++d;
+          break;
+        }
+      }
+    }
+    return d;
+  }
+};
+
 }  // namespace
+
+std::size_t fold_reciprocals(Kernel& k) {
+  Divisions dv;
+  for (const auto& sa : k.body) dv.scan(sa.assign.rhs);
+  const std::size_t nb = dv.bases.size();
+  std::vector<std::size_t> places(nb, 0);
+  for (const auto& site : dv.sites) {
+    for (const std::size_t b : site) ++places[b];
+  }
+  std::vector<char> fold(nb, 0);
+  for (std::size_t b = 0; b < nb; ++b) fold[b] = places[b] >= 2 ? 1 : 0;
+  // A reciprocal whose every use still shares its denominator with a
+  // divisor that stays adds a division: keep dropping such bases.
+  std::size_t divs = dv.count(fold);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t b = 0; b < nb; ++b) {
+      if (fold[b] == 0) continue;
+      fold[b] = 0;
+      const std::size_t d = dv.count(fold);
+      if (d <= divs) {
+        divs = d;
+        changed = true;
+      } else {
+        fold[b] = 1;
+      }
+    }
+  }
+  const auto folded = std::size_t(std::count(fold.begin(), fold.end(), 1));
+  if (folded == 0) return 0;
+
+  // One reciprocal per folded base: a temp already defined as base^-1, or a
+  // new one.
+  std::vector<Expr> recip(nb);
+  std::vector<std::size_t> existing(nb, kNone);
+  std::unordered_map<std::string, Level> temp_level;
+  for (std::size_t i = 0; i < k.body.size(); ++i) {
+    const auto& a = k.body[i].assign;
+    if (a.lhs->kind() != Kind::Symbol) continue;
+    temp_level[a.lhs->name()] = k.body[i].level;
+    long n = 0;
+    if (!negative_power(a.rhs, &n) || n != -1) continue;
+    const std::size_t b = dv.bases.find(a.rhs->arg(0));
+    if (b == kNone || fold[b] == 0 || recip[b]) continue;
+    recip[b] = a.lhs;
+    existing[b] = i;
+  }
+  std::unordered_map<std::string, std::size_t> recip_base;
+  std::size_t fresh = 0;
+  for (std::size_t b = 0; b < nb; ++b) {
+    if (fold[b] == 0) continue;
+    if (!recip[b]) {
+      recip[b] = sym::symbol(k.name + "_r_" + std::to_string(fresh++));
+    }
+    recip_base.emplace(recip[b]->name(), b);
+  }
+  // base^-n -> r^n for every power a folded base is divided by
+  sym::SubsMap to_recip;
+  for (const auto& sa : k.body) {
+    sym::for_each(sa.assign.rhs, [&](const Expr& x) {
+      long n = 0;
+      if (!negative_power(x, &n)) return;
+      const std::size_t b = dv.bases.find(x->arg(0));
+      if (b == kNone || fold[b] == 0) return;
+      for (const auto& [pat, rep] : to_recip) {
+        if (sym::equals(pat, x)) return;
+      }
+      to_recip.emplace_back(x, n == -1 ? recip[b] : sym::pow(recip[b], -n));
+    });
+  }
+
+  // Each reciprocal is defined just ahead of its first reader, after the
+  // reciprocals its own base reads.
+  std::vector<ScheduledAssignment> body;
+  body.reserve(k.body.size() + folded);
+  std::vector<char> defined(nb, 0);
+  std::function<void(const Expr&)> define_read;
+  const auto define = [&](std::size_t b) {
+    defined[b] = 1;
+    const Expr def = sym::pow(sym::substitute(dv.bases[b], to_recip), -1);
+    define_read(def);
+    const Level lvl = existing[b] != kNone ? k.body[existing[b]].level
+                                           : level_of(def, k.dims, temp_level);
+    temp_level[recip[b]->name()] = lvl;
+    body.push_back({{recip[b], def}, lvl});
+  };
+  define_read = [&](const Expr& rhs) {
+    sym::for_each(rhs, [&](const Expr& x) {
+      if (x->kind() != Kind::Symbol) return;
+      const auto it = recip_base.find(x->name());
+      if (it != recip_base.end() && defined[it->second] == 0) {
+        define(it->second);
+      }
+    });
+  };
+  for (const auto& sa : k.body) {
+    if (sa.assign.lhs->kind() == Kind::Symbol) {
+      const auto it = recip_base.find(sa.assign.lhs->name());
+      if (it != recip_base.end()) {
+        if (defined[it->second] == 0) define(it->second);
+        continue;
+      }
+    }
+    ScheduledAssignment out = sa;
+    out.assign.rhs = sym::substitute(sa.assign.rhs, to_recip);
+    define_read(out.assign.rhs);
+    body.push_back(std::move(out));
+  }
+  k.body = std::move(body);
+  return folded;
+}
+
+std::size_t share_sums(Kernel& k) {
+  // The largest sum of every per-cell statement.
+  std::vector<std::size_t> stmt;
+  std::vector<Expr> sums;
+  for (std::size_t i = 0; i < k.body.size(); ++i) {
+    if (k.body[i].level != Level::Body) continue;
+    Expr best;
+    sym::for_each(k.body[i].assign.rhs, [&](const Expr& x) {
+      if (x->kind() == Kind::Add && (!best || x->arity() > best->arity())) {
+        best = x;
+      }
+    });
+    if (best) {
+      stmt.push_back(i);
+      sums.push_back(best);
+    }
+  }
+  const std::size_t m = sums.size();
+  if (m < 2) return 0;
+
+  // Every non-constant term c·t of a sum as t, with its coefficient c in
+  // each sum; term_of[s] numbers the terms of sum s (kNone: a constant).
+  ExprIndex rests;
+  std::vector<std::vector<double>> coeff;
+  std::vector<std::vector<std::size_t>> term_of(m);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (const auto& t : sums[s]->args()) {
+      if (t->kind() == Kind::Number) {
+        term_of[s].push_back(kNone);
+        continue;
+      }
+      double c = 1.0;
+      Expr rest = t;
+      if (t->kind() == Kind::Mul && t->arg(0)->kind() == Kind::Number) {
+        c = t->arg(0)->number();
+        rest = sym::mul(
+            std::vector<Expr>(t->args().begin() + 1, t->args().end()));
+      }
+      const std::size_t i = rests.intern(rest);
+      if (i == coeff.size()) coeff.emplace_back(m, 0.0);
+      coeff[i][s] = c;
+      term_of[s].push_back(i);
+    }
+  }
+
+  // Group terms by the direction of their coefficient vector, scaled so
+  // that the largest entry (the pivot) is 1.
+  struct Group {
+    std::size_t pivot = 0;
+    std::vector<double> dir;
+    std::vector<std::size_t> members;
+  };
+  std::vector<Group> groups;
+  for (std::size_t i = 0; i < coeff.size(); ++i) {
+    const auto& c = coeff[i];
+    if (std::count(c.begin(), c.end(), 0.0) + 2 > std::ptrdiff_t(m)) continue;
+    std::size_t p = 0;
+    for (std::size_t s = 1; s < m; ++s) {
+      if (std::abs(c[s]) > std::abs(c[p])) p = s;
+    }
+    std::vector<double> dir(m);
+    for (std::size_t s = 0; s < m; ++s) dir[s] = c[s] / c[p];
+    std::size_t g = 0;
+    for (; g < groups.size(); ++g) {
+      if (groups[g].pivot != p) continue;
+      bool same = true;
+      for (std::size_t s = 0; s < m && same; ++s) {
+        same = (groups[g].dir[s] == 0.0) == (dir[s] == 0.0) &&
+               std::abs(groups[g].dir[s] - dir[s]) <= 1e-14;
+      }
+      if (same) break;
+    }
+    if (g == groups.size()) groups.push_back({p, std::move(dir), {}});
+    groups[g].members.push_back(i);
+  }
+
+  std::unordered_map<std::string, std::size_t> defined_at;
+  std::unordered_map<std::string, Level> temp_level;
+  for (std::size_t i = 0; i < k.body.size(); ++i) {
+    const auto& a = k.body[i].assign;
+    if (a.lhs->kind() != Kind::Symbol) continue;
+    defined_at[a.lhs->name()] = i;
+    temp_level[a.lhs->name()] = k.body[i].level;
+  }
+  struct Shared {
+    Expr sym, def;
+    std::size_t at;  ///< body index of the first reader
+    std::vector<double> dir;
+  };
+  std::vector<Shared> shared;
+  std::vector<char> grouped(coeff.size(), 0);
+  for (const Group& gr : groups) {
+    // A group pays when its n terms, summed in k places, cost more than one
+    // partial sum plus k scaled adds: n(k-1) > k.
+    const std::size_t n = gr.members.size();
+    const auto k_sums = std::size_t(
+        std::ptrdiff_t(m) - std::count(gr.dir.begin(), gr.dir.end(), 0.0));
+    if (n * (k_sums - 1) <= k_sums) continue;
+    std::vector<Expr> parts;
+    parts.reserve(n);
+    for (const std::size_t i : gr.members) {
+      parts.push_back(sym::mul({sym::num(coeff[i][gr.pivot]), rests[i]}));
+    }
+    const Expr def = sym::add(std::move(parts));
+    std::size_t first = k.body.size();
+    for (std::size_t s = 0; s < m; ++s) {
+      if (gr.dir[s] != 0.0) first = std::min(first, stmt[s]);
+    }
+    // every temp the partial sum reads is defined ahead of its first reader
+    bool ready = true;
+    sym::for_each(def, [&](const Expr& x) {
+      if (x->kind() != Kind::Symbol) return;
+      const auto it = defined_at.find(x->name());
+      if (it != defined_at.end() && it->second >= first) ready = false;
+    });
+    if (!ready) continue;
+    for (const std::size_t i : gr.members) grouped[i] = 1;
+    shared.push_back(
+        {sym::symbol(k.name + "_s_" + std::to_string(shared.size())), def,
+         first, gr.dir});
+  }
+  if (shared.empty()) return 0;
+
+  // Each sum keeps its ungrouped terms and adds its share of every group.
+  std::vector<ScheduledAssignment> body;
+  body.reserve(k.body.size() + shared.size());
+  std::size_t s = 0;
+  for (std::size_t i = 0; i < k.body.size(); ++i) {
+    for (const auto& sh : shared) {
+      if (sh.at == i) {
+        body.push_back(
+            {{sh.sym, sh.def}, level_of(sh.def, k.dims, temp_level)});
+      }
+    }
+    ScheduledAssignment out = k.body[i];
+    if (s < m && stmt[s] == i) {
+      std::vector<Expr> args;
+      for (std::size_t j = 0; j < term_of[s].size(); ++j) {
+        const std::size_t t = term_of[s][j];
+        if (t == kNone || grouped[t] == 0) args.push_back(sums[s]->arg(j));
+      }
+      for (const auto& sh : shared) {
+        if (sh.dir[s] != 0.0) {
+          args.push_back(sym::mul({sym::num(sh.dir[s]), sh.sym}));
+        }
+      }
+      out.assign.rhs =
+          sym::substitute(out.assign.rhs, sums[s], sym::add(std::move(args)));
+      ++s;
+    }
+    body.push_back(std::move(out));
+  }
+  k.body = std::move(body);
+  return shared.size();
+}
 
 std::size_t rematerialize(Kernel& k, const RematOptions& opts) {
   std::size_t inlined = 0;
@@ -36,6 +391,7 @@ std::size_t rematerialize(Kernel& k, const RematOptions& opts) {
       if (sa.level != Level::Body) continue;
       if (sa.assign.lhs->kind() != Kind::Symbol) continue;
       if (sym::operation_count(sa.assign.rhs) > opts.max_cost) continue;
+      if (divides(sa.assign.rhs)) continue;
       const std::size_t uses = count_uses(k, sa.assign.lhs);
       if (uses == 0 || uses > opts.max_uses) continue;
       // substitute the definition into every later statement

@@ -1,7 +1,8 @@
-// IR-level optimization passes (paper §3.4–3.5): rematerialization of cheap
-// CSE temporaries ("dupl"), modelled thread fences ("fence"), dead-code
-// elimination and runtime-parameter folding (the §5.1 ablation of
-// compile-time vs runtime model parameters).
+// IR-level optimization passes (paper §3.4–3.5): reciprocal folding of
+// repeated divisors and shared partial sums (both run by every lowering),
+// rematerialization of cheap CSE temporaries ("dupl"), modelled thread
+// fences ("fence"), dead-code elimination and runtime-parameter folding
+// (the §5.1 ablation of compile-time vs runtime model parameters).
 #pragma once
 
 #include <unordered_map>
@@ -18,10 +19,31 @@ struct RematOptions {
   std::size_t max_uses = 4;
 };
 
+/// Folds repeated divisors: every base that occurs as a negative-integer-
+/// power factor in two or more places gets one temporary r = base^-1 at the
+/// base's own loop level, and each base^-n becomes r^n. A divisor used once
+/// keeps its division, and so does a base whose reciprocal would not lower
+/// the kernel's division count (one whose every use shares a denominator
+/// with a divisor that stays). An existing temporary defined as base^-1
+/// serves as r. x/t becomes x*(1/t), a few ulp per folded use; every
+/// back-end reads the folded IR, so all tiers round alike. Returns the
+/// number of bases folded.
+std::size_t fold_reciprocals(Kernel& k);
+
+/// Builds a shared partial sum once instead of once per statement. Each
+/// per-cell statement's largest sum is a linear combination of terms; terms
+/// whose coefficient vectors across those sums are proportional (in a
+/// projected update, the terms of one phase's variational derivative carry
+/// the weights of λ - δF/δφ_α) are summed once into a temporary, and every
+/// sum adds that temporary times its share. Coefficients move by a few ulp
+/// (c·t becomes (c/c_p)·(c_p·t)). Returns the number of shared sums.
+std::size_t share_sums(Kernel& k);
+
 /// Takes back part of the CSE: temporaries that are cheap to recompute are
 /// substituted back into their users and removed, trading FLOPs for live
 /// range (paper: "rematerializing expressions that are cheap to compute").
-/// Returns the number of temps inlined.
+/// A temporary whose definition divides is never cheap: inlining it would
+/// undo fold_reciprocals. Returns the number of temps inlined.
 std::size_t rematerialize(Kernel& k, const RematOptions& opts = {});
 
 /// Removes temporaries that are never read. Returns the number removed.

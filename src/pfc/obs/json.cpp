@@ -216,6 +216,38 @@ struct Parser {
     return parse_number(out);
   }
 
+  bool parse_hex4(unsigned& v) {
+    if (pos + 4 > text.size()) return false;
+    v = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text[pos++];
+      v <<= 4;
+      if (h >= '0' && h <= '9') v |= unsigned(h - '0');
+      else if (h >= 'a' && h <= 'f') v |= unsigned(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') v |= unsigned(h - 'A' + 10);
+      else return false;
+    }
+    return true;
+  }
+
+  static void append_utf8(std::string& out, unsigned cp) {
+    if (cp < 0x80) {
+      out += char(cp);
+    } else if (cp < 0x800) {
+      out += char(0xC0 | (cp >> 6));
+      out += char(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      out += char(0xE0 | (cp >> 12));
+      out += char(0x80 | ((cp >> 6) & 0x3F));
+      out += char(0x80 | (cp & 0x3F));
+    } else {
+      out += char(0xF0 | (cp >> 18));
+      out += char(0x80 | ((cp >> 12) & 0x3F));
+      out += char(0x80 | ((cp >> 6) & 0x3F));
+      out += char(0x80 | (cp & 0x3F));
+    }
+  }
+
   bool parse_string(std::string& out) {
     skip_ws();
     if (pos >= text.size() || text[pos] != '"') return fail("expected string");
@@ -238,18 +270,24 @@ struct Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          if (pos + 4 > text.size()) return fail("bad \\u escape");
-          unsigned v = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text[pos++];
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= unsigned(h - '0');
-            else if (h >= 'a' && h <= 'f') v |= unsigned(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') v |= unsigned(h - 'A' + 10);
-            else return fail("bad \\u escape");
+          // UTF-16 escapes decode to UTF-8, the encoding the writer passes
+          // through raw, so both spellings of a name are one string. A
+          // surrogate pair is one code point; a lone surrogate is refused.
+          unsigned cp = 0;
+          if (!parse_hex4(cp)) return fail("bad \\u escape");
+          if (cp >= 0xDC00 && cp <= 0xDFFF) return fail("bad \\u escape");
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            unsigned lo = 0;
+            if (text.compare(pos, 2, "\\u") != 0) {
+              return fail("bad \\u escape");
+            }
+            pos += 2;
+            if (!parse_hex4(lo) || lo < 0xDC00 || lo > 0xDFFF) {
+              return fail("bad \\u escape");
+            }
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
           }
-          // ASCII only (reports never emit more); others become '?'
-          out += v < 0x80 ? char(v) : '?';
+          append_utf8(out, cp);
           break;
         }
         default: return fail("bad escape");

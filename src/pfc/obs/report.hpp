@@ -235,8 +235,8 @@ struct RunReport {
 /// Table 1 / "generation vs compile time" discussion).
 struct CompileReport {
   std::string name = "compile";
-  /// Pipeline stages: "discretize", "ir_build" (CSE + hoisting),
-  /// "schedule", "emit", "jit" (external compiler).
+  /// Pipeline stages: "discretize", "ir_build" (CSE, hoisting and
+  /// reciprocal folding), "schedule", "emit", "jit" (external compiler).
   std::map<std::string, TimerStat> stage_timers;
   /// Normalized per-cell FLOPs summed over kernels, before (raw stencil
   /// RHS) and after (optimized IR body) CSE/hoisting.

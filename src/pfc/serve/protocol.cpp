@@ -83,12 +83,18 @@ LineChannel& LineChannel::operator=(LineChannel&& o) noexcept {
 
 bool LineChannel::read_line(std::string& out) {
   PFC_REQUIRE(fd_ >= 0, "read_line on a closed channel");
+  std::size_t scanned = 0;  // bytes of buf_ already known to hold no '\n'
   for (;;) {
-    const auto nl = buf_.find('\n');
+    const auto nl = buf_.find('\n', scanned);
     if (nl != std::string::npos) {
       out = buf_.substr(0, nl);
       buf_.erase(0, nl + 1);
       return true;
+    }
+    scanned = buf_.size();
+    if (buf_.size() > kMaxLineBytes) {
+      throw ProtocolError("protocol: line longer than " +
+                          std::to_string(kMaxLineBytes) + " bytes");
     }
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);

@@ -46,6 +46,7 @@
 //   {"event": "bye"}                                   shutdown ack
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "pfc/app/progress.hpp"
@@ -54,6 +55,14 @@
 namespace pfc::serve {
 
 inline constexpr const char* kProtocolVersion = "pfc-serve-v1";
+
+/// Longest line either side accepts, '\n' excluded. A peer that sends more
+/// without a newline gets ProtocolError (the daemon drops the connection)
+/// instead of growing the buffer without bound. The largest line the serve
+/// ctests exchange is a metrics_text reply of 4397 bytes (then metrics, 3748;
+/// finished, 2480; submit, 1697); HardenTcp's 200000-byte line of '[' still
+/// reaches the JSON parser's depth cap.
+inline constexpr std::size_t kMaxLineBytes = std::size_t(1) << 20;
 
 /// Creates a listening Unix-domain stream socket at `path` (unlinking any
 /// stale file first). Throws pfc::Error on failure.
@@ -78,7 +87,8 @@ class LineChannel {
 
   /// Reads until '\n' (stripped). Returns false on clean EOF; throws
   /// TimeoutError when an armed SO_RCVTIMEO deadline elapses (slow-loris
-  /// peer), pfc::Error on other socket errors.
+  /// peer), ProtocolError past kMaxLineBytes without a '\n', pfc::Error on
+  /// other socket errors.
   bool read_line(std::string& out);
   /// Reads one line and parses it; returns a Null Json on EOF. A line
   /// that is not JSON throws ProtocolError.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "pfc/app/jobspec.hpp"
 #include "pfc/backend/c_emitter.hpp"
 #include "pfc/backend/cuda_emitter.hpp"
 #include "pfc/backend/interp.hpp"
@@ -166,6 +167,47 @@ TEST_P(JitVsInterpreter, AgreeOnDiffusionWithNoise) {
     interp.run(bind(dst2), n, 0.5, 4);
     EXPECT_GT(Array::max_abs_diff(dst_interp, dst2), 0.0);
   }
+}
+
+TEST_P(JitVsInterpreter, FoldedDivisorsAgreeBitwise) {
+  // u/t + v/t^2 + w/t with t = 1 + u^2: every divisor repeats, so after the
+  // fold both tiers multiply by one reciprocal the same way. Unfolded, the C
+  // body divides by t*t while the interpreter multiplies by 1/(t*t).
+  const int dims = GetParam() % 2 == 0 ? 2 : 3;
+  static int counter = 0;
+  const std::string suffix = std::to_string(counter++);
+  auto src = Field::create("fold_src" + suffix, dims, 3);
+  auto dst = Field::create("fold_dst" + suffix, dims, 1);
+  const Expr u = sym::at(src, 0), v = sym::at(src, 1), w = sym::at(src, 2);
+  const Expr t = 1.0 + sym::pow(u, 2);
+  fd::StencilKernel sk;
+  sk.name = "fold" + suffix;
+  sk.assignments = {{sym::at(dst), u / t + v / sym::pow(t, 2) + w / t}};
+  ir::BuildOptions bo;
+  bo.dims = dims;
+  ir::Kernel kernel = ir::build_kernel(sk, bo);
+  ir::fold_reciprocals(kernel);
+
+  const std::array<long long, 3> n{10, 9, dims == 3 ? 6 : 1};
+  Array src_a(src, {n[0], n[1], n[2]}, 1);
+  Array dst_jit(dst, {n[0], n[1], n[2]}, 1);
+  Array dst_interp(dst, {n[0], n[1], n[2]}, 1);
+  fill_pattern(src_a);
+  const auto bind = [&](Array& out) {
+    Binding b;
+    b.arrays.resize(kernel.fields.size());
+    for (std::size_t i = 0; i < kernel.fields.size(); ++i) {
+      b.arrays[i] = kernel.fields[i]->id() == src->id() ? &src_a : &out;
+    }
+    return b;
+  };
+
+  JitLibrary lib = JitLibrary::compile(emit_c(kernel));
+  run_compiled(kernel, lib.get(entry_name(kernel)), bind(dst_jit), n, 0.0, 0);
+  InterpreterKernel(kernel).run(bind(dst_interp), n, 0.0, 0);
+
+  EXPECT_LT(Array::max_abs_diff(dst_jit, dst_interp), 1e-12);
+  EXPECT_EQ(app::interior_checksum(dst_jit), app::interior_checksum(dst_interp));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, JitVsInterpreter, ::testing::Range(0, 4));

@@ -1,11 +1,17 @@
 // IR construction, hoisting, op counting, passes.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "pfc/app/compiler.hpp"
+#include "pfc/app/grandchem.hpp"
+#include "pfc/app/params.hpp"
 #include "pfc/fd/discretize.hpp"
 #include "pfc/ir/kernel.hpp"
 #include "pfc/ir/opcount.hpp"
 #include "pfc/ir/passes.hpp"
 #include "pfc/sym/printer.hpp"
+#include "pfc/sym/simplify.hpp"
 
 namespace pfc::ir {
 namespace {
@@ -195,6 +201,253 @@ TEST(PassesTest, FoldParameters) {
   EXPECT_TRUE(k.scalar_params.empty());
   // gamma*gamma folded to 4: fewer multiplies per cell
   EXPECT_LT(count_ops(k).muls, before.muls);
+}
+
+// --- reciprocal folding and shared sums --------------------------------------
+
+ScheduledAssignment stmt(const Expr& lhs, const Expr& rhs,
+                         Level level = Level::Body) {
+  return {{lhs, rhs}, level};
+}
+
+/// Evaluates every store of `k` in body order with the given symbol values
+/// (temps are bound as they are defined).
+std::vector<double> evaluate_stores(const Kernel& k,
+                                    sym::EvalContext ctx) {
+  std::vector<double> out;
+  for (const auto& sa : k.body) {
+    const double v = sym::evaluate(sa.assign.rhs, ctx);
+    if (sa.assign.lhs->kind() == sym::Kind::Symbol) {
+      ctx.symbols[sa.assign.lhs->name()] = v;
+    } else {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
+/// The temp defined as base^-1, or nullptr.
+const ScheduledAssignment* reciprocal_of(const Kernel& k, const Expr& base) {
+  for (const auto& sa : k.body) {
+    if (sa.assign.lhs->kind() == sym::Kind::Symbol &&
+        sym::equals(sa.assign.rhs, sym::pow(base, -1))) {
+      return &sa;
+    }
+  }
+  return nullptr;
+}
+
+TEST(ReciprocalFold, RepeatedDivisorDividesOnce) {
+  auto src = Field::create("rf_src", 3, 3);
+  auto dst = Field::create("rf_dst", 3, 3);
+  const Expr t = sym::symbol("rf_t");
+  Kernel k;
+  k.name = "rf";
+  k.body = {stmt(t, 1.0 + sym::pow(sym::at(src, 0), 2)),
+            stmt(sym::at(dst, 0), sym::at(src, 0) / t),
+            stmt(sym::at(dst, 1), sym::at(src, 1) / sym::pow(t, 2)),
+            stmt(sym::at(dst, 2), sym::at(src, 2) / t)};
+  ASSERT_EQ(count_ops(k).divs, 3);
+  sym::EvalContext ctx;
+  ctx.field_value = [](const Expr& fr) { return 0.3 + 0.2 * fr->component(); };
+  const auto before = evaluate_stores(k, ctx);
+
+  EXPECT_EQ(fold_reciprocals(k), 1u);
+  EXPECT_EQ(count_ops(k).divs, 1);
+  const ScheduledAssignment* r = reciprocal_of(k, t);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->level, Level::Body);
+  const auto after = evaluate_stores(k, ctx);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_NEAR(after[i], before[i], 1e-15 * std::abs(before[i]));
+  }
+}
+
+TEST(ReciprocalFold, SingleUseDivisorKeepsItsDivision) {
+  auto src = Field::create("rs_src", 3, 2);
+  auto dst = Field::create("rs_dst", 3, 2);
+  const Expr t = sym::symbol("rs_t");
+  Kernel k;
+  k.name = "rs";
+  k.body = {stmt(t, 1.0 + sym::pow(sym::at(src, 0), 2)),
+            stmt(sym::at(dst, 0), sym::at(src, 0) / t),
+            stmt(sym::at(dst, 1), sym::at(src, 1) * t)};
+  const std::size_t n = k.body.size();
+  EXPECT_EQ(fold_reciprocals(k), 0u);
+  EXPECT_EQ(k.body.size(), n);
+  EXPECT_EQ(count_ops(k).divs, 1);
+  EXPECT_EQ(reciprocal_of(k, t), nullptr);
+}
+
+TEST(ReciprocalFold, DivisorThatSharesEveryDenominatorStays) {
+  // t divides twice, but each time together with a divisor used once: a
+  // reciprocal of t would add a division and remove none.
+  auto src = Field::create("rd_src", 3, 2);
+  auto dst = Field::create("rd_dst", 3, 2);
+  const Expr t = sym::symbol("rd_t"), c = sym::symbol("rd_c"),
+             d = sym::symbol("rd_d");
+  Kernel k;
+  k.name = "rd";
+  k.body = {stmt(sym::at(dst, 0), sym::at(src, 0) / (t * c)),
+            stmt(sym::at(dst, 1), sym::at(src, 1) / (t * d))};
+  ASSERT_EQ(count_ops(k).divs, 2);
+  EXPECT_EQ(fold_reciprocals(k), 0u);
+  EXPECT_EQ(count_ops(k).divs, 2);
+}
+
+TEST(ReciprocalFold, ZOnlyDivisorStaysHoisted) {
+  auto src = Field::create("rz_src", 3, 2);
+  auto dst = Field::create("rz_dst", 3, 2);
+  const Expr t = sym::symbol("rz_t");
+  Kernel k;
+  k.name = "rz";
+  k.body = {stmt(t, 1.0 + 0.01 * sym::coord(2), Level::PerZ),
+            stmt(sym::at(dst, 0), sym::at(src, 0) / t),
+            stmt(sym::at(dst, 1), sym::at(src, 1) / sym::pow(t, 3))};
+  ASSERT_EQ(count_ops(k).divs, 2);
+  EXPECT_EQ(fold_reciprocals(k), 1u);
+  const ScheduledAssignment* r = reciprocal_of(k, t);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->level, Level::PerZ);
+  EXPECT_EQ(count_ops(k).divs, 0) << "the hoisted reciprocal is per z";
+}
+
+struct DivisionRow {
+  const char* label;
+  bool p2, phi, split;
+  int dims;
+  long before, after;  // per-cell divisions summed over the kernels
+};
+
+/// Divisions per cell of every Table 1 kernel (3-D) and of the 2-D P2 φ
+/// the dendrite runs, before and after the fold.
+const DivisionRow kDivisionRows[] = {
+    {"P1 mu full", false, false, false, 3, 4, 1},
+    {"P1 mu split", false, false, true, 3, 4, 1},
+    {"P1 phi full", false, true, false, 3, 9, 3},
+    {"P1 phi split", false, true, true, 3, 9, 3},
+    {"P2 mu full", true, false, false, 3, 1, 1},
+    {"P2 mu split", true, false, true, 3, 1, 1},
+    {"P2 phi full", true, true, false, 3, 119, 17},
+    {"P2 phi split", true, true, true, 3, 59, 11},
+    {"P2 phi full 2-D", true, true, false, 2, 87, 13},
+};
+
+fd::PdeUpdate model_update(const DivisionRow& row,
+                           fd::DiscretizeOptions* d) {
+  const app::GrandChemParams params =
+      row.p2 ? app::make_p2(row.dims) : app::make_p1(row.dims);
+  const app::GrandChemModel model(params);
+  d->dims = row.dims;
+  d->dx = params.dx;
+  d->dt = params.dt;
+  d->split_staggered = row.split;
+  d->clamp_unit_interval = row.phi;
+  d->renormalize_simplex = row.phi;
+  return row.phi ? model.phi_update() : model.mu_update();
+}
+
+TEST(ReciprocalFold, Table1DivisionCounts) {
+  for (const auto& row : kDivisionRows) {
+    fd::DiscretizeOptions d;
+    const fd::PdeUpdate pde = model_update(row, &d);
+    BuildOptions bo;
+    bo.dims = row.dims;
+    long before = 0, after = 0;
+    for (const auto& sk : fd::discretize(pde, d).kernels) {
+      Kernel k = build_kernel(sk, bo);
+      const long divs = count_ops(k).divs;
+      fold_reciprocals(k);
+      EXPECT_LE(count_ops(k).divs, divs) << row.label << " " << k.name;
+      before += divs;
+      after += count_ops(k).divs;
+    }
+    EXPECT_EQ(before, row.before) << row.label;
+    EXPECT_EQ(after, row.after) << row.label;
+    // the compiler's lowering runs the fold
+    std::optional<FieldPtr> flux;
+    long lowered = 0;
+    for (const auto& k :
+         app::ModelCompiler::lower(pde, d, app::CompileOptions{}, &flux)) {
+      lowered += count_ops(k).divs;
+    }
+    EXPECT_EQ(lowered, row.after) << row.label;
+  }
+}
+
+TEST(ReciprocalFold, RematerializeLeavesAReciprocalAlone) {
+  // P1 µ-full divides by one denominator in four places; "dupl" inlines
+  // temps of cost <= 3 with <= 4 uses, which would put the four divisions
+  // back.
+  fd::DiscretizeOptions d;
+  const fd::PdeUpdate pde = model_update(kDivisionRows[0], &d);
+  std::optional<FieldPtr> flux;
+  auto kernels = app::ModelCompiler::lower(pde, d, app::CompileOptions{}, &flux);
+  ASSERT_EQ(kernels.size(), 1u);
+  Kernel& k = kernels[0];
+  ASSERT_EQ(count_ops(k).divs, 1);
+  std::size_t reciprocals = 0;
+  for (const auto& sa : k.body) {
+    long n = 0;
+    if (sa.assign.lhs->kind() == sym::Kind::Symbol &&
+        sa.assign.rhs->kind() == sym::Kind::Pow &&
+        sa.assign.rhs->arg(1)->integer_value(&n) && n == -1) {
+      ++reciprocals;
+    }
+  }
+  ASSERT_EQ(reciprocals, 1u);
+  rematerialize(k);
+  EXPECT_EQ(count_ops(k).divs, 1);
+}
+
+TEST(SharedSums, ProjectedUpdateSumsEachPhaseOnce) {
+  // out_a = λ - v_a with λ = (v_0 + v_1 + v_2) / 3: canonicalization
+  // merges λ into each store, so every store carries all six products.
+  auto dst = Field::create("ss_dst", 3, 3);
+  std::vector<Expr> v;
+  sym::EvalContext ctx;
+  for (int a = 0; a < 3; ++a) {
+    std::vector<Expr> terms;
+    for (int j = 0; j < 2; ++j) {
+      const std::string id = std::to_string(2 * a + j);
+      const Expr x = sym::symbol("ss_x" + id), y = sym::symbol("ss_y" + id);
+      ctx.symbols[x->name()] = 0.7 + 0.1 * (2 * a + j);
+      ctx.symbols[y->name()] = -1.3 + 0.2 * (2 * a + j);
+      terms.push_back(double(a + j + 1) * x * y);
+    }
+    v.push_back(sym::add(std::move(terms)));
+  }
+  const Expr lambda = sym::add(v) / 3.0;
+  Kernel k;
+  k.name = "ss";
+  for (int a = 0; a < 3; ++a) {
+    k.body.push_back(stmt(sym::at(dst, a), lambda - v[std::size_t(a)]));
+  }
+  const long before_ops = count_ops(k).normalized_flops();
+  const auto before = evaluate_stores(k, ctx);
+
+  EXPECT_EQ(share_sums(k), 3u);
+  EXPECT_EQ(k.num_temps(), 3u);
+  EXPECT_LT(count_ops(k).normalized_flops(), before_ops);
+  const auto after = evaluate_stores(k, ctx);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_NEAR(after[i], before[i], 1e-14);
+  }
+}
+
+TEST(SharedSums, UnrelatedSumsAreLeftAlone) {
+  auto dst = Field::create("su_dst", 3, 2);
+  const Expr x = sym::symbol("su_x"), y = sym::symbol("su_y"),
+             z = sym::symbol("su_z");
+  Kernel k;
+  k.name = "su";
+  k.body = {stmt(sym::at(dst, 0), 2.0 * x * y + 3.0 * x * z + y * z),
+            stmt(sym::at(dst, 1), x * y - 5.0 * x * z + 7.0 * y * z)};
+  const std::size_t n = k.body.size();
+  EXPECT_EQ(share_sums(k), 0u);
+  EXPECT_EQ(k.body.size(), n);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "pfc/app/jobspec.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
 #include "pfc/obs/registry.hpp"
@@ -159,6 +160,38 @@ TEST(ObsJsonTest, ParseRejectsMalformedInput) {
   EXPECT_TRUE(err.empty()) << err;
   Json::parse("{\"a\":" + deep + "}", &err);  // 257 levels
   EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos) << err;
+}
+
+TEST(ObsJsonTest, UnicodeEscapesDecodeToUtf8) {
+  std::string err;
+  const Json e_acute = Json::parse("\"caf\\u00e9\"", &err);
+  ASSERT_TRUE(err.empty()) << err;
+  EXPECT_EQ(e_acute.str(), "caf\xC3\xA9");
+  // a surrogate pair is one code point, four bytes of UTF-8
+  const Json grin = Json::parse("\"\\ud83d\\ude00\"", &err);
+  ASSERT_TRUE(err.empty()) << err;
+  EXPECT_EQ(grin.str(), "\xF0\x9F\x98\x80");
+  // the escaped and the raw spelling are one string, and it writes raw
+  EXPECT_EQ(Json::parse("\"caf\xC3\xA9\"", &err).str(), e_acute.str());
+  EXPECT_EQ(e_acute.dump(-1), "\"caf\xC3\xA9\"");
+  // lone surrogates, high or low, and a high one paired with a non-low
+  for (const char* bad : {"\"\\ud800\"", "\"\\ud800x\"", "\"\\udc00\"",
+                          "\"\\ud800\\u0041\""}) {
+    Json::parse(bad, &err);
+    EXPECT_NE(err.find("bad \\u escape"), std::string::npos) << bad;
+  }
+  // distinct names stay distinct quota keys after decoding
+  const auto spec_for = [](const std::string& tenant_literal) {
+    Json j = app::JobSpec{}.to_json();
+    j.set("tenant", Json("@tenant@"));
+    std::string text = j.dump(-1);
+    const std::string mark = "\"@tenant@\"";
+    return text.replace(text.find(mark), mark.size(), tenant_literal);
+  };
+  const app::JobSpec escaped = app::JobSpec::parse(spec_for("\"caf\\u00e9\""));
+  const app::JobSpec ascii = app::JobSpec::parse(spec_for("\"caf?\""));
+  EXPECT_EQ(escaped.tenant, "caf\xC3\xA9");
+  EXPECT_NE(escaped.tenant, ascii.tenant);
 }
 
 TEST(ObsReportTest, RunReportJsonHasSharedSchema) {

@@ -582,6 +582,33 @@ TEST(HardenTcp, DeeplyNestedRequestIsRefusedDaemonLives) {
   server.stop();
 }
 
+TEST(HardenTcp, OverlongLineIsRefusedDaemonLives) {
+  TempDir tmp;
+  JobServer server(quiet_options(tmp.path));
+  server.start();
+
+  // One byte past the line cap and no newline: the daemon stops buffering
+  // and drops the connection instead of growing without bound.
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::Unix;
+  ep.path = tmp.path + "/serve.sock";
+  LineChannel flood(connect_endpoint(ep));
+  set_io_timeout(flood.fd(), 5.0);
+  const std::string request(kMaxLineBytes + 1, 'x');
+  for (std::size_t off = 0; off < request.size();) {
+    const ssize_t n = ::send(flood.fd(), request.data() + off,
+                             request.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << "send failed";
+    off += std::size_t(n);
+  }
+  std::string line;
+  EXPECT_FALSE(flood.read_line(line)) << "expected EOF, got " << line;
+
+  Client client(ep.path);
+  EXPECT_EQ(field(client.ping(), "event").str(), "pong");
+  server.stop();
+}
+
 // --- graceful drain ----------------------------------------------------------
 
 TEST(HardenDrain, CancelsStragglersWithShutdownKind) {
