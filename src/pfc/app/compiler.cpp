@@ -1,9 +1,10 @@
 #include "pfc/app/compiler.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
+#include "pfc/backend/c_emitter.hpp"
 #include "pfc/backend/kernel_cache.hpp"
-#include "pfc/backend/registry.hpp"
 #include "pfc/ir/opcount.hpp"
 #include "pfc/ir/passes.hpp"
 #include "pfc/ir/schedule.hpp"
@@ -13,11 +14,67 @@
 namespace pfc::app {
 
 namespace {
+
 // Compiler diagnostics span many lines; the report keeps only the headline.
 std::string first_line(const std::string& s) {
   const auto nl = s.find('\n');
   return nl == std::string::npos ? s : s.substr(0, nl);
 }
+
+/// What one JIT attempt produced. compile_jit_tier fills it in place, so a
+/// throwing attempt still leaves its source and emit time for the report.
+struct JitAttempt {
+  std::string source;  ///< the kernels joined into one TU
+  double emit_seconds = 0.0;
+  double ops_per_cell_widened = 0.0;
+  std::vector<int> widths;  ///< per kernel: the width its loop runs at
+  backend::KernelCacheResult lib;  ///< library, cache key/hit, compile time
+  std::vector<backend::KernelFn> fns;  ///< per kernel
+  bool cache_used = false;
+  backend::KernelCacheStats cache_stats;  ///< process-wide, after the call
+};
+
+/// One JIT tier: emit the kernels at `width`, one translation unit each,
+/// run the external compiler on them side by side (through the
+/// content-addressed cache when `cache` names a directory, keyed by the
+/// kernels joined into one TU), resolve the entry points.
+void compile_jit_tier(const std::vector<const ir::Kernel*>& kernels,
+                      const CompileOptions& o, int width,
+                      const backend::JitLibrary::Options& jo,
+                      const backend::KernelCacheConfig& cache,
+                      JitAttempt& art) {
+  Timer stage;
+  backend::CEmitOptions eo;
+  eo.fast_math = o.fast_math;
+  eo.vector_width = width;
+  eo.streaming_stores = o.streaming_stores;
+  for (const ir::Kernel* k : kernels) {
+    const ir::VectorPlan plan =
+        ir::plan_vectorize(*k, {width, o.streaming_stores});
+    art.ops_per_cell_widened += plan.enabled()
+                                    ? plan.flops_per_cell_vector
+                                    : double(plan.flops_per_cell_scalar);
+    art.widths.push_back(plan.enabled() ? plan.width : 1);
+  }
+  backend::ModelSource src = backend::emit_model(kernels, eo);
+  art.source = std::move(src.joined);
+  art.emit_seconds = stage.seconds();
+
+  if (!cache.directory.empty()) {
+    art.lib = backend::KernelCache::shared().acquire(art.source, src.units,
+                                                     jo, cache);
+    art.cache_used = true;
+    art.cache_stats = backend::KernelCache::shared().stats();
+  } else {
+    art.lib.library = std::make_shared<backend::JitLibrary>(
+        backend::JitLibrary::compile(src.units, jo));
+    art.lib.compile_seconds = art.lib.library->compile_seconds();
+  }
+  for (const ir::Kernel* k : kernels) {
+    art.fns.push_back(art.lib.library->get(backend::entry_name(*k)));
+  }
+}
+
 }  // namespace
 
 void CompiledKernel::run(const backend::Binding& b,
@@ -113,7 +170,7 @@ CompiledModel ModelCompiler::compile_updates(
   if (groups.size() > 1) attach(groups[1], out.mu_kernels);
 
   // Flatten the kernels in execution order (φ group, then µ group) — the
-  // shape every registry backend compiles against.
+  // shape every tier compiles against.
   std::vector<const ir::Kernel*> kernel_ptrs;
   std::vector<CompiledKernel*> flat;
   for (auto* group : {&out.phi_kernels, &out.mu_kernels}) {
@@ -134,54 +191,45 @@ CompiledModel ModelCompiler::compile_updates(
                     " (use 0=auto, 1, 2, 4 or 8)");
   }
 
-  // Select through the backend registry: the degradation chain is every
-  // registered backend whose probe accepts the request, priority-descending
-  // (vector → scalar → interpreter for the built-ins). A JIT failure at one
+  // The degradation chain (see obs::BackendTier): a JIT failure at one
   // rung retries the next instead of aborting the run; the surviving tier
   // and the first failure are recorded in the compile report. An explicit
-  // interpreter request pins the chain to that single tier.
-  std::vector<backend::ChainEntry> chain;
-  if (opts_.backend == Backend::Interpreter) {
-    const backend::Backend* interp =
-        backend::BackendRegistry::instance().find("interpreter");
-    PFC_ASSERT(interp != nullptr, "interpreter backend not registered");
-    chain.push_back(backend::ChainEntry{interp, 1});
+  // interpreter request is the interpreter alone.
+  using obs::BackendTier;
+  std::vector<BackendTier> jit_tiers;
+  if (opts_.backend == Backend::Jit) {
+    if (width > 1) jit_tiers.push_back(BackendTier::Vector);
+    jit_tiers.push_back(BackendTier::Scalar);
+  }
+
+  // Content-addressed kernel cache: options configure it explicitly, the
+  // PFC_KERNEL_CACHE_DIR env enables it for unmodified binaries.
+  backend::KernelCacheConfig cache;
+  if (!opts_.cache_dir.empty()) {
+    cache.directory = opts_.cache_dir;
+    cache.max_bytes = opts_.cache_max_bytes;
   } else {
-    chain = backend::BackendRegistry::instance().chain(width);
+    cache = backend::kernel_cache_config_from_env();
   }
 
   int forced_failures = opts_.fail_jit_attempts;
-  for (const backend::ChainEntry& entry : chain) {
-    const backend::Backend& b = *entry.backend;
-    const bool is_jit = b.capabilities().jit;
-
-    backend::TierOptions to;
-    to.vector_width = entry.width;
-    to.fast_math = opts_.fast_math;
-    to.streaming_stores = opts_.streaming_stores;
-    to.extra_flags = opts_.jit_extra_flags;
-    const bool forced = is_jit && forced_failures > 0;
-    if (forced) to.compiler_override = "false";  // always exits 1: injected
-
-    // Content-addressed kernel cache: options configure it explicitly, the
-    // PFC_KERNEL_CACHE_DIR env enables it for unmodified binaries.
-    // Injected-fault attempts bypass the cache — they must exercise the
-    // external-compiler failure path, not be absorbed by an earlier hit.
-    if (!opts_.cache_dir.empty()) {
-      to.cache.directory = opts_.cache_dir;
-      to.cache.max_bytes = opts_.cache_max_bytes;
-    } else {
-      to.cache = backend::kernel_cache_config_from_env();
-    }
-    to.use_cache = !forced && !to.cache.directory.empty();
-
-    backend::TierArtifact art;
+  for (const BackendTier tier : jit_tiers) {
+    const int w = tier == BackendTier::Vector ? width : 1;
+    backend::JitLibrary::Options jo;
+    jo.extra_flags = opts_.jit_extra_flags;
+    // `false` always exits 1: an injected fault. Injected attempts bypass
+    // the cache: they must exercise the external-compiler failure path,
+    // not be absorbed by an earlier hit.
+    const bool forced = forced_failures > 0;
+    if (forced) jo.compiler = "false";
+    JitAttempt art;
     Timer attempt;
     try {
-      b.compile(kernel_ptrs, to, art);
+      compile_jit_tier(kernel_ptrs, opts_, w, jo,
+                       forced ? backend::KernelCacheConfig{} : cache, art);
     } catch (const Error& e) {
-      // The artifact keeps the generated source and emit timing of the
-      // failed attempt — the report still shows what was tried.
+      // The attempt keeps the generated source and emit timing of the
+      // failed compile: the report still shows what was tried.
       if (!art.source.empty()) out.source_ = art.source;
       if (art.emit_seconds > 0.0) {
         out.report_.add_stage("emit", art.emit_seconds);
@@ -195,42 +243,44 @@ CompiledModel ModelCompiler::compile_updates(
             forced ? "injected jit fault" : first_line(e.what());
       }
       std::fprintf(stderr,
-                   "pfc jit: width-%d compile failed (%s), degrading\n",
-                   entry.width,
+                   "pfc jit: width-%d compile failed (%s), degrading\n", w,
                    forced ? "injected fault" : first_line(e.what()).c_str());
       continue;
     }
 
-    if (is_jit) {
-      out.source_ = art.source;
-      out.report_.add_stage("emit", art.emit_seconds);
-      out.report_.add_stage("jit", art.jit_seconds);
-    }
+    out.report_.backend_tier = support::enum_name(tier);
+    out.source_ = art.source;
+    out.report_.add_stage("emit", art.emit_seconds);
+    out.report_.add_stage("jit", art.lib.compile_seconds);
     out.report_.ops_per_cell_widened = art.ops_per_cell_widened;
-    out.report_.vector_width = art.emit_width;
-    out.report_.backend_tier = b.tier();
+    out.report_.vector_width = w;
     if (art.cache_used) {
       out.report_.cache_used = true;
-      out.report_.cache_hit = art.cache_hit;
-      out.report_.cache_key = art.cache_key;
+      out.report_.cache_hit = art.lib.hit;
+      out.report_.cache_key = art.lib.key;
       out.report_.cache_hits = art.cache_stats.hits;
       out.report_.cache_misses = art.cache_stats.misses;
       out.report_.cache_evictions = art.cache_stats.evictions;
       out.report_.cache_bytes = art.cache_stats.bytes;
     }
-    out.library_ = art.library;
+    out.library_ = art.lib.library;
     for (std::size_t i = 0; i < flat.size(); ++i) {
       flat[i]->vector_width_ = art.widths[i];
-      if (!art.fns.empty()) {
-        flat[i]->fn_ = art.fns[i];
-      } else {
-        flat[i]->interp_ = art.interps[i];
-      }
+      flat[i]->fn_ = art.fns[i];
     }
     return out;
   }
 
-  PFC_ASSERT(false, "backend chain exhausted (interpreter tier missing?)");
+  // The last rung cannot fail. The interpreter evaluates the IR cell by
+  // cell; width stays 1 and the per-cell cost equals the post-optimization
+  // scalar op count.
+  out.report_.backend_tier = support::enum_name(BackendTier::Interpreter);
+  out.report_.vector_width = 1;
+  for (CompiledKernel* ck : flat) {
+    ck->interp_ = std::make_shared<backend::InterpreterKernel>(ck->ir);
+    out.report_.ops_per_cell_widened +=
+        double(ir::count_ops(ck->ir).normalized_flops());
+  }
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -157,33 +156,13 @@ Json encode(const T& v) {
   }
 }
 
-/// Every integer field and array element: integral, below 2^53 in
-/// magnitude (a double holds every such integer exactly; a larger one may
-/// already have been rounded by the parser) and inside the member's type.
-template <typename T>
-T decode_integer(const Json& j, const std::string& path) {
-  if (!j.is_number()) option_error(path, "expected a number");
-  const double x = j.number();
-  if (x != std::floor(x)) option_error(path, "expected an integer");
-  if (std::abs(x) >= 9007199254740992.0) {
-    option_error(path, "integer magnitude must be below 2^53");
-  }
-  using L = std::numeric_limits<T>;
-  if (x < double(L::min()) || x > double(L::max())) {
-    option_error(path, Json(x).dump() + " is outside [" +
-                           std::to_string(L::min()) + ", " +
-                           std::to_string(L::max()) + "]");
-  }
-  return T(x);
-}
-
 template <typename T>
 void decode(const Json& j, T& out, const std::string& path) {
   if constexpr (std::is_same_v<T, bool>) {
     if (j.kind() != Json::Kind::Bool) option_error(path, "expected a bool");
     out = j.boolean();
   } else if constexpr (std::is_integral_v<T>) {
-    out = decode_integer<T>(j, path);
+    out = obs::json_integer<T>(j, "jobspec: " + path);
   } else if constexpr (std::is_same_v<T, double>) {
     if (!j.is_number()) option_error(path, "expected a number");
     out = j.number();

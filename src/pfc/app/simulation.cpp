@@ -122,7 +122,7 @@ Simulation::Simulation(GrandChemModel model, const SimulationOptions& opts,
       exchange_(forest_, comm,
                 std::max(model_.phi_src()->components(),
                          model_.mu_src()->components())),
-      health_(opts.health, &reg_) {
+      health_(opts.health) {
   const int rank = comm != nullptr ? comm->rank() : 0;
   for (const grid::Block* b : forest_.blocks_of_rank(rank)) {
     const std::array<std::int64_t, 3> n{b->size[0], b->size[1], b->size[2]};
@@ -132,7 +132,7 @@ Simulation::Simulation(GrandChemModel model, const SimulationOptions& opts,
         Array(model_.phi_dst(), n, kGhost, ft),
         Array(model_.mu_src(), n, kGhost, ft),
         Array(model_.mu_dst(), n, kGhost, ft), std::nullopt, std::nullopt,
-        std::nullopt, std::nullopt});
+        std::nullopt, std::nullopt, 0.0});
     if (opts.time_scheme == TimeScheme::Heun) {
       lb->phi_0.emplace(model_.phi_src(), n, kGhost, ft);
       lb->mu_0.emplace(model_.mu_src(), n, kGhost, ft);
@@ -435,21 +435,23 @@ void Simulation::run_group(const std::vector<CompiledKernel>& kernels,
 
   // Only pack + wait are exposed exchange time.
   const double exposed = (t_pack - t_frontier) + (t_wait - t_interior);
-  reg_.add_time("exchange", exposed);
-  step_exchange_seconds_ += exposed;
-  step_exchange_bytes_ += exchange_.last_bytes_sent();
-  reg_.counter("exchange_bytes").add(exchange_.last_bytes_sent());
+  totals_.exchange_seconds += exposed;
+  totals_.exchange_bytes += exchange_.last_bytes_sent();
   if (opts_.overlap == OverlapMode::InteriorFrontier) {
+    obs::OverlapStats& ov = totals_.overlap;
     const struct {
       const char* name;
       const char* cat;
       double lo, hi;
-    } phases[] = {{"kernel.frontier", "kernel", 0.0, t_frontier},
-                  {"exchange.pack", "ghost", t_frontier, t_pack},
-                  {"kernel.interior", "kernel", t_pack, t_interior},
-                  {"exchange.wait", "ghost", t_interior, t_wait}};
+      double* total;
+    } phases[] = {
+        {"kernel.frontier", "kernel", 0.0, t_frontier, &ov.frontier_seconds},
+        {"exchange.pack", "ghost", t_frontier, t_pack, &ov.pack_seconds},
+        {"kernel.interior", "kernel", t_pack, t_interior,
+         &ov.interior_seconds},
+        {"exchange.wait", "ghost", t_interior, t_wait, &ov.wait_seconds}};
     for (const auto& p : phases) {
-      reg_.add_time(p.name, p.hi - p.lo);
+      *p.total += p.hi - p.lo;
       if (tr != nullptr) {
         tr->complete(p.name, p.cat, t0 + p.lo * 1e6, (p.hi - p.lo) * 1e6,
                      step_, -1);
@@ -462,16 +464,11 @@ void Simulation::run_group(const std::vector<CompiledKernel>& kernels,
 
   // One add per block/kernel/step, so the drift model's launches ×
   // cells-per-launch accounting holds whatever the schedule.
-  if (nk == 0) return;
   for (std::size_t i = 0; i < locals_.size(); ++i) {
-    double block_s = 0.0;
     for (std::size_t k = 0; k < nk; ++k) {
-      reg_.add_time("kernel/" + kernels[k].ir.name, seconds[i * nk + k]);
-      block_s += seconds[i * nk + k];
+      totals_.kernel_timers[kernels[k].ir.name].add(seconds[i * nk + k]);
+      locals_[i]->kernel_seconds += seconds[i * nk + k];
     }
-    reg_.add_time("block/" + std::to_string(locals_[i]->block->linear_id),
-                  block_s);
-    step_kernel_seconds_ += block_s;
   }
 }
 
@@ -497,14 +494,11 @@ void Simulation::fused_group(double t) {
     tr->complete("wavefront", "kernel", ts, timer.seconds() * 1e6, step_,
                  lb.block->linear_id);
   }
-  double block_s = 0.0;
   for (std::size_t j = 0; j < wavefront_.stages.size(); ++j) {
-    reg_.add_time("kernel/" + wavefront_.stages[j].kernel->ir.name,
-                  stage_seconds[j]);
-    block_s += stage_seconds[j];
+    totals_.kernel_timers[wavefront_.stages[j].kernel->ir.name].add(
+        stage_seconds[j]);
+    lb.kernel_seconds += stage_seconds[j];
   }
-  reg_.add_time("block/" + std::to_string(lb.block->linear_id), block_s);
-  step_kernel_seconds_ += block_s;
   ++fused_substeps_;
   // φ_dst's ghosts were completed inside the schedule (transverse per row
   // band, outer axis at the barrier); only µ_dst still needs its exchange.
@@ -528,7 +522,6 @@ void Simulation::substep(double t) {
 
 obs::RunReport Simulation::run(int n) {
   const long long cells = local_cells();
-  obs::Counter& updates = reg_.counter("cell_updates");
   const auto& res = opts_.resilience;
   const bool recovery =
       health_.enabled() && opts_.health.policy == obs::HealthPolicy::Recover;
@@ -555,9 +548,6 @@ obs::RunReport Simulation::run(int n) {
     Timer step_wall;
     trace_this_step_ = tracer_.sampled(step_);
     const double step_ts = trace_this_step_ ? tracer_.now_us() : 0.0;
-    step_kernel_seconds_ = 0.0;
-    step_exchange_seconds_ = 0.0;
-    step_exchange_bytes_ = 0;
     if (opts_.time_scheme == TimeScheme::Euler) {
       substep(time_);
     } else {
@@ -583,9 +573,7 @@ obs::RunReport Simulation::run(int n) {
     // One lattice update per step, whatever the scheme — Heun's two
     // substeps advance time once. Rolled-back steps stay counted: the
     // counter measures work actually performed.
-    updates.add(std::uint64_t(cells));
-    reg_.push_step({step_, step_kernel_seconds_, step_exchange_seconds_,
-                    step_exchange_bytes_, std::uint64_t(cells)});
+    totals_.cell_updates += std::uint64_t(cells);
     if (trace_this_step_) {
       tracer_.complete("step", "step", step_ts, tracer_.now_us() - step_ts,
                        step_ - 1, -1);
@@ -661,38 +649,21 @@ void Simulation::record_progress(double step_wall_seconds) {
 }
 
 obs::RunReport Simulation::report() const {
-  obs::RunReport r;
+  obs::RunReport r = totals_;
   r.name = "simulation";
   r.steps = step_;
   r.cells_per_step = local_cells();
-  r.cell_updates = reg_.counter_value("cell_updates");
   r.num_blocks = int(locals_.size());
-  double block_max = 0.0, block_sum = 0.0;
-  int block_n = 0;
-  for (const auto& [path, t] : reg_.timers()) {
-    if (path.rfind("kernel/", 0) == 0) {
-      r.kernel_timers[path.substr(7)] = t;
-      r.kernel_seconds_total += t.seconds;
-    } else if (path == "exchange") {
-      r.exchange_seconds = t.seconds;
-    } else if (path == "exchange.pack") {
-      r.overlap.pack_seconds = t.seconds;
-    } else if (path == "exchange.wait") {
-      r.overlap.wait_seconds = t.seconds;
-    } else if (path == "kernel.interior") {
-      r.overlap.interior_seconds = t.seconds;
-    } else if (path == "kernel.frontier") {
-      r.overlap.frontier_seconds = t.seconds;
-    } else if (path.rfind("block/", 0) == 0) {
-      block_max = std::max(block_max, t.seconds);
-      block_sum += t.seconds;
-      ++block_n;
-    }
+  for (const auto& [name, t] : r.kernel_timers) {
+    r.kernel_seconds_total += t.seconds;
   }
-  r.exchange_bytes = reg_.counter_value("exchange_bytes");
+  double block_max = 0.0, block_sum = 0.0;
+  for (const auto& lb : locals_) {
+    block_max = std::max(block_max, lb->kernel_seconds);
+    block_sum += lb->kernel_seconds;
+  }
   r.block_imbalance =
-      obs::safe_rate(block_max, block_sum / std::max(block_n, 1));
-  r.recent_steps = reg_.recent_steps();
+      obs::safe_rate(block_max, block_sum / std::max(r.num_blocks, 1));
   r.health = health_.stats();
   r.health_policy = opts_.health.policy;
   r.resilience = res_stats_;
@@ -766,8 +737,8 @@ void Simulation::capture_checkpoint(bool to_disk) {
   meta.rng_seed = model_.params().rng_seed;
   meta.layout = layout_signature();
   meta.health = health_.stats();
-  meta.counters["cell_updates"] = reg_.counter_value("cell_updates");
-  meta.counters["exchange_bytes"] = reg_.counter_value("exchange_bytes");
+  meta.counters["cell_updates"] = totals_.cell_updates;
+  meta.counters["exchange_bytes"] = totals_.exchange_bytes;
   resilience::write_checkpoint(opts_.resilience.directory, meta, files,
                                file_rank(), faults_.truncate_checkpoint);
   if (faults_.truncate_checkpoint) ++res_stats_.faults_injected;

@@ -270,6 +270,8 @@ class Simulation {
     std::optional<Array> phi_flux, mu_flux;
     /// Heun predictor storage for the state at the step start.
     std::optional<Array> phi_0, mu_0;
+    /// Kernel seconds accumulated on this block (block_imbalance).
+    double kernel_seconds = 0.0;
   };
 
   /// Interior box + disjoint frontier slabs of one kernel's iteration
@@ -376,7 +378,10 @@ class Simulation {
   obs::ResilienceStats res_stats_;
   int retries_ = 0;
   long long last_violation_step_ = -1;
-  obs::Registry reg_;
+  /// Run totals, each interval written once: per-kernel timers, exposed
+  /// exchange seconds and bytes, overlap phases and cell updates.
+  /// report() copies them and fills in the rest.
+  obs::RunReport totals_;
   obs::TraceRecorder tracer_;
   obs::HealthMonitor health_;
   /// ECM-predicted MLUP/s per kernel at the block size and pool width
@@ -387,10 +392,6 @@ class Simulation {
   support::Topology topology_;
   /// True while the current step is on the trace sampling grid.
   bool trace_this_step_ = false;
-  /// Kernel seconds and exchange seconds/bytes of the step in progress.
-  double step_kernel_seconds_ = 0.0;
-  double step_exchange_seconds_ = 0.0;
-  std::uint64_t step_exchange_bytes_ = 0;
   ProgressOptions progress_;
   double step_seconds_ewma_ = 0.0;
   long long last_progress_step_ = -1;

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "pfc/backend/c_emitter.hpp"
+#include "pfc/backend/jit.hpp"
 #include "pfc/backend/kernel_cache.hpp"
-#include "pfc/backend/registry.hpp"
 #include "pfc/perf/ecm.hpp"
 #include "pfc/support/sha256.hpp"
 
@@ -160,16 +160,11 @@ obs::TuningStats autotune_apply(const GrandChemModel& model,
   to.budget = kTuneBudget;
   to.multi_threaded = opts.threads > 1;
   to.baseline = candidate_from_options(opts);
-  if (opts.compile.backend == Backend::Interpreter) {
-    to.max_vector_width = 1;  // the interpreter tier is scalar
-  } else {
-    const backend::Backend* vec =
-        backend::BackendRegistry::instance().find("jit-vector");
-    const int tier_cap =
-        vec != nullptr ? vec->capabilities().max_vector_width : 1;
-    to.max_vector_width =
-        std::min(tier_cap, backend::probe_native_vector_width());
-  }
+  // The interpreter tier is scalar; the JIT tiers emit up to the host's
+  // native width.
+  to.max_vector_width = opts.compile.backend == Backend::Interpreter
+                            ? 1
+                            : backend::probe_native_vector_width();
 
   // ECM prior: the per-split kernel sets are lowered once; driver placement
   // knobs (dispatch/pin/blocking) are invisible to the analytic model, so

@@ -130,8 +130,7 @@ std::string BlockForest::layout_signature() const {
       "cells=%lldx%lldx%lld;blocks=%dx%dx%d;ranks=%d;dims=%d;boundary=%s",
       global_cells_[0], global_cells_[1], global_cells_[2],
       blocks_per_dim_[0], blocks_per_dim_[1], blocks_per_dim_[2], num_ranks_,
-      dims_, boundary_ == BoundaryKind::Periodic ? "periodic"
-                                                 : "zerogradient");
+      dims_, support::enum_name(boundary_));
   return buf;
 }
 

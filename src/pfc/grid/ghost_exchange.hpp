@@ -70,8 +70,7 @@ class GhostExchange {
   /// volume accounting for the network model).
   std::size_t last_bytes_sent() const { return bytes_sent_; }
 
-  /// Cumulative remote bytes / exchange rounds since construction (feeds
-  /// the driver's observability registry).
+  /// Cumulative remote bytes / exchange rounds since construction.
   std::size_t total_bytes_sent() const { return total_bytes_sent_; }
   std::size_t rounds() const { return rounds_; }
 

@@ -24,19 +24,23 @@ HealthStats HealthStats::from_json(const Json& j) {
     const Json* v = j.find(key);
     return v != nullptr && v->is_number() ? v->number() : 0.0;
   };
+  const auto count = [&j](const char* key) -> std::uint64_t {
+    const Json* v = j.find(key);
+    if (v == nullptr) return 0;
+    return json_integer<std::uint64_t>(*v, std::string("pfc: health.") + key);
+  };
   HealthStats s;
-  s.checks = (long long)num("checks");
-  s.nonfinite_values = (std::uint64_t)num("nonfinite_values");
-  s.phase_sum_violations = (std::uint64_t)num("phase_sum_violations");
-  s.simplex_violations = (std::uint64_t)num("simplex_violations");
-  s.mu_blowups = (std::uint64_t)num("mu_blowups");
+  s.checks = (long long)count("checks");
+  s.nonfinite_values = count("nonfinite_values");
+  s.phase_sum_violations = count("phase_sum_violations");
+  s.simplex_violations = count("simplex_violations");
+  s.mu_blowups = count("mu_blowups");
   s.max_phase_sum_error = num("max_phase_sum_error");
   s.conservation_drift = num("conservation_drift");
   return s;
 }
 
-HealthMonitor::HealthMonitor(const HealthOptions& opts, Registry* registry)
-    : opts_(opts), registry_(registry) {
+HealthMonitor::HealthMonitor(const HealthOptions& opts) : opts_(opts) {
   PFC_REQUIRE(opts.every_n_steps >= 1,
               "health: every_n_steps must be >= 1, got " +
                   std::to_string(opts.every_n_steps));
@@ -113,22 +117,6 @@ std::uint64_t HealthMonitor::finish_scan(long long step) {
       stats_.conservation_drift = drift;
     }
   }
-  if (registry_ != nullptr) {
-    registry_->counter("health/checks").add(1);
-    if (scan_nonfinite_ > 0) {
-      registry_->counter("health/nonfinite_values").add(scan_nonfinite_);
-    }
-    if (scan_phase_sum_ > 0) {
-      registry_->counter("health/phase_sum_violations").add(scan_phase_sum_);
-    }
-    if (scan_simplex_ > 0) {
-      registry_->counter("health/simplex_violations").add(scan_simplex_);
-    }
-    if (scan_mu_ > 0) {
-      registry_->counter("health/mu_blowups").add(scan_mu_);
-    }
-  }
-
   const std::uint64_t found =
       scan_nonfinite_ + scan_phase_sum_ + scan_simplex_ + scan_mu_;
   char detail[160];

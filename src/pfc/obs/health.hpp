@@ -12,17 +12,16 @@
 //   * conservation drift of the integrated phase sum (Σ_cells Σ_α φ_α must
 //     stay at exactly one per cell whatever the dynamics do).
 //
-// Violations accumulate as obs counters ("health/..."), surface in
-// RunReport, and are acted on per HealthPolicy: production runs degrade
-// gracefully (warn) instead of silently producing garbage, CI turns the
-// screw to throw.
+// Violations accumulate in HealthStats, surface in RunReport, and are
+// acted on per HealthPolicy: production runs degrade gracefully (warn)
+// instead of silently producing garbage, CI turns the screw to throw.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
 #include "pfc/obs/json.hpp"
-#include "pfc/obs/registry.hpp"
 #include "pfc/support/enum_names.hpp"
 
 namespace pfc {
@@ -87,7 +86,8 @@ struct HealthStats {
   }
   Json to_json() const;
   /// Inverse of to_json (checkpoint manifests carry the stats so restart
-  /// resumes the accumulated accounting). Missing keys read as zero.
+  /// resumes the accumulated accounting). Missing keys read as zero; a
+  /// count outside json_integer's rule throws pfc::Error naming it.
   static HealthStats from_json(const Json& j);
 };
 
@@ -96,9 +96,7 @@ struct HealthStats {
 /// same scan before finishing it.
 class HealthMonitor {
  public:
-  /// `registry` (optional) receives "health/..." counters.
-  explicit HealthMonitor(const HealthOptions& opts,
-                         Registry* registry = nullptr);
+  explicit HealthMonitor(const HealthOptions& opts);
 
   const HealthOptions& options() const { return opts_; }
   bool enabled() const { return opts_.enabled; }
@@ -112,11 +110,12 @@ class HealthMonitor {
   /// `mu` may be nullptr (φ-only models/tests).
   void scan_block(const Array& phi, const Array* mu);
 
-  /// Closes the scan opened by scan_block() calls: updates drift, bumps
-  /// counters and applies the policy (Warn/Recover print one stderr line;
-  /// Throw raises pfc::Error naming the step and findings). Returns the
-  /// number of violations this scan found — under Recover the driver acts
-  /// on it (rollback), the monitor itself never mutates simulation state.
+  /// Closes the scan opened by scan_block() calls: adds its findings to
+  /// the stats, updates drift and applies the policy (Warn/Recover print
+  /// one stderr line; Throw raises pfc::Error naming the step and
+  /// findings). Returns the number of violations this scan found — under
+  /// Recover the driver acts on it (rollback), the monitor itself never
+  /// mutates simulation state.
   std::uint64_t finish_scan(long long step);
 
   const HealthStats& stats() const { return stats_; }
@@ -125,7 +124,6 @@ class HealthMonitor {
 
  private:
   HealthOptions opts_;
-  Registry* registry_;
   HealthStats stats_;
   // current-scan accumulators (reset by finish_scan)
   std::uint64_t scan_nonfinite_ = 0;

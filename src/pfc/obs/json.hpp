@@ -3,10 +3,15 @@
 // emitted reports are deterministic and diffable.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "pfc/support/assert.hpp"
 
 namespace pfc::obs {
 
@@ -66,5 +71,29 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;  // Object
   std::vector<Json> elems_;                            // Array
 };
+
+/// The integer rule of every decoder that reads JSON from outside the
+/// program (the jobspec, tuning-cache entries, checkpoint manifests): `j`
+/// is a number, integral, below 2^53 in magnitude (a double holds every
+/// such integer exactly; a larger one may already have been rounded by the
+/// parser) and inside T. Returns the value; otherwise throws pfc::Error
+/// "<what>: <reason>".
+template <typename T>
+T json_integer(const Json& j, const std::string& what) {
+  static_assert(std::is_integral_v<T>);
+  if (!j.is_number()) throw Error(what + ": expected a number");
+  const double x = j.number();
+  if (x != std::floor(x)) throw Error(what + ": expected an integer");
+  if (std::abs(x) >= 9007199254740992.0) {
+    throw Error(what + ": integer magnitude must be below 2^53");
+  }
+  using L = std::numeric_limits<T>;
+  if (x < double(L::min()) || x > double(L::max())) {
+    throw Error(what + ": " + Json(x).dump() + " is outside [" +
+                std::to_string(L::min()) + ", " + std::to_string(L::max()) +
+                "]");
+  }
+  return T(x);
+}
 
 }  // namespace pfc::obs

@@ -3,9 +3,9 @@
 // written lock-free from any thread and snapshot-able without stopping
 // writers.
 //
-// This complements the per-run obs::Registry: that one accumulates the
-// timers of a single driver and dies with it; MetricsRegistry outlives
-// every job and answers "what is this process doing *right now*" —
+// This complements the per-run RunReport: that one totals the timers of
+// a single driver and dies with it; MetricsRegistry outlives every job
+// and answers "what is this process doing *right now*" —
 // queue depth, jobs in flight, job-duration distribution, kernel-cache
 // hit counts — in two exposition formats:
 //
@@ -36,9 +36,22 @@
 #include <vector>
 
 #include "pfc/obs/json.hpp"
-#include "pfc/obs/registry.hpp"
 
 namespace pfc::obs {
+
+/// Monotonic event counter; add() is safe from any thread.
+class Counter {
+ public:
+  void add(std::uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
+};
 
 /// Instantaneous level (queue depth, resident bytes, current MLUPS).
 /// set()/add() are wait-free / lock-free from any thread.

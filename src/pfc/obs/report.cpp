@@ -8,6 +8,14 @@
 
 namespace pfc::obs {
 
+double safe_rate(double numerator, double denominator) {
+  if (!(denominator > 0.0) || !std::isfinite(denominator) ||
+      !std::isfinite(numerator)) {
+    return 0.0;
+  }
+  return numerator / denominator;
+}
+
 double RunReport::mlups() const {
   return safe_rate(double(cell_updates), kernel_seconds_total) / 1e6;
 }
@@ -146,9 +154,7 @@ Json RunReport::to_json() const {
 }
 
 void CompileReport::add_stage(const std::string& stage, double seconds) {
-  TimerStat& t = stage_timers[stage];
-  t.seconds += seconds;
-  t.count += 1;
+  stage_timers[stage].add(seconds);
 }
 
 double CompileReport::generation_seconds() const {

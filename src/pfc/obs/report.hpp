@@ -57,16 +57,33 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "pfc/obs/health.hpp"
-#include "pfc/obs/registry.hpp"
+#include "pfc/support/enum_names.hpp"
 
 namespace pfc::obs {
 
 inline constexpr const char* kReportSchema = "pfc-obs-report-v7";
+
+/// numerator/denominator with division-by-zero (and non-finite) guarded to
+/// 0. All derived throughput stats (MLUP/s, bytes/s, imbalance) route
+/// through here so `run(0)` and empty timers are handled consistently.
+double safe_rate(double numerator, double denominator);
+
+/// Accumulated wall-clock of one timed quantity.
+struct TimerStat {
+  double seconds = 0.0;
+  std::uint64_t count = 0;  ///< number of timed intervals
+
+  void add(double s) {
+    seconds += s;
+    ++count;
+  }
+};
 
 /// Model-vs-measured drift of one prediction target: how long the
 /// performance model said a component should have taken over the whole run
@@ -188,7 +205,8 @@ struct RunReport {
   long long steps = 0;
   long long cells_per_step = 0;     ///< interior cells of one lattice update
   std::uint64_t cell_updates = 0;   ///< Heun's two substeps count as one
-  std::map<std::string, TimerStat> kernel_timers;  ///< by kernel IR name
+  /// By kernel IR name; one interval per block, kernel and step.
+  std::map<std::string, TimerStat> kernel_timers;
   double kernel_seconds_total = 0.0;
   double exchange_seconds = 0.0;    ///< exposed ghost-exchange time
   std::uint64_t exchange_bytes = 0; ///< bytes sent to remote ranks, total
@@ -196,7 +214,6 @@ struct RunReport {
   /// max/mean of per-block kernel seconds (1.0 = perfectly balanced; 0 if
   /// nothing ran yet).
   double block_imbalance = 0.0;
-  std::vector<StepStats> recent_steps;  ///< ring-buffer tail, oldest first
 
   /// Model-vs-measured drift by target ("kernel/<name>", "exchange");
   /// filled by the drivers via perf::fill_model_accuracy. Empty when no
@@ -231,6 +248,17 @@ struct RunReport {
   Json to_json() const;
 };
 
+/// The rungs of ModelCompiler's degradation chain, in the order a JIT
+/// request tries them: vector (JIT at the resolved SIMD width, only when
+/// it is above 1), scalar (JIT at width 1), then the IR interpreter, which
+/// cannot fail.
+enum class BackendTier { Vector, Scalar, Interpreter };
+constexpr support::EnumNames<BackendTier, 3> enum_names(BackendTier) {
+  return {"backend tier", {{BackendTier::Vector, "vector"},
+                           {BackendTier::Scalar, "scalar"},
+                           {BackendTier::Interpreter, "interpreter"}}};
+}
+
 /// Per-stage timings and op counts of one ModelCompiler::compile() (paper
 /// Table 1 / "generation vs compile time" discussion).
 struct CompileReport {
@@ -250,9 +278,8 @@ struct CompileReport {
   /// ops_per_cell_post at width 1.
   double ops_per_cell_widened = 0.0;
   std::vector<std::string> kernel_names;  ///< IR names, execution order
-  /// Which rung of the degradation chain actually executes: "vector"
-  /// (JIT, SIMD width > 1), "scalar" (JIT, width 1) or "interpreter".
-  std::string backend_tier = "interpreter";
+  /// The BackendTier that actually executes, spelled by its table.
+  std::string backend_tier = support::enum_name(BackendTier::Interpreter);
   /// First failure that forced a downgrade (empty when the requested
   /// backend compiled cleanly).
   std::string fallback_reason;

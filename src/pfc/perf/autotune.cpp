@@ -35,6 +35,14 @@ const Json* require_key(const Json& j, const std::string& key,
   return v;
 }
 
+bool require_bool(const Json& j, const std::string& key,
+                  const std::string& where) {
+  const Json* v = require_key(j, key, where);
+  PFC_REQUIRE(v->kind() == Json::Kind::Bool,
+              where + ": " + key + " must be a bool");
+  return v->boolean();
+}
+
 }  // namespace
 
 std::string TuneCandidate::label() const {
@@ -68,22 +76,23 @@ TuneCandidate TuneCandidate::from_json(const Json& j,
                 where + ": unknown key \"" + key + "\"");
   }
   TuneCandidate c;
-  c.split = require_key(j, "split", where)->boolean();
-  const Json* w = require_key(j, "vector_width", where);
-  PFC_REQUIRE(w->is_number() && valid_width(int(w->number())),
+  c.split = require_bool(j, "split", where);
+  c.vector_width = obs::json_integer<int>(
+      *require_key(j, "vector_width", where), where + ": vector_width");
+  PFC_REQUIRE(valid_width(c.vector_width),
               where + ": vector_width must be 1, 2, 4 or 8");
-  c.vector_width = int(w->number());
-  c.streaming_stores = require_key(j, "streaming_stores", where)->boolean();
+  c.streaming_stores = require_bool(j, "streaming_stores", where);
   c.dispatch = require_key(j, "dispatch", where)->str();
   PFC_REQUIRE(one_of(c.dispatch, {"static", "dynamic"}),
               where + ": dispatch must be \"static\" or \"dynamic\"");
   c.blocking = require_key(j, "blocking", where)->str();
   PFC_REQUIRE(one_of(c.blocking, {"off", "auto", "fixed"}),
               where + ": blocking must be \"off\", \"auto\" or \"fixed\"");
-  const Json* tile = require_key(j, "blocking_tile_rows", where);
-  PFC_REQUIRE(tile->is_number() && tile->number() >= 0.0,
-              where + ": blocking_tile_rows must be a non-negative number");
-  c.blocking_tile_rows = (long long)(tile->number());
+  c.blocking_tile_rows = obs::json_integer<long long>(
+      *require_key(j, "blocking_tile_rows", where),
+      where + ": blocking_tile_rows");
+  PFC_REQUIRE(c.blocking_tile_rows >= 0,
+              where + ": blocking_tile_rows must be non-negative");
   c.pin = require_key(j, "pin", where)->str();
   PFC_REQUIRE(one_of(c.pin, {"none", "compact", "scatter"}),
               where + ": pin must be \"none\", \"compact\" or \"scatter\"");
@@ -231,17 +240,17 @@ std::optional<TuneCacheEntry> load_tuned(const std::string& dir,
     const Json* mr = j.find("measured_runs");
     const Json* ss = j.find("search_seconds");
     if (bm == nullptr || !bm->is_number() || bl == nullptr ||
-        !bl->is_number() || mr == nullptr || !mr->is_number() ||
-        ss == nullptr || !ss->is_number()) {
+        !bl->is_number() || mr == nullptr || ss == nullptr ||
+        !ss->is_number()) {
       return std::nullopt;
     }
     e.best_mlups = bm->number();
     e.baseline_mlups = bl->number();
-    e.measured_runs = int(mr->number());
+    e.measured_runs = obs::json_integer<int>(*mr, "tune-cache measured_runs");
     e.search_seconds = ss->number();
     return e;
   } catch (const Error&) {
-    return std::nullopt;  // corrupt candidate: costs a re-tune, nothing else
+    return std::nullopt;  // corrupt entry: costs a re-tune, nothing else
   }
 }
 

@@ -55,8 +55,9 @@ struct TuneCandidate {
   std::string label() const;
 
   obs::Json to_json() const;
-  /// Strict decode (unknown keys, wrong types and out-of-range widths
-  /// throw pfc::Error naming `where`).
+  /// Strict decode (unknown keys, wrong types, integers outside
+  /// obs::json_integer's rule and out-of-range widths throw pfc::Error
+  /// naming `where`).
   static TuneCandidate from_json(const obs::Json& j, const std::string& where);
 };
 
@@ -77,8 +78,8 @@ struct TuneOptions {
   /// Maximum measured runs, baseline included. Candidates beyond the budget
   /// are pruned by the prior alone.
   int budget = 8;
-  /// Widest SIMD width to enumerate (the jit-vector tier's capability
-  /// intersected with the probed ISA).
+  /// Widest SIMD width to enumerate (the probed native width; 1 for the
+  /// interpreter).
   int max_vector_width = 8;
   /// false collapses the driver placement knobs (dispatch/pin) to their
   /// single-thread defaults — they cannot matter without a pool.

@@ -53,6 +53,21 @@ const obs::Json& need(const obs::Json& j, const std::string& key,
   return *v;
 }
 
+/// `v` under the jobspec's integer rule (obs::json_integer); an error
+/// names the key.
+template <typename T>
+T integer(const obs::Json& v, const std::string& key,
+          const std::string& where) {
+  return obs::json_integer<T>(
+      v, "pfc: checkpoint manifest: \"" + key + "\" in " + where);
+}
+
+template <typename T>
+T need_integer(const obs::Json& j, const std::string& key,
+               const std::string& where) {
+  return integer<T>(need(j, key, where), key, where);
+}
+
 struct FileCloser {
   std::FILE* f;
   ~FileCloser() {
@@ -163,29 +178,23 @@ CheckpointMeta read_checkpoint(const std::string& dir,
                   kCheckpointSchema + ")");
 
   CheckpointMeta meta;
-  meta.step = (long long)need(j, "step", mpath).number();
+  meta.step = need_integer<long long>(j, "step", mpath);
   meta.time = need(j, "time", mpath).number();
   meta.dt = need(j, "dt", mpath).number();
   // The seed is a hex string like the checksums: a JSON number is a double
   // and rounds a seed above 2^53. Older manifests wrote a number, exact
   // only below 2^53.
   const obs::Json& seed = need(j, "rng_seed", mpath);
-  if (seed.is_string()) {
-    meta.rng_seed = parse_hex64(seed.str(), "rng_seed of " + mpath);
-  } else {
-    PFC_REQUIRE(seed.is_number() && seed.number() >= 0.0 &&
-                    seed.number() < 9007199254740992.0,
-                "checkpoint: rng_seed in " + mpath +
-                    " is not a hex string or an integer below 2^53");
-    meta.rng_seed = (std::uint64_t)seed.number();
-  }
+  meta.rng_seed = seed.is_string()
+                      ? parse_hex64(seed.str(), "rng_seed of " + mpath)
+                      : integer<std::uint64_t>(seed, "rng_seed", mpath);
   meta.layout = need(j, "layout", mpath).str();
   PFC_REQUIRE(expect_layout.empty() || meta.layout == expect_layout,
               "checkpoint: layout mismatch — checkpoint is \"" +
                   meta.layout + "\", this run is \"" + expect_layout + '"');
   if (const obs::Json* c = j.find("counters"); c != nullptr) {
     for (const auto& [k, v] : c->items()) {
-      meta.counters[k] = (std::uint64_t)v.number();
+      meta.counters[k] = integer<std::uint64_t>(v, "counters." + k, mpath);
     }
   }
   if (const obs::Json* h = j.find("health"); h != nullptr) {
@@ -196,7 +205,12 @@ CheckpointMeta read_checkpoint(const std::string& dir,
   PFC_REQUIRE(entries.is_array(), "checkpoint: \"arrays\" must be an array");
   std::uint64_t total_doubles = 0;
   for (const auto& e : entries.elements()) {
-    total_doubles += (std::uint64_t)need(e, "count", mpath).number();
+    // Each count is below 2^53, so capping the running total there keeps
+    // the sum and its byte size from wrapping.
+    total_doubles += need_integer<std::uint64_t>(e, "count", mpath);
+    PFC_REQUIRE(total_doubles < (std::uint64_t(1) << 53),
+                "checkpoint manifest: element counts in " + mpath +
+                    " add up to 2^53 or more");
   }
 
   const std::string data_path =
@@ -229,20 +243,19 @@ CheckpointMeta read_checkpoint(const std::string& dir,
                 "checkpoint: manifest has no array \"" + ra.name + '"');
     const auto& size = need(*entry, "size", mpath);
     const auto& n = ra.array->size();
+    const auto extent = [&](std::size_t d) {
+      return integer<std::int64_t>(size.elements()[d], "size", mpath);
+    };
     const bool shape_ok =
-        (int)need(*entry, "components", mpath).number() ==
+        need_integer<int>(*entry, "components", mpath) ==
             ra.array->components() &&
         size.is_array() && size.elements().size() == 3 &&
-        (std::int64_t)size.elements()[0].number() == n[0] &&
-        (std::int64_t)size.elements()[1].number() == n[1] &&
-        (std::int64_t)size.elements()[2].number() == n[2];
+        extent(0) == n[0] && extent(1) == n[1] && extent(2) == n[2];
     PFC_REQUIRE(shape_ok, "checkpoint: shape mismatch for \"" + ra.name +
                               "\" (checkpoint and run were configured "
                               "differently)");
-    const std::uint64_t offset =
-        (std::uint64_t)need(*entry, "offset", mpath).number();
-    const std::uint64_t count =
-        (std::uint64_t)need(*entry, "count", mpath).number();
+    const auto offset = need_integer<std::uint64_t>(*entry, "offset", mpath);
+    const auto count = need_integer<std::uint64_t>(*entry, "count", mpath);
     PFC_REQUIRE(std::int64_t(count) == ra.array->interior_count(),
                 "checkpoint: element count mismatch for \"" + ra.name + '"');
     staged[i].resize(std::size_t(count));

@@ -81,6 +81,10 @@ void JobServer::register_metrics() {
                             "Jobs accepted by the daemon");
   m_finished_ = &m.counter("pfc_jobs_finished_total",
                            "Jobs that completed successfully");
+  m_degraded_ = &m.counter(
+      "pfc_jobs_degraded_total",
+      "Finished jobs whose kernels run on a fallback tier after a failed "
+      "JIT compile");
   m_failed_ = &m.counter("pfc_jobs_failed_total", "Jobs that failed");
   m_rejected_ = &m.counter(
       "pfc_jobs_rejected_total",
@@ -924,7 +928,9 @@ bool JobServer::run_one(PendingJob job) {
     const app::JobResult result = app::run_job(job.spec, sink, token);
     const double duration = finish("finished");
     const double mlups = result.run.mlups();
+    const bool degraded = result.compile.fallback_attempts > 0;
     m_finished_->add(1);
+    if (degraded) m_degraded_->add(1);
     mlups_gauge.set(mlups);
     {
       std::lock_guard<std::mutex> lk(mutex_);
@@ -948,6 +954,11 @@ bool JobServer::run_one(PendingJob job) {
           {"cache", Json(result.compile.cache_used
                              ? (result.compile.cache_hit ? "hit" : "miss")
                              : "off")});
+      fields.push_back({"backend_tier", Json(result.compile.backend_tier)});
+      if (degraded) {
+        fields.push_back(
+            {"fallback_reason", Json(result.compile.fallback_reason)});
+      }
       obs::log::info(kLogComponent, "job finished", fields);
     }
   } catch (const app::JobCancelled& c) {

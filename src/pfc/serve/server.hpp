@@ -219,6 +219,7 @@ class JobServer {
   // the process lifetime, updated lock-free from dispatcher + workers).
   obs::Counter* m_submitted_ = nullptr;
   obs::Counter* m_finished_ = nullptr;
+  obs::Counter* m_degraded_ = nullptr;  ///< finished on a fallback tier
   obs::Counter* m_failed_ = nullptr;
   obs::Counter* m_rejected_ = nullptr;
   obs::Counter* m_cancelled_ = nullptr;

@@ -247,6 +247,9 @@ TEST(DistributedOverlapTest, OverlapTimersAndTraceSpans) {
     for (const auto& [name, t] : rep.kernel_timers) {
       EXPECT_EQ(t.count, 3 * 4) << name;  // steps x local blocks
     }
+    // max/mean of the four blocks' kernel seconds
+    EXPECT_TRUE(std::isfinite(rep.block_imbalance));
+    EXPECT_GE(rep.block_imbalance, 1.0);
 
     // the four overlap phases appear as spans in the timeline
     int frontier = 0, interior = 0, pack = 0, wait = 0;

@@ -66,6 +66,19 @@ TEST(BlockForestTest, NeighborsPeriodicAndWalls) {
   EXPECT_EQ(right->index[0], 1);
 }
 
+// The checkpoint layout signature spells the boundary as the enum table
+// does, so a manifest and a jobspec name it the same way.
+TEST(BlockForestTest, LayoutSignatureSpellsBoundaryByTable) {
+  for (const BoundaryKind kind :
+       {BoundaryKind::Periodic, BoundaryKind::ZeroGradient}) {
+    const BlockForest f({32, 32, 1}, {2, 2, 1}, 1, 2, kind);
+    EXPECT_NE(f.layout_signature().find(std::string("boundary=") +
+                                        support::enum_name(kind)),
+              std::string::npos)
+        << f.layout_signature();
+  }
+}
+
 TEST(BlockForestTest, MortonChunksAreSpatiallyCompact) {
   // consecutive blocks on the curve differ in exactly one step most of the
   // time; at least verify each rank's chunk is contiguous in linear_id

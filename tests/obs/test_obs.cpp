@@ -1,5 +1,5 @@
-// Observability subsystem: registry hierarchy, counter determinism under
-// the thread pool, JSON round-trips, and the driver/compiler reporting
+// Observability subsystem: counter determinism under the thread pool,
+// guarded rates, JSON round-trips, and the driver/compiler reporting
 // contract (RunReport kernel names == CompiledModel kernel IR names).
 #include <gtest/gtest.h>
 
@@ -9,76 +9,15 @@
 #include "pfc/app/jobspec.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
-#include "pfc/obs/registry.hpp"
+#include "pfc/obs/metrics.hpp"
 #include "pfc/obs/report.hpp"
 #include "pfc/support/thread_pool.hpp"
 
 namespace pfc::obs {
 namespace {
 
-TEST(ObsRegistryTest, ScopedTimersComposeHierarchicalPaths) {
-  Registry reg;
-  {
-    ScopedTimer outer(reg, "step");
-    {
-      ScopedTimer inner(reg, "kernel");
-      ScopedTimer leaf(reg, "phi_full");
-      EXPECT_EQ(leaf.path(), "step/kernel/phi_full");
-    }
-    ScopedTimer sibling(reg, "exchange");
-    EXPECT_EQ(sibling.path(), "step/exchange");
-  }
-  const auto timers = reg.timers();
-  ASSERT_TRUE(timers.count("step"));
-  ASSERT_TRUE(timers.count("step/kernel"));
-  ASSERT_TRUE(timers.count("step/kernel/phi_full"));
-  ASSERT_TRUE(timers.count("step/exchange"));
-  EXPECT_EQ(timers.at("step").count, 1u);
-  // a parent's accumulated time covers its children
-  EXPECT_GE(timers.at("step").seconds,
-            timers.at("step/kernel/phi_full").seconds);
-}
-
-TEST(ObsRegistryTest, ScopesOfDifferentRegistriesDoNotNest) {
-  Registry a, b;
-  ScopedTimer ta(a, "outer");
-  ScopedTimer tb(b, "inner");
-  EXPECT_EQ(tb.path(), "inner") << "foreign registry must start a new root";
-}
-
-TEST(ObsRegistryTest, StepRingWrapsKeepingNewestOldestFirst) {
-  Registry reg(4);
-  for (long long i = 0; i < 10; ++i) {
-    StepStats s;
-    s.step = i;
-    s.cell_updates = std::uint64_t(i) * 100;
-    reg.push_step(s);
-  }
-  EXPECT_EQ(reg.steps_recorded(), 10);
-  const auto recent = reg.recent_steps();
-  ASSERT_EQ(recent.size(), 4u) << "ring must cap at its capacity";
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(recent[i].step, (long long)(6 + i))
-        << "oldest-first order after wraparound";
-    EXPECT_EQ(recent[i].cell_updates, std::uint64_t(6 + i) * 100);
-  }
-  // exactly at the wrap boundary: capacity pushes leave 0..3 in order
-  Registry exact(4);
-  for (long long i = 0; i < 4; ++i) {
-    StepStats s;
-    s.step = i;
-    exact.push_step(s);
-  }
-  const auto full = exact.recent_steps();
-  ASSERT_EQ(full.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(full[i].step, (long long)(i));
-  }
-}
-
 TEST(ObsRegistryTest, CounterDeterministicAcrossThreads) {
-  Registry reg;
-  Counter& c = reg.counter("updates");
+  Counter c;
   ThreadPool pool(4);
   const std::int64_t n = 100000;
   pool.parallel_for(0, n, [&](std::int64_t lo, std::int64_t hi) {
@@ -86,7 +25,6 @@ TEST(ObsRegistryTest, CounterDeterministicAcrossThreads) {
   });
   pool.run_on_all([&](int) { c.add(1); });
   EXPECT_EQ(c.value(), std::uint64_t(2 * n) + std::uint64_t(pool.num_threads()));
-  EXPECT_EQ(reg.counter_value("updates"), c.value());
 }
 
 TEST(ObsRegistryTest, SafeRateGuardsEmptyDenominators) {
@@ -109,19 +47,6 @@ TEST(ObsRegistryTest, SafeRateGuardsNonFiniteOperands) {
             0.0);
   // signed numerators pass through: rates may legitimately be deltas
   EXPECT_DOUBLE_EQ(safe_rate(-6.0, 2.0), -3.0);
-}
-
-TEST(ObsRegistryTest, StepRingBufferKeepsTail) {
-  Registry reg(/*ring_capacity=*/4);
-  for (long long s = 1; s <= 10; ++s) {
-    reg.push_step({s, double(s), 0.0, 0, 100});
-  }
-  EXPECT_EQ(reg.steps_recorded(), 10);
-  const auto steps = reg.recent_steps();
-  ASSERT_EQ(steps.size(), 4u);
-  EXPECT_EQ(steps.front().step, 7);
-  EXPECT_EQ(steps.back().step, 10);
-  EXPECT_DOUBLE_EQ(steps.back().kernel_seconds, 10.0);
 }
 
 TEST(ObsJsonTest, RoundTripPreservesStructure) {

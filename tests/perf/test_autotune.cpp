@@ -1,25 +1,33 @@
 // Autotuner tests (DESIGN.md §13): candidate codec strictness, deterministic
 // enumeration, the baseline-keeps-ties search contract, tuning-cache key
-// stability, store/load round-trip, and the corruption/staleness fallback —
+// stability, store/load round-trip, the corruption/staleness fallback and a
+// seeded fuzz of the cache decoder —
 // plus the app-level glue (candidate <-> SimulationOptions mapping, the
 // knob-independent model hash) and the ctest-chained cache-hit pair
 // (PFC_TEST_TUNE_DIR): a warm search populates the cache, the second tune of
 // the same preset performs zero measured runs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
 #include "pfc/app/tuning.hpp"
 #include "pfc/obs/json.hpp"
+#include "pfc/obs/report.hpp"
 #include "pfc/perf/autotune.hpp"
 #include "pfc/support/assert.hpp"
 #include "pfc/support/topology.hpp"
+
+#include "../json_mutator.hpp"
 
 namespace pfc::perf {
 namespace {
@@ -43,6 +51,12 @@ struct TempDir {
   std::string path;
 };
 
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 bool is_lower_hex(const std::string& s) {
   for (char c : s) {
     if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
@@ -62,6 +76,17 @@ TuneCandidate rich_candidate() {
   return c;
 }
 
+/// Candidate members that the integer and bool rules refuse: a string or
+/// a number for a bool, a fraction for an integer, and an integer a double
+/// holds but a long long cannot.
+std::vector<std::pair<std::string, obs::Json>> malformed_candidate_values() {
+  return {{"split", obs::Json("yes")},
+          {"split", obs::Json(1.0)},
+          {"vector_width", obs::Json(4.5)},
+          {"blocking_tile_rows", obs::Json(16.9)},
+          {"blocking_tile_rows", obs::Json(1e300)}};
+}
+
 TEST(TuneCandidateCodec, RoundTripsAndRejectsMalformedInput) {
   const TuneCandidate c = rich_candidate();
   const TuneCandidate d = TuneCandidate::from_json(c.to_json(), "test");
@@ -79,6 +104,13 @@ TEST(TuneCandidateCodec, RoundTripsAndRejectsMalformedInput) {
   obs::Json bad_dispatch = c.to_json();
   bad_dispatch.set("dispatch", obs::Json(std::string("sideways")));
   EXPECT_THROW(TuneCandidate::from_json(bad_dispatch, "test"), Error);
+
+  for (const auto& [key, value] : malformed_candidate_values()) {
+    obs::Json bad = c.to_json();
+    bad.set(key, value);
+    EXPECT_THROW(TuneCandidate::from_json(bad, "test"), Error)
+        << key << " = " << value.dump(-1);
+  }
 }
 
 TEST(TuneSearch, EnumerationIsDeterministicAndPrunesSingleThreadKnobs) {
@@ -253,6 +285,68 @@ TEST(TuneCache, CorruptStaleOrMismatchedEntriesMissToFullSearch) {
     out << text;
   }
   EXPECT_FALSE(load_tuned(dir.path, key).has_value());
+
+  // A candidate member outside the integer or bool rule: a miss, not a
+  // truncated or wrapped value.
+  for (const auto& [member, value] : malformed_candidate_values()) {
+    store_tuned(dir.path, key, e);
+    obs::Json best = e.best.to_json();
+    best.set(member, value);
+    obs::Json j = obs::Json::parse(read_text(tune_cache_path(dir.path, key)));
+    j.set("best", best);
+    obs::write_json(tune_cache_path(dir.path, key), j);
+    EXPECT_FALSE(load_tuned(dir.path, key).has_value())
+        << member << " = " << value.dump(-1);
+  }
+}
+
+// Seeded mutation fuzzing of the tuning-cache decoder (load_tuned, the
+// path every cache file from disk takes), with the jobspec fuzzer's
+// mutator over a stored entry. Every mutant must load as a miss, or as an
+// entry that survives store_tuned -> load_tuned unchanged (ctest
+// autotune_cache_fuzz).
+TEST(TuneCacheFuzz, MutantsMissOrRoundTrip) {
+  TempDir dir, again;
+  const std::string key = tune_cache_key("model", "machine");
+  const std::string path = tune_cache_path(dir.path, key);
+  TuneCacheEntry e;
+  e.best = rich_candidate();
+  e.best_mlups = 123.5;
+  e.baseline_mlups = 88.25;
+  e.measured_runs = 8;
+  e.search_seconds = 1.5;
+  store_tuned(dir.path, key, e);
+  const std::string stored = read_text(path);
+  ASSERT_TRUE(load_tuned(dir.path, key).has_value());
+
+  constexpr int kMutants = 20000;
+  fuzz::Rng rng(0x74756e652d763121ull);
+  int loaded = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text = fuzz::mutate(stored, rng);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << text;
+    }
+    const std::optional<TuneCacheEntry> got = load_tuned(dir.path, key);
+    if (!got) continue;
+    ++loaded;
+    store_tuned(again.path, key, *got);
+    const std::optional<TuneCacheEntry> back = load_tuned(again.path, key);
+    ASSERT_TRUE(back.has_value())
+        << "mutant " << i << " loaded, but its re-stored entry misses:\n"
+        << text;
+    ASSERT_TRUE(back->best == got->best) << "mutant " << i << ":\n" << text;
+    ASSERT_EQ(back->best_mlups, got->best_mlups) << "mutant " << i;
+    ASSERT_EQ(back->baseline_mlups, got->baseline_mlups) << "mutant " << i;
+    ASSERT_EQ(back->measured_runs, got->measured_runs) << "mutant " << i;
+    ASSERT_EQ(back->search_seconds, got->search_seconds) << "mutant " << i;
+  }
+  std::printf("autotune_cache_fuzz: %d mutants, %d loaded, %d missed\n",
+              kMutants, loaded, kMutants - loaded);
+  // Most mutants break the entry; enough must load for the round-trip
+  // check to mean something.
+  EXPECT_GT(loaded, kMutants / 50);
 }
 
 TEST(AppTuning, CandidateAndOptionsRoundTrip) {

@@ -175,6 +175,49 @@ TEST(CheckpointRestart, SeedRoundTripsExactly) {
   EXPECT_THROW(resilience::read_checkpoint(dir.path, {{"a", &a}}), Error);
 }
 
+// Manifest integers follow the jobspec's rule (obs::json_integer): a step
+// a double cannot hold exactly, a negative or a fractional count is
+// refused with an error that names the key, never cast.
+TEST(CheckpointRestart, ManifestRefusesIntegersOutsideTheRule) {
+  TempDir dir("ints");
+  ASSERT_FALSE(dir.path.empty());
+  const FieldPtr f = Field::create("a", 2, 1);
+  Array a(f, {4, 2, 1}, 1);
+  resilience::CheckpointMeta meta;
+  meta.step = 3;
+  meta.dt = 0.25;
+  meta.layout = "test";
+  resilience::write_checkpoint(dir.path, meta, {{"a", &a}});
+  const std::string path = resilience::manifest_path(dir.path);
+  std::string clean;
+  {
+    std::ifstream in(path);
+    clean.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const struct {
+    const char* from;
+    const char* to;
+    const char* key;
+  } cases[] = {{"\"step\": 3", "\"step\": 1e300", "\"step\""},
+               {"\"count\": 8", "\"count\": -1", "\"count\""},
+               {"\"count\": 8", "\"count\": 2.5", "\"count\""}};
+  for (const auto& c : cases) {
+    std::string text = clean;
+    const auto at = text.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from << " in\n" << clean;
+    text.replace(at, std::string(c.from).size(), c.to);
+    obs::write_text(path, text);
+    try {
+      resilience::read_checkpoint(dir.path, {{"a", &a}});
+      ADD_FAILURE() << c.to << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CheckpointRestart, RejectsTruncatedState) {
   TempDir dir("trunc");
   ASSERT_FALSE(dir.path.empty());
@@ -348,6 +391,7 @@ TEST(JitFallback, NoTempLeakOnRealCompilerError) {
   app::Simulation sim(model, o);
   const obs::CompileReport& cr = sim.compiled().compile_report();
   EXPECT_EQ(cr.backend_tier, "interpreter");
+  EXPECT_EQ(cr.fallback_attempts, 1);  // a width-1 request skips vector
   EXPECT_FALSE(cr.fallback_reason.empty());
   EXPECT_NE(cr.fallback_reason, "injected jit fault");
   // the failed attempts must have cleaned up their pfc_jit_* scratch dirs

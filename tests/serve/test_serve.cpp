@@ -252,6 +252,47 @@ TEST(Serve, MetricsOpsExposeJobActivity) {
   backend::KernelCache::shared().reset();
 }
 
+// A job whose vector compile fails runs on the scalar tier. Its result
+// names the tier, and pfc_jobs_degraded_total counts it. The metrics
+// registry is process-wide, so the test compares before and after.
+TEST(Serve, DegradedJobReportsTierAndCounts) {
+  TempDir tmp;
+  ServeOptions opts;
+  opts.socket_path = tmp.path + "/serve.sock";
+  opts.workers = 1;
+  opts.quiet = true;
+  JobServer server(opts);
+  server.start();
+  Client client(opts.socket_path);
+  const auto degraded_total = [&] {
+    const Json snap = client.metrics();
+    const Json* fam =
+        field(snap, "metrics").find("pfc_jobs_degraded_total");
+    EXPECT_NE(fam, nullptr);
+    if (fam == nullptr) return -1.0;
+    EXPECT_EQ(field(*fam, "type").str(), "counter");
+    double total = 0.0;
+    for (const Json& v : field(*fam, "values").elements()) {
+      total += field(v, "value").number();
+    }
+    return total;
+  };
+  const double before = degraded_total();
+
+  app::JobSpec spec = small_spec();
+  spec.name = "degraded-job";
+  spec.simulation.compile.vector_width = 4;  // the first rung is vector
+  spec.simulation.resilience.faults.fail_jit_attempts = 1;
+  const Json terminal = client.submit(spec.to_json());
+  ASSERT_EQ(field(terminal, "event").str(), "finished") << terminal.dump(-1);
+  const Json& compile = field(field(terminal, "result"), "compile");
+  EXPECT_EQ(field(compile, "backend_tier").str(), "scalar");
+  EXPECT_EQ(field(compile, "fallback_attempts").number(), 1.0);
+
+  EXPECT_EQ(degraded_total(), before + 1.0);
+  server.stop();
+}
+
 TEST(Serve, ThreadRequestClampedToBudget) {
   // Admission control: workers × threads_per_job must not oversubscribe
   // the machine, so an absurd per-job thread request is clamped to

@@ -647,6 +647,7 @@ int check_metrics(const char* path, const std::vector<std::string>& required) {
       {"pfc_jobs_cancelled_total", "counter"},
       {"pfc_jobs_deadline_exceeded_total", "counter"},
       {"pfc_jobs_watchdog_killed_total", "counter"},
+      {"pfc_jobs_degraded_total", "counter"},
       {"pfc_queue_depth", "gauge"},
       {"pfc_jobs_inflight", "gauge"},
       {"pfc_tenant_inflight", "gauge"},
@@ -1074,11 +1075,7 @@ int main(int argc, char** argv) {
     fail("run reports must carry a \"resilience\" section");
   }
   if (const pfc::obs::Json* tier = j.find("backend_tier")) {
-    if (!tier->is_string() ||
-        (tier->str() != "vector" && tier->str() != "scalar" &&
-         tier->str() != "interpreter")) {
-      fail("backend_tier must be \"vector\", \"scalar\" or \"interpreter\"");
-    }
+    check_enum<pfc::obs::BackendTier>(tier, "backend_tier");
     const pfc::obs::Json* attempts = j.find("fallback_attempts");
     if (!attempts) {
       fail("backend_tier present but \"fallback_attempts\" missing");
