@@ -63,8 +63,7 @@ inline obs::Json bench_report_json(
     const std::map<std::string, double>& derived,
     const std::map<std::string, obs::TimerStat>& timers = {},
     const std::map<std::string, std::uint64_t>& counters = {}) {
-  return obs::make_report_json("bench", bench_name, timers, counters,
-                               derived);
+  return obs::BenchReport{bench_name, timers, counters, derived}.to_json();
 }
 
 /// Writes BENCH_<name>.json to the working directory (the trajectory file

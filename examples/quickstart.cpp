@@ -224,9 +224,8 @@ int main(int argc, char** argv) {
   grid::write_vtk(vtk_path, {&phi});
 
   // 5. one JSON schema for examples and benches (validated by ctest)
-  obs::Json j = report.to_json();
-  j.set("compile", cr.to_json());
-  obs::write_json(report_path, j);
+  report.compile = cr;
+  obs::write_json(report_path, report.to_json());
   std::printf("wrote %s and %s\n", vtk_path, report_path);
   if (ckpt_every > 0) {
     std::printf("checkpoints: %llu written to %s (last at step %lld)\n",

@@ -22,18 +22,9 @@ constexpr support::EnumNames<Backend, 2> enum_names(Backend) {
                       {Backend::Interpreter, "interpreter"}}};
 }
 
-/// Autotuning policy of a run (perf::autotune + app/tuning.hpp):
-///   Off    — use the options exactly as given (the seed behaviour).
-///   Cached — apply the persisted per-(model, machine) winner when the
-///            tuning cache has one; run a full measured search (and persist
-///            it) only on a miss.
-///   Full   — always run the measured search and persist the winner.
-enum class TuneMode { Off, Cached, Full };
-constexpr support::EnumNames<TuneMode, 3> enum_names(TuneMode) {
-  return {"tune mode", {{TuneMode::Off, "off"},
-                        {TuneMode::Cached, "cached"},
-                        {TuneMode::Full, "full"}}};
-}
+// The autotuning policy's enum lives beside the report section that echoes
+// it (obs/report.hpp).
+using obs::TuneMode;
 
 struct CompileOptions {
   Backend backend = Backend::Jit;

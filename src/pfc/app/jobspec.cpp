@@ -9,25 +9,12 @@
 #include "pfc/app/params.hpp"
 #include "pfc/app/simulation.hpp"
 #include "pfc/app/tuning.hpp"
+#include "pfc/obs/json_fields.hpp"
 #include "pfc/resilience/checkpoint.hpp"
 
 namespace pfc::app {
 
 using obs::Json;
-
-namespace {
-
-std::string hex64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[std::size_t(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
 
 // --- spec codec --------------------------------------------------------------
 
@@ -86,15 +73,19 @@ std::uint64_t interior_checksum(const Array& a) {
   return resilience::fnv1a64(buf.data(), buf.size() * sizeof(double));
 }
 
-Json JobResult::to_json() const {
-  return Json::object()
-      .set("name", Json(name))
-      .set("steps", Json(steps))
-      .set("phi_fnv1a64", Json(hex64(phi_checksum)))
-      .set("mu_fnv1a64", Json(hex64(mu_checksum)))
-      .set("run", run.to_json())
-      .set("compile", compile.to_json());
+const obs::FieldList<JobResult>& json_fields(obs::JsonTag<JobResult>) {
+  using S = JobResult;
+  static const obs::FieldList<S> f = {
+      obs::field("name", &S::name),
+      obs::field("steps", &S::steps),
+      obs::hex64("phi_fnv1a64", &S::phi_checksum),
+      obs::hex64("mu_fnv1a64", &S::mu_checksum),
+      obs::field("run", &S::run),
+      obs::field("compile", &S::compile)};
+  return f;
 }
+
+Json JobResult::to_json() const { return obs::to_json(*this); }
 
 namespace {
 

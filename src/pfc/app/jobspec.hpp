@@ -105,6 +105,8 @@ struct JobResult {
 
   obs::Json to_json() const;
 };
+/// The checksums are written as 16 hex digits.
+const obs::FieldList<JobResult>& json_fields(obs::JsonTag<JobResult>);
 
 /// Runs one job start-to-finish in the calling thread (the serve workers
 /// and quickstart --jobspec both land here). When `progress` is

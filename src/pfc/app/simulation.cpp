@@ -571,8 +571,10 @@ obs::RunReport Simulation::run(int n) {
     ++step_;
     time_ += dt;
     // One lattice update per step, whatever the scheme — Heun's two
-    // substeps advance time once. Rolled-back steps stay counted: the
-    // counter measures work actually performed.
+    // substeps advance time once. Rolled-back steps stay counted, and a
+    // restart counts only the steps after it: both totals measure work
+    // this Simulation performed.
+    ++totals_.steps;
     totals_.cell_updates += std::uint64_t(cells);
     if (trace_this_step_) {
       tracer_.complete("step", "step", step_ts, tracer_.now_us() - step_ts,
@@ -651,7 +653,6 @@ void Simulation::record_progress(double step_wall_seconds) {
 obs::RunReport Simulation::report() const {
   obs::RunReport r = totals_;
   r.name = "simulation";
-  r.steps = step_;
   r.cells_per_step = local_cells();
   r.num_blocks = int(locals_.size());
   for (const auto& [name, t] : r.kernel_timers) {
@@ -737,8 +738,6 @@ void Simulation::capture_checkpoint(bool to_disk) {
   meta.rng_seed = model_.params().rng_seed;
   meta.layout = layout_signature();
   meta.health = health_.stats();
-  meta.counters["cell_updates"] = totals_.cell_updates;
-  meta.counters["exchange_bytes"] = totals_.exchange_bytes;
   resilience::write_checkpoint(opts_.resilience.directory, meta, files,
                                file_rank(), faults_.truncate_checkpoint);
   if (faults_.truncate_checkpoint) ++res_stats_.faults_injected;

@@ -45,30 +45,10 @@ constexpr support::EnumNames<TimeScheme, 2> enum_names(TimeScheme) {
                           {TimeScheme::Heun, "heun"}}};
 }
 
-/// How kernel launches split the outer loop across the pool.
-enum class Dispatch {
-  /// parallel_for chunks re-enqueued per launch (the seed behaviour).
-  Dynamic,
-  /// Static slab ownership: worker w runs the same rows for every launch
-  /// of every step — the rows first-touch placed on w's NUMA node.
-  Static,
-};
-constexpr support::EnumNames<Dispatch, 2> enum_names(Dispatch) {
-  return {"dispatch", {{Dispatch::Dynamic, "dynamic"},
-                       {Dispatch::Static, "static"}}};
-}
-
-/// Temporal-blocking (wavefront) schedule of the fused φ/µ substep.
-enum class BlockingMode {
-  Off,   ///< reference order: φ sweep, exchange, µ sweep, exchange
-  Auto,  ///< fuse with perf::blocking_plan-sized tiles when profitable
-  Fixed, ///< fuse with a caller-chosen tile height (blocking_tile_rows)
-};
-constexpr support::EnumNames<BlockingMode, 3> enum_names(BlockingMode) {
-  return {"blocking mode", {{BlockingMode::Off, "off"},
-                            {BlockingMode::Auto, "auto"},
-                            {BlockingMode::Fixed, "fixed"}}};
-}
+// The placement knobs' enums live beside PinPolicy (support/topology.hpp),
+// where the report and the tuner's candidates read their spellings.
+using support::BlockingMode;
+using support::Dispatch;
 
 /// How a step schedules the ghost exchange against compute.
 enum class OverlapMode {

@@ -145,7 +145,7 @@ std::vector<double>& GhostExchange::buffer(int slot, int axis, int side,
   std::vector<double>& b = bufs_[i];
   // The first round may grow past the constructor's sizing hints (larger
   // component count / ghost depth); after that, capacity is frozen.
-  PFC_ASSERT(rounds_ == 0 || needed_doubles <= b.capacity(),
+  PFC_ASSERT(!first_round_done_ || needed_doubles <= b.capacity(),
              "ghost exchange: steady-state buffer growth");
   return b;
 }
@@ -264,8 +264,7 @@ void GhostExchange::exchange(const std::vector<LocalBlockField>& local,
     // freshly filled ghosts
     if (comm_ != nullptr) comm_->barrier();
   }
-  total_bytes_sent_ += bytes_sent_;
-  ++rounds_;
+  first_round_done_ = true;
 }
 
 void GhostExchange::begin(const std::vector<LocalBlockField>& local,
@@ -274,7 +273,6 @@ void GhostExchange::begin(const std::vector<LocalBlockField>& local,
   // The slab geometry is fixed by topology, so the round's full byte count
   // is known before finish() packs the later axes.
   bytes_sent_ = round_bytes(local);
-  total_bytes_sent_ += bytes_sent_;
   post_remote(local, /*axis=*/0, field_tag);
   pending_local_ = local;
   pending_tag_ = field_tag;
@@ -294,7 +292,7 @@ void GhostExchange::finish() {
   }
   pending_local_.clear();
   in_flight_ = false;
-  ++rounds_;
+  first_round_done_ = true;
 }
 
 }  // namespace pfc::grid

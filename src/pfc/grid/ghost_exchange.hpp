@@ -70,10 +70,6 @@ class GhostExchange {
   /// volume accounting for the network model).
   std::size_t last_bytes_sent() const { return bytes_sent_; }
 
-  /// Cumulative remote bytes / exchange rounds since construction.
-  std::size_t total_bytes_sent() const { return total_bytes_sent_; }
-  std::size_t rounds() const { return rounds_; }
-
  private:
   /// One posted receive, completed by complete_remote(): the ghost slab of
   /// `local[slot]` on `side` of `axis`.
@@ -118,8 +114,8 @@ class GhostExchange {
   bool in_flight_ = false;
 
   std::size_t bytes_sent_ = 0;
-  std::size_t total_bytes_sent_ = 0;
-  std::size_t rounds_ = 0;
+  /// Set once the first round completed: buffer capacity is frozen.
+  bool first_round_done_ = false;
 };
 
 }  // namespace pfc::grid

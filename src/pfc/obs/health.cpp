@@ -4,41 +4,25 @@
 #include <cstdio>
 
 #include "pfc/field/array.hpp"
+#include "pfc/obs/json_fields.hpp"
 #include "pfc/support/assert.hpp"
 
 namespace pfc::obs {
 
-Json HealthStats::to_json() const {
-  return Json::object()
-      .set("checks", Json(std::uint64_t(checks)))
-      .set("nonfinite_values", Json(nonfinite_values))
-      .set("phase_sum_violations", Json(phase_sum_violations))
-      .set("simplex_violations", Json(simplex_violations))
-      .set("mu_blowups", Json(mu_blowups))
-      .set("max_phase_sum_error", Json(max_phase_sum_error))
-      .set("conservation_drift", Json(conservation_drift));
+const FieldList<HealthStats>& json_fields(JsonTag<HealthStats>) {
+  using S = HealthStats;
+  static const FieldList<S> f = {
+      field("checks", &S::checks),
+      field("nonfinite_values", &S::nonfinite_values),
+      field("phase_sum_violations", &S::phase_sum_violations),
+      field("simplex_violations", &S::simplex_violations),
+      field("mu_blowups", &S::mu_blowups),
+      field("max_phase_sum_error", &S::max_phase_sum_error),
+      field("conservation_drift", &S::conservation_drift)};
+  return f;
 }
 
-HealthStats HealthStats::from_json(const Json& j) {
-  const auto num = [&j](const char* key) {
-    const Json* v = j.find(key);
-    return v != nullptr && v->is_number() ? v->number() : 0.0;
-  };
-  const auto count = [&j](const char* key) -> std::uint64_t {
-    const Json* v = j.find(key);
-    if (v == nullptr) return 0;
-    return json_integer<std::uint64_t>(*v, std::string("pfc: health.") + key);
-  };
-  HealthStats s;
-  s.checks = (long long)count("checks");
-  s.nonfinite_values = count("nonfinite_values");
-  s.phase_sum_violations = count("phase_sum_violations");
-  s.simplex_violations = count("simplex_violations");
-  s.mu_blowups = count("mu_blowups");
-  s.max_phase_sum_error = num("max_phase_sum_error");
-  s.conservation_drift = num("conservation_drift");
-  return s;
-}
+Json HealthStats::to_json() const { return obs::to_json(*this); }
 
 HealthMonitor::HealthMonitor(const HealthOptions& opts) : opts_(opts) {
   PFC_REQUIRE(opts.every_n_steps >= 1,

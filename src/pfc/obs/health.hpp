@@ -84,12 +84,12 @@ struct HealthStats {
     return nonfinite_values + phase_sum_violations + simplex_violations +
            mu_blowups;
   }
+  /// The run report's "health" section and the checkpoint manifest's
+  /// (a restart resumes the accumulated accounting).
   Json to_json() const;
-  /// Inverse of to_json (checkpoint manifests carry the stats so restart
-  /// resumes the accumulated accounting). Missing keys read as zero; a
-  /// count outside json_integer's rule throws pfc::Error naming it.
-  static HealthStats from_json(const Json& j);
 };
+
+const FieldList<HealthStats>& json_fields(JsonTag<HealthStats>);
 
 /// Scans fields on the steps its options select and applies the policy.
 /// One monitor per driver; multi-block drivers feed every block into the

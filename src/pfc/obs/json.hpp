@@ -72,6 +72,12 @@ class Json {
   std::vector<Json> elems_;                            // Array
 };
 
+// A struct S with a JSON form declares its field list (json_fields.hpp)
+// next to itself: const FieldList<S>& json_fields(JsonTag<S>);
+template <typename S> struct JsonField;
+template <typename S> using FieldList = std::vector<JsonField<S>>;
+template <typename S> struct JsonTag {};
+
 /// The integer rule of every decoder that reads JSON from outside the
 /// program (the jobspec, tuning-cache entries, checkpoint manifests): `j`
 /// is a number, integral, below 2^53 in magnitude (a double holds every

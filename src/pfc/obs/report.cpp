@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "pfc/obs/json_fields.hpp"
 #include "pfc/support/assert.hpp"
 
 namespace pfc::obs {
@@ -38,121 +39,6 @@ double RunReport::worst_model_drift() const {
   return worst;
 }
 
-Json ResilienceStats::to_json() const {
-  return Json::object()
-      .set("checkpoints", Json(checkpoints))
-      .set("checkpoint_files", Json(checkpoint_files))
-      .set("last_checkpoint_step", Json(double(last_checkpoint_step)))
-      .set("rollbacks", Json(rollbacks))
-      .set("dt_shrinks", Json(dt_shrinks))
-      .set("faults_injected", Json(faults_injected))
-      .set("restarted", Json(restarted))
-      .set("restart_step", Json(double(restart_step)))
-      .set("dt_current", Json(dt_current));
-}
-
-Json OverlapStats::to_json() const {
-  return Json::object()
-      .set("enabled", Json(enabled))
-      .set("pack_seconds", Json(pack_seconds))
-      .set("wait_seconds", Json(wait_seconds))
-      .set("interior_seconds", Json(interior_seconds))
-      .set("frontier_seconds", Json(frontier_seconds))
-      .set("interior_cells", Json(double(interior_cells)))
-      .set("frontier_cells", Json(double(frontier_cells)))
-      .set("hidden_seconds", Json(hidden_seconds))
-      .set("hidden_fraction", Json(hidden_fraction));
-}
-
-Json ThreadingStats::to_json() const {
-  return Json::object()
-      .set("threads", Json(double(threads)))
-      .set("pin_policy", Json(pin_policy))
-      .set("dispatch", Json(dispatch))
-      .set("first_touch", Json(first_touch))
-      .set("cpus", Json(double(cpus)))
-      .set("cores", Json(double(cores)))
-      .set("packages", Json(double(packages)))
-      .set("numa_nodes", Json(double(numa_nodes)))
-      .set("blocking",
-           Json::object()
-               .set("enabled", Json(blocking_enabled))
-               .set("tile_rows", Json(double(blocking_tile_rows)))
-               .set("lookahead", Json(double(blocking_lookahead)))
-               .set("fused_stages", Json(double(fused_stages)))
-               .set("fused_substeps", Json(double(fused_substeps)))
-               .set("reason", Json(blocking_reason))
-               .set("bytes_per_update_unfused",
-                    Json(bytes_per_update_unfused))
-               .set("bytes_per_update_fused", Json(bytes_per_update_fused)));
-}
-
-Json TuningRankEntry::to_json() const {
-  return Json::object()
-      .set("config", Json(config))
-      .set("predicted_mlups", Json(predicted_mlups))
-      .set("measured_mlups", Json(measured_mlups));
-}
-
-Json TuningStats::to_json() const {
-  Json rank = Json::array();
-  for (const auto& r : ranking) rank.push(r.to_json());
-  return Json::object()
-      .set("enabled", Json(enabled))
-      .set("mode", Json(mode))
-      .set("cache_hit", Json(cache_hit))
-      .set("cache_key", Json(cache_key))
-      .set("machine", Json(machine))
-      .set("candidates", Json(double(candidates)))
-      .set("measured_runs", Json(double(measured_runs)))
-      .set("search_seconds", Json(search_seconds))
-      .set("baseline_mlups", Json(baseline_mlups))
-      .set("best_mlups", Json(best_mlups))
-      .set("best_config", Json(best_config))
-      .set("ranking", std::move(rank));
-}
-
-Json RunReport::to_json() const {
-  std::map<std::string, TimerStat> timers;
-  for (const auto& [k, t] : kernel_timers) timers["kernel/" + k] = t;
-  if (exchange_seconds > 0.0) {
-    timers["exchange"] = TimerStat{exchange_seconds, std::uint64_t(steps)};
-  }
-  const std::map<std::string, std::uint64_t> counters{
-      {"steps", std::uint64_t(steps)},
-      {"cell_updates", cell_updates},
-      {"exchange_bytes", exchange_bytes},
-  };
-  const std::map<std::string, double> derived{
-      {"mlups", mlups()},
-      {"kernel_seconds_total", kernel_seconds_total},
-      {"cells_per_step", double(cells_per_step)},
-      {"num_blocks", double(num_blocks)},
-      {"block_imbalance", block_imbalance},
-      {"exchange_bytes_per_second", exchange_bytes_per_second()},
-      {"worst_model_drift", worst_model_drift()},
-  };
-  Json j = make_report_json("run", name, timers, counters, derived);
-  if (!model_accuracy.empty()) {
-    Json ma = Json::object();
-    for (const auto& [target, a] : model_accuracy) {
-      ma.set(target, Json::object()
-                         .set("predicted_seconds", Json(a.predicted_seconds))
-                         .set("measured_seconds", Json(a.measured_seconds))
-                         .set("ratio", Json(a.ratio)));
-    }
-    j.set("model_accuracy", std::move(ma));
-  }
-  Json h = health.to_json();
-  h.set("policy", Json(support::enum_name(health_policy)));
-  j.set("health", std::move(h));
-  j.set("resilience", resilience.to_json());
-  if (overlap.enabled) j.set("overlap", overlap.to_json());
-  j.set("threading", threading.to_json());
-  if (tuning.enabled) j.set("tuning", tuning.to_json());
-  return j;
-}
-
 void CompileReport::add_stage(const std::string& stage, double seconds) {
   stage_timers[stage].add(seconds);
 }
@@ -170,61 +56,336 @@ double CompileReport::compile_seconds() const {
   return it == stage_timers.end() ? 0.0 : it->second.seconds;
 }
 
-Json CompileReport::to_json() const {
-  std::map<std::string, TimerStat> timers;
-  for (const auto& [k, t] : stage_timers) timers["stage/" + k] = t;
-  const std::map<std::string, std::uint64_t> counters{
-      {"ops_per_cell_pre", std::uint64_t(ops_per_cell_pre)},
-      {"ops_per_cell_post", std::uint64_t(ops_per_cell_post)},
-      {"num_kernels", std::uint64_t(kernel_names.size())},
-      {"vector_width", std::uint64_t(vector_width)},
+// --- field lists ---------------------------------------------------------------
+
+namespace {
+
+/// A report is what the program wrote: every key it always writes must be
+/// present, and every number in it is >= 0.
+const JsonFormat kReportFormat{"report", /*complete=*/true,
+                               /*nonnegative=*/true};
+
+const std::string kStage = "stage/";
+const std::string kKernel = "kernel/";
+const std::string kExchange = "exchange";
+
+/// A report's "timers", written from the map `all` builds; `take` files
+/// each entry back into S, or says why it cannot. Read after the
+/// counters.
+template <typename S>
+JsonField<S> timer_map(std::map<std::string, TimerStat> (*all)(const S&),
+                       std::string (*take)(const std::string&,
+                                           const TimerStat&, S&)) {
+  JsonField<S> f;
+  f.key = "timers";
+  f.write = [all](const S& s) -> std::optional<Json> {
+    return encode(all(s));
   };
-  const std::map<std::string, double> derived{
-      {"generation_seconds", generation_seconds()},
-      {"compile_seconds", compile_seconds()},
-      {"ops_per_cell_widened", ops_per_cell_widened},
+  f.read = [take](const Json& j, S& s, const JsonPath& path) {
+    std::map<std::string, TimerStat> timers;
+    decode(j, timers, path);
+    for (const auto& [k, t] : timers) {
+      if (const std::string msg = take(k, t, s); !msg.empty()) {
+        path.key(k).fail(msg);
+      }
+    }
   };
-  Json j = make_report_json("compile", name, timers, counters, derived);
-  Json names = Json::array();
-  for (const auto& n : kernel_names) names.push(Json(n));
-  j.set("kernels", std::move(names));
-  j.set("backend_tier", Json(backend_tier));
-  j.set("fallback_reason", Json(fallback_reason));
-  j.set("fallback_attempts", Json(std::uint64_t(fallback_attempts)));
-  if (cache_used) {
-    j.set("cache", Json::object()
-                       .set("hit", Json(cache_hit))
-                       .set("key", Json(cache_key))
-                       .set("hits", Json(cache_hits))
-                       .set("misses", Json(cache_misses))
-                       .set("evictions", Json(cache_evictions))
-                       .set("bytes", Json(cache_bytes)));
-  }
-  return j;
+  f.deferred = true;
+  return f;
 }
 
-Json make_report_json(const std::string& kind, const std::string& name,
-                      const std::map<std::string, TimerStat>& timers,
-                      const std::map<std::string, std::uint64_t>& counters,
-                      const std::map<std::string, double>& derived) {
-  Json jt = Json::object();
-  for (const auto& [path, t] : timers) {
-    jt.set(path, Json::object()
-                     .set("seconds", Json(t.seconds))
-                     .set("count", Json(t.count)));
-  }
-  Json jc = Json::object();
-  for (const auto& [path, v] : counters) jc.set(path, Json(v));
-  Json jd = Json::object();
-  for (const auto& [path, v] : derived) jd.set(path, Json(v));
-  return Json::object()
-      .set("schema", Json(kReportSchema))
-      .set("kind", Json(kind))
-      .set("name", Json(name))
-      .set("timers", std::move(jt))
-      .set("counters", std::move(jc))
-      .set("derived", std::move(jd));
+}  // namespace
+
+const FieldList<TimerStat>& json_fields(JsonTag<TimerStat>) {
+  using S = TimerStat;
+  static const FieldList<S> f = {field("seconds", &S::seconds),
+                                 field("count", &S::count)};
+  return f;
 }
+
+const FieldList<ModelAccuracy>& json_fields(JsonTag<ModelAccuracy>) {
+  using S = ModelAccuracy;
+  static const FieldList<S> f = {
+      field("predicted_seconds", &S::predicted_seconds),
+      field("measured_seconds", &S::measured_seconds),
+      field("ratio", &S::ratio)};
+  return f;
+}
+
+const FieldList<ResilienceStats>& json_fields(JsonTag<ResilienceStats>) {
+  using S = ResilienceStats;
+  static const FieldList<S> f = {
+      field("checkpoints", &S::checkpoints),
+      field("checkpoint_files", &S::checkpoint_files),
+      field("last_checkpoint_step", &S::last_checkpoint_step),
+      field("rollbacks", &S::rollbacks),
+      field("dt_shrinks", &S::dt_shrinks),
+      field("faults_injected", &S::faults_injected),
+      field("restarted", &S::restarted),
+      field("restart_step", &S::restart_step),
+      field("dt_current", &S::dt_current)};
+  return f;
+}
+
+const FieldList<OverlapStats>& json_fields(JsonTag<OverlapStats>) {
+  using S = OverlapStats;
+  static const FieldList<S> f = {
+      field("enabled", &S::enabled),
+      field("pack_seconds", &S::pack_seconds),
+      field("wait_seconds", &S::wait_seconds),
+      field("interior_seconds", &S::interior_seconds),
+      field("frontier_seconds", &S::frontier_seconds),
+      field("interior_cells", &S::interior_cells),
+      field("frontier_cells", &S::frontier_cells),
+      field("hidden_seconds", &S::hidden_seconds),
+      field("hidden_fraction", &S::hidden_fraction, between(0, 1))};
+  return f;
+}
+
+const FieldList<ThreadingStats>& json_fields(JsonTag<ThreadingStats>) {
+  using S = ThreadingStats;
+  static const FieldList<S> f = {
+      field("threads", &S::threads),
+      field("pin_policy", &S::pin_policy, spelled<support::PinPolicy>()),
+      field("dispatch", &S::dispatch, spelled<support::Dispatch>()),
+      field("first_touch", &S::first_touch),
+      field("cpus", &S::cpus),
+      field("cores", &S::cores),
+      field("packages", &S::packages),
+      field("numa_nodes", &S::numa_nodes),
+      group<S>("blocking",
+               {field("enabled", &S::blocking_enabled),
+                field("tile_rows", &S::blocking_tile_rows),
+                field("lookahead", &S::blocking_lookahead),
+                field("fused_stages", &S::fused_stages),
+                field("fused_substeps", &S::fused_substeps),
+                field("reason", &S::blocking_reason),
+                field("bytes_per_update_unfused",
+                      &S::bytes_per_update_unfused),
+                field("bytes_per_update_fused", &S::bytes_per_update_fused),
+                rule(+[](const S& s) {
+                  return s.blocking_enabled && s.blocking_tile_rows < 1
+                             ? std::string("an enabled plan needs a tile "
+                                           "of >= 1 rows")
+                             : std::string();
+                })})};
+  return f;
+}
+
+const FieldList<TuningRankEntry>& json_fields(JsonTag<TuningRankEntry>) {
+  using S = TuningRankEntry;
+  static const FieldList<S> f = {
+      field("config", &S::config, non_empty()),
+      field("predicted_mlups", &S::predicted_mlups),
+      field("measured_mlups", &S::measured_mlups)};
+  return f;
+}
+
+const FieldList<TuningStats>& json_fields(JsonTag<TuningStats>) {
+  using S = TuningStats;
+  static const FieldList<S> f = {
+      field("enabled", &S::enabled),
+      field("mode", &S::mode,
+            [](const Json& v) {
+              return support::find_enum<TuneMode>(v.str()).value_or(
+                         TuneMode::Off) == TuneMode::Off
+                         ? std::string("must be a tune mode other than ") +
+                               support::enum_name(TuneMode::Off)
+                         : std::string();
+            }),
+      field("cache_hit", &S::cache_hit),
+      field("cache_key", &S::cache_key, hex_digits(64)),
+      field("machine", &S::machine, non_empty()),
+      field("candidates", &S::candidates),
+      field("measured_runs", &S::measured_runs),
+      field("search_seconds", &S::search_seconds),
+      field("baseline_mlups", &S::baseline_mlups),
+      field("best_mlups", &S::best_mlups),
+      field("best_config", &S::best_config, non_empty()),
+      field("ranking", &S::ranking),
+      // The search contract: a cache hit measures nothing, a fresh search
+      // measures at least the baseline, and the baseline is measured first
+      // and keeps ties, so the winner is never slower than it.
+      rule(+[](const S& s) -> std::string {
+        if (!s.enabled) return "";
+        if (s.cache_hit && s.measured_runs != 0) {
+          return "a cache hit must report 0 measured runs";
+        }
+        if (!s.cache_hit && s.measured_runs < 1) {
+          return "a fresh search must report >= 1 measured runs";
+        }
+        if (s.best_mlups < s.baseline_mlups) {
+          return "the winner measured below the baseline";
+        }
+        return "";
+      })};
+  return f;
+}
+
+const FieldList<CompileReport>& json_fields(JsonTag<CompileReport>) {
+  using S = CompileReport;
+  static const FieldList<S> f = {
+      constant<S>("schema", kReportSchema),
+      constant<S>("kind", support::enum_name(ReportKind::Compile)),
+      field("name", &S::name, non_empty()),
+      timer_map<S>(
+          +[](const S& s) {
+            std::map<std::string, TimerStat> all;
+            for (const auto& [k, t] : s.stage_timers) all[kStage + k] = t;
+            return all;
+          },
+          +[](const std::string& k, const TimerStat& t, S& s) {
+            if (k.rfind(kStage, 0) != 0) return std::string("unknown key");
+            s.stage_timers[k.substr(kStage.size())] = t;
+            return std::string();
+          }),
+      group<S>("counters",
+               {computed("num_kernels", +[](const S& s) {
+                  return std::uint64_t(s.kernel_names.size());
+                }),
+                field("ops_per_cell_post", &S::ops_per_cell_post),
+                field("ops_per_cell_pre", &S::ops_per_cell_pre),
+                field("vector_width", &S::vector_width,
+                      one_of({1, 2, 4, 8}))}),
+      group<S>("derived",
+               {computed("compile_seconds",
+                         +[](const S& s) { return s.compile_seconds(); }),
+                computed("generation_seconds",
+                         +[](const S& s) { return s.generation_seconds(); }),
+                field("ops_per_cell_widened", &S::ops_per_cell_widened)}),
+      field("kernels", &S::kernel_names),
+      field("backend_tier", &S::backend_tier, spelled<BackendTier>()),
+      field("fallback_reason", &S::fallback_reason),
+      field("fallback_attempts", &S::fallback_attempts),
+      group<S>("cache",
+               {field("hit", &S::cache_hit),
+                field("key", &S::cache_key, hex_digits(64)),
+                field("hits", &S::cache_hits),
+                field("misses", &S::cache_misses),
+                field("evictions", &S::cache_evictions),
+                field("bytes", &S::cache_bytes),
+                // a hit implies the process saw at least one acquire of
+                // this key
+                rule(+[](const S& s) {
+                  return s.cache_used && s.cache_hit && s.cache_hits < 1
+                             ? std::string("a hit needs hits >= 1")
+                             : std::string();
+                })},
+               &S::cache_used)};
+  return f;
+}
+
+const FieldList<RunReport>& json_fields(JsonTag<RunReport>) {
+  using S = RunReport;
+  static const FieldList<S> f = {
+      constant<S>("schema", kReportSchema),
+      constant<S>("kind", support::enum_name(ReportKind::Run)),
+      field("name", &S::name, non_empty()),
+      // the exchange timer counts one interval per step
+      timer_map<S>(
+          +[](const S& s) {
+            std::map<std::string, TimerStat> all;
+            for (const auto& [k, t] : s.kernel_timers) all[kKernel + k] = t;
+            if (s.exchange_seconds > 0.0) {
+              all[kExchange] = {s.exchange_seconds, std::uint64_t(s.steps)};
+            }
+            return all;
+          },
+          +[](const std::string& k, const TimerStat& t, S& s) {
+            if (k.rfind(kKernel, 0) == 0) {
+              s.kernel_timers[k.substr(kKernel.size())] = t;
+            } else if (k != kExchange) {
+              return std::string("unknown key");
+            } else if (t.seconds > 0.0 && t.count == std::uint64_t(s.steps)) {
+              s.exchange_seconds = t.seconds;
+            } else {
+              return "is written only for a positive time over one interval "
+                     "per step (" + std::to_string(s.steps) + ")";
+            }
+            return std::string();
+          }),
+      group<S>("counters",
+               {field("cell_updates", &S::cell_updates),
+                field("exchange_bytes", &S::exchange_bytes),
+                field("steps", &S::steps)}),
+      group<S>("derived",
+               {field("block_imbalance", &S::block_imbalance),
+                field("cells_per_step", &S::cells_per_step),
+                computed("exchange_bytes_per_second", +[](const S& s) {
+                  return s.exchange_bytes_per_second();
+                }),
+                field("kernel_seconds_total", &S::kernel_seconds_total),
+                computed("mlups", +[](const S& s) { return s.mlups(); }),
+                field("num_blocks", &S::num_blocks),
+                computed("worst_model_drift", +[](const S& s) {
+                  return s.worst_model_drift();
+                })}),
+      field_if("model_accuracy", &S::model_accuracy,
+               +[](const S& s) { return !s.model_accuracy.empty(); },
+               "a kernel ran"),
+      group<S>("health",
+               [] {
+                 FieldList<S> h = lift(&S::health, fields_of<HealthStats>());
+                 h.push_back(field("policy", &S::health_policy));
+                 return h;
+               }()),
+      field("resilience", &S::resilience),
+      field_if("overlap", &S::overlap,
+               +[](const S& s) { return s.overlap.enabled; },
+               "overlap is enabled"),
+      field("threading", &S::threading),
+      field_if("tuning", &S::tuning,
+               +[](const S& s) { return s.tuning.enabled; },
+               "tuning is enabled"),
+      field("compile", &S::compile),
+      rule(+[](const S& s) {
+        return std::uint64_t(s.steps * s.cells_per_step) != s.cell_updates
+                   ? std::to_string(s.cell_updates) +
+                         " cell updates are not steps x cells per step (" +
+                         std::to_string(s.steps) + " x " +
+                         std::to_string(s.cells_per_step) + ")"
+                   : std::string();
+      }),
+      rule(+[](const S& s) {
+        const long long cells =
+            s.overlap.interior_cells + s.overlap.frontier_cells;
+        return s.overlap.enabled && s.cells_per_step > 0 &&
+                       cells != s.cells_per_step
+                   ? "interior and frontier cells (" + std::to_string(cells) +
+                         ") do not tile the " +
+                         std::to_string(s.cells_per_step) +
+                         " cells of a step"
+                   : std::string();
+      })};
+  return f;
+}
+
+const FieldList<BenchReport>& json_fields(JsonTag<BenchReport>) {
+  using S = BenchReport;
+  static const FieldList<S> f = {
+      constant<S>("schema", kReportSchema),
+      constant<S>("kind", support::enum_name(ReportKind::Bench)),
+      field("name", &S::name, non_empty()),
+      field("timers", &S::timers),
+      field("counters", &S::counters),
+      field("derived", &S::derived)};
+  return f;
+}
+
+Json TuningStats::to_json() const { return obs::to_json(*this); }
+Json RunReport::to_json() const { return obs::to_json(*this); }
+RunReport RunReport::from_json(const Json& j) {
+  return obs::from_json<RunReport>(j, kReportFormat);
+}
+Json CompileReport::to_json() const { return obs::to_json(*this); }
+CompileReport CompileReport::from_json(const Json& j) {
+  return obs::from_json<CompileReport>(j, kReportFormat);
+}
+Json BenchReport::to_json() const { return obs::to_json(*this); }
+BenchReport BenchReport::from_json(const Json& j) {
+  return obs::from_json<BenchReport>(j, kReportFormat);
+}
+
 
 void write_json(const std::string& path, const Json& j) {
   write_text(path, j.dump(2) + "\n");

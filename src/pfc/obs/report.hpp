@@ -20,23 +20,23 @@
 //                       "kernel/<ir name>" (ECM prediction, paper Fig. 2)
 //                       or "exchange" (network model, Table 2); omitted
 //                       before the first step.
-//     "health":         HealthStats::to_json() + "policy".
-//     "resilience":     ResilienceStats::to_json() — checkpoints captured/
+//     "health":         HealthStats + "policy".
+//     "resilience":     ResilienceStats — checkpoints captured/
 //                       written, rollbacks, dt shrinks, injected faults,
 //                       restart provenance.
-//     "threading":      ThreadingStats::to_json() — pool width, pin policy,
+//     "threading":      ThreadingStats — pool width, pin policy,
 //                       dispatch mode, first-touch placement, the topology
 //                       the process saw (cpus/cores/packages/numa_nodes
 //                       after the affinity mask) and the temporal-blocking
 //                       decision (enabled, tile rows, lookahead, fused
 //                       stage/substep counts, sizing rationale, modeled
 //                       bytes-per-update with and without fusion).
-//     "overlap":        OverlapStats::to_json() — only when the step ran
+//     "overlap":        OverlapStats — only when the step ran
 //                       with OverlapMode::InteriorFrontier: pack/wait/
 //                       interior/frontier seconds, interior/frontier cell
 //                       counts and the netmodel-derived hidden-seconds /
 //                       hidden-fraction.
-//     "tuning":         TuningStats::to_json() — only when the driver ran
+//     "tuning":         TuningStats — only when the driver ran
 //                       with tune != off: mode (cached/full), tuning-cache
 //                       key + hit/miss, machine signature, candidates
 //                       enumerated vs. measured, search seconds, the
@@ -48,26 +48,38 @@
 // and, when the JIT consulted the kernel cache, "cache": {"hit", "key",
 // "hits", "misses", "evictions", "bytes"} (whether *this* compile was
 // served from the cache, its SHA-256 content address, and the
-// process-wide cache counters after the request).
+// process-wide cache counters after the request). A run report may embed
+// the compile report of its kernels under "compile" (quickstart does).
+// Bench reports carry the six core sections only, with free-form paths.
 //
-// Producers may add extra keys (e.g. quickstart embeds its CompileReport
-// under "compile"); validators require only the six core sections and
-// the per-kind sections named above. See tools/report_check.cpp for the
-// machine check run by ctest.
+// report.cpp declares each report and section once, as a field list
+// (json_fields.hpp) that to_json and the strict from_json both walk; it
+// holds the range checks and cross-field rules too. tools/report_check
+// validates a report by decode -> re-emit -> equality with its input.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "pfc/obs/health.hpp"
 #include "pfc/support/enum_names.hpp"
+#include "pfc/support/topology.hpp"
 
 namespace pfc::obs {
 
 inline constexpr const char* kReportSchema = "pfc-obs-report-v7";
+
+/// The "kind" of a report.
+enum class ReportKind { Run, Compile, Bench };
+constexpr support::EnumNames<ReportKind, 3> enum_names(ReportKind) {
+  return {"report kind", {{ReportKind::Run, "run"},
+                          {ReportKind::Compile, "compile"},
+                          {ReportKind::Bench, "bench"}}};
+}
 
 /// numerator/denominator with division-by-zero (and non-finite) guarded to
 /// 0. All derived throughput stats (MLUP/s, bytes/s, imbalance) route
@@ -111,8 +123,6 @@ struct ResilienceStats {
   bool restarted = false;              ///< restored from disk at startup
   long long restart_step = 0;          ///< step the restore resumed at
   double dt_current = 0.0;             ///< dt after any shrinks
-
-  Json to_json() const;
 };
 
 /// Communication-hiding accounting of one run (the "overlap" report
@@ -132,8 +142,6 @@ struct OverlapStats {
   double hidden_seconds = 0.0;
   /// hidden_seconds / predicted comm seconds, clamped to [0, 1].
   double hidden_fraction = 0.0;
-
-  Json to_json() const;
 };
 
 /// Execution-resources accounting of one run (the "threading" section):
@@ -142,8 +150,8 @@ struct OverlapStats {
 /// node even for single-threaded runs (the all-default shape).
 struct ThreadingStats {
   int threads = 1;
-  std::string pin_policy = "none";  ///< "none" | "compact" | "scatter"
-  std::string dispatch = "static";  ///< "dynamic" | "static"
+  std::string pin_policy = support::enum_name(support::PinPolicy::None);
+  std::string dispatch = support::enum_name(support::Dispatch::Static);
   bool first_touch = false;         ///< arrays placed by the pinned pool
   /// Topology as visible to the process (after the affinity mask).
   int cpus = 0;
@@ -160,8 +168,6 @@ struct ThreadingStats {
   /// Modeled memory traffic per cell update over the chain (bytes).
   double bytes_per_update_unfused = 0.0;
   double bytes_per_update_fused = 0.0;
-
-  Json to_json() const;
 };
 
 /// One row of the autotuner's prior-vs-measured ranking: a candidate
@@ -171,9 +177,20 @@ struct TuningRankEntry {
   std::string config;            ///< canonical candidate label
   double predicted_mlups = 0.0;  ///< ECM/layer-condition prior
   double measured_mlups = 0.0;   ///< short measured run (ground truth)
-
-  Json to_json() const;
 };
+
+/// Autotuning policy of a run (perf::autotune + app/tuning.hpp):
+///   Off    — use the options exactly as given (the seed behaviour).
+///   Cached — apply the persisted per-(model, machine) winner when the
+///            tuning cache has one; run a full measured search (and persist
+///            it) only on a miss.
+///   Full   — always run the measured search and persist the winner.
+enum class TuneMode { Off, Cached, Full };
+constexpr support::EnumNames<TuneMode, 3> enum_names(TuneMode) {
+  return {"tune mode", {{TuneMode::Off, "off"},
+                        {TuneMode::Cached, "cached"},
+                        {TuneMode::Full, "full"}}};
+}
 
 /// Measured-autotuning decision of one run (the "tuning" section):
 /// whether the winning configuration came from the per-machine tuning cache
@@ -182,7 +199,7 @@ struct TuningRankEntry {
 /// omits the section.
 struct TuningStats {
   bool enabled = false;
-  std::string mode;            ///< "cached" | "full"
+  std::string mode;            ///< a TuneMode spelling other than "off"
   bool cache_hit = false;      ///< winner came from the persisted cache
   std::string cache_key;       ///< SHA-256 over (model hash, machine sig)
   std::string machine;         ///< machine signature the key embeds
@@ -194,57 +211,7 @@ struct TuningStats {
   std::string best_config;     ///< canonical label of the winner
   std::vector<TuningRankEntry> ranking;  ///< measured candidates, search order
 
-  Json to_json() const;
-};
-
-/// Cumulative signals of one rank's part of a simulation run. Returned by
-/// Simulation::run(); totals cover the simulation's whole lifetime, not
-/// just the last run() call.
-struct RunReport {
-  std::string name = "run";
-  long long steps = 0;
-  long long cells_per_step = 0;     ///< interior cells of one lattice update
-  std::uint64_t cell_updates = 0;   ///< Heun's two substeps count as one
-  /// By kernel IR name; one interval per block, kernel and step.
-  std::map<std::string, TimerStat> kernel_timers;
-  double kernel_seconds_total = 0.0;
-  double exchange_seconds = 0.0;    ///< exposed ghost-exchange time
-  std::uint64_t exchange_bytes = 0; ///< bytes sent to remote ranks, total
-  int num_blocks = 1;
-  /// max/mean of per-block kernel seconds (1.0 = perfectly balanced; 0 if
-  /// nothing ran yet).
-  double block_imbalance = 0.0;
-
-  /// Model-vs-measured drift by target ("kernel/<name>", "exchange");
-  /// filled by the drivers via perf::fill_model_accuracy. Empty when no
-  /// kernel ran yet.
-  std::map<std::string, ModelAccuracy> model_accuracy;
-  /// In-situ health findings (all-zero when monitoring is disabled).
-  HealthStats health;
-  /// Policy the run's health monitor applied (serialized with health).
-  HealthPolicy health_policy = HealthPolicy::Warn;
-  /// Checkpoint/rollback/restart accounting ("resilience" section).
-  ResilienceStats resilience;
-  /// Communication-hiding accounting ("overlap" section; serialized
-  /// only when enabled).
-  OverlapStats overlap;
-  /// Execution-resources accounting ("threading" section).
-  ThreadingStats threading;
-  /// Measured-autotuning decision ("tuning" section; serialized only
-  /// when enabled).
-  TuningStats tuning;
-  /// Worst measured/predicted ratio distance from 1.0 across all targets
-  /// with a prediction (0.0 when model_accuracy is empty).
-  double worst_model_drift() const;
-
-  /// Million lattice-cell updates per second over kernel time only — the
-  /// paper's MLUP/s metric. Guarded: 0.0 before any step ran.
-  double mlups() const;
-  /// Seconds accumulated by one kernel (0.0 if it never ran).
-  double kernel_seconds(const std::string& kernel_name) const;
-  /// Exchange bandwidth in bytes/s (0.0 when no block has a remote neighbour).
-  double exchange_bytes_per_second() const;
-
+  /// The "tuning" section (also the serve daemon's "tuned" event).
   Json to_json() const;
 };
 
@@ -302,15 +269,85 @@ struct CompileReport {
   double compile_seconds() const;
 
   Json to_json() const;
+  /// Strict decode of a compile report; throws pfc::Error
+  /// "report: <path>: <msg>".
+  static CompileReport from_json(const Json& j);
 };
 
-/// Assembles the shared report schema from raw sections. RunReport,
-/// CompileReport and the bench harness all funnel through this so every
-/// producer emits the same shape.
-Json make_report_json(const std::string& kind, const std::string& name,
-                      const std::map<std::string, TimerStat>& timers,
-                      const std::map<std::string, std::uint64_t>& counters,
-                      const std::map<std::string, double>& derived);
+/// Cumulative signals of one rank's part of a simulation run. Returned by
+/// Simulation::run(); totals cover the simulation's whole lifetime, not
+/// just the last run() call.
+struct RunReport {
+  std::string name = "run";
+  /// Steps this driver executed, re-run steps after a rollback included:
+  /// the work cell_updates counts. Simulation::step_count() is the
+  /// position; resilience.restart_step says where a restarted run resumed.
+  long long steps = 0;
+  long long cells_per_step = 0;     ///< interior cells of one lattice update
+  std::uint64_t cell_updates = 0;   ///< Heun's two substeps count as one
+  /// By kernel IR name; one interval per block, kernel and step.
+  std::map<std::string, TimerStat> kernel_timers;
+  double kernel_seconds_total = 0.0;
+  double exchange_seconds = 0.0;    ///< exposed ghost-exchange time
+  std::uint64_t exchange_bytes = 0; ///< bytes sent to remote ranks, total
+  int num_blocks = 1;
+  /// max/mean of per-block kernel seconds (1.0 = perfectly balanced; 0 if
+  /// nothing ran yet).
+  double block_imbalance = 0.0;
+
+  /// Model-vs-measured drift by target ("kernel/<name>", "exchange");
+  /// filled by the drivers via perf::fill_model_accuracy. Empty when no
+  /// kernel ran yet.
+  std::map<std::string, ModelAccuracy> model_accuracy;
+  /// In-situ health findings (all-zero when monitoring is disabled).
+  HealthStats health;
+  /// Policy the run's health monitor applied (serialized with health).
+  HealthPolicy health_policy = HealthPolicy::Warn;
+  /// Checkpoint/rollback/restart accounting ("resilience" section).
+  ResilienceStats resilience;
+  /// Communication-hiding accounting ("overlap" section; serialized
+  /// only when enabled).
+  OverlapStats overlap;
+  /// Execution-resources accounting ("threading" section).
+  ThreadingStats threading;
+  /// Measured-autotuning decision ("tuning" section; serialized only
+  /// when enabled).
+  TuningStats tuning;
+  /// The compile report of the kernels that ran, when the producer embeds
+  /// it ("compile" section; quickstart does).
+  std::optional<CompileReport> compile;
+  /// Worst measured/predicted ratio distance from 1.0 across all targets
+  /// with a prediction (0.0 when model_accuracy is empty).
+  double worst_model_drift() const;
+
+  /// Million lattice-cell updates per second over kernel time only — the
+  /// paper's MLUP/s metric. Guarded: 0.0 before any step ran.
+  double mlups() const;
+  /// Seconds accumulated by one kernel (0.0 if it never ran).
+  double kernel_seconds(const std::string& kernel_name) const;
+  /// Exchange bandwidth in bytes/s (0.0 when no block has a remote neighbour).
+  double exchange_bytes_per_second() const;
+
+  Json to_json() const;
+  /// Strict decode of a run report; throws pfc::Error
+  /// "report: <path>: <msg>".
+  static RunReport from_json(const Json& j);
+};
+
+/// A bench harness's report: the six core sections, free-form paths.
+struct BenchReport {
+  std::string name = "bench";
+  std::map<std::string, TimerStat> timers;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> derived;
+
+  Json to_json() const;
+  static BenchReport from_json(const Json& j);
+};
+
+const FieldList<CompileReport>& json_fields(JsonTag<CompileReport>);
+const FieldList<RunReport>& json_fields(JsonTag<RunReport>);
+const FieldList<BenchReport>& json_fields(JsonTag<BenchReport>);
 
 /// Writes `j` to `path` with a trailing newline; throws pfc::Error on I/O
 /// failure.

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "pfc/obs/json_fields.hpp"
 #include "pfc/obs/report.hpp"
 #include "pfc/support/assert.hpp"
 #include "pfc/support/sha256.hpp"
@@ -19,29 +20,27 @@ using Json = obs::Json;
 
 namespace {
 
-bool valid_width(int w) { return w == 1 || w == 2 || w == 4 || w == 8; }
+/// One cache file: the entry under its content address.
+struct TuneFile {
+  std::string key;
+  TuneCacheEntry entry;
+};
 
-bool one_of(const std::string& v, std::initializer_list<const char*> opts) {
-  for (const char* o : opts) {
-    if (v == o) return true;
-  }
-  return false;
+const obs::FieldList<TuneFile>& json_fields(obs::JsonTag<TuneFile>) {
+  using S = TuneFile;
+  static const obs::FieldList<S> f = [] {
+    obs::FieldList<S> l = {obs::constant<S>("schema", kTuneCacheSchema),
+                           obs::field("key", &S::key)};
+    for (auto& e : obs::lift(&S::entry, obs::fields_of<TuneCacheEntry>())) {
+      l.push_back(std::move(e));
+    }
+    return l;
+  }();
+  return f;
 }
 
-const Json* require_key(const Json& j, const std::string& key,
-                        const std::string& where) {
-  const Json* v = j.find(key);
-  PFC_REQUIRE(v != nullptr, where + ": missing key \"" + key + "\"");
-  return v;
-}
-
-bool require_bool(const Json& j, const std::string& key,
-                  const std::string& where) {
-  const Json* v = require_key(j, key, where);
-  PFC_REQUIRE(v->kind() == Json::Kind::Bool,
-              where + ": " + key + " must be a bool");
-  return v->boolean();
-}
+/// Every key of an entry is required; a decode error is a stale entry.
+const obs::JsonFormat kTuneFormat{"tune-cache", /*complete=*/true};
 
 }  // namespace
 
@@ -54,49 +53,32 @@ std::string TuneCandidate::label() const {
   return s.str();
 }
 
-Json TuneCandidate::to_json() const {
-  return Json::object()
-      .set("split", Json(split))
-      .set("vector_width", Json(double(vector_width)))
-      .set("streaming_stores", Json(streaming_stores))
-      .set("dispatch", Json(dispatch))
-      .set("blocking", Json(blocking))
-      .set("blocking_tile_rows", Json(double(blocking_tile_rows)))
-      .set("pin", Json(pin));
+const obs::FieldList<TuneCandidate>& json_fields(
+    obs::JsonTag<TuneCandidate>) {
+  using S = TuneCandidate;
+  using obs::field;
+  static const obs::FieldList<S> f = {
+      field("split", &S::split),
+      field("vector_width", &S::vector_width, obs::one_of({1, 2, 4, 8})),
+      field("streaming_stores", &S::streaming_stores),
+      field("dispatch", &S::dispatch, obs::spelled<support::Dispatch>()),
+      field("blocking", &S::blocking, obs::spelled<support::BlockingMode>()),
+      field("blocking_tile_rows", &S::blocking_tile_rows, obs::at_least(0)),
+      field("pin", &S::pin, obs::spelled<support::PinPolicy>())};
+  return f;
 }
 
-TuneCandidate TuneCandidate::from_json(const Json& j,
-                                       const std::string& where) {
-  PFC_REQUIRE(j.is_object(), where + ": expected an object");
-  for (const auto& [key, value] : j.items()) {
-    (void)value;
-    PFC_REQUIRE(one_of(key, {"split", "vector_width", "streaming_stores",
-                             "dispatch", "blocking", "blocking_tile_rows",
-                             "pin"}),
-                where + ": unknown key \"" + key + "\"");
-  }
-  TuneCandidate c;
-  c.split = require_bool(j, "split", where);
-  c.vector_width = obs::json_integer<int>(
-      *require_key(j, "vector_width", where), where + ": vector_width");
-  PFC_REQUIRE(valid_width(c.vector_width),
-              where + ": vector_width must be 1, 2, 4 or 8");
-  c.streaming_stores = require_bool(j, "streaming_stores", where);
-  c.dispatch = require_key(j, "dispatch", where)->str();
-  PFC_REQUIRE(one_of(c.dispatch, {"static", "dynamic"}),
-              where + ": dispatch must be \"static\" or \"dynamic\"");
-  c.blocking = require_key(j, "blocking", where)->str();
-  PFC_REQUIRE(one_of(c.blocking, {"off", "auto", "fixed"}),
-              where + ": blocking must be \"off\", \"auto\" or \"fixed\"");
-  c.blocking_tile_rows = obs::json_integer<long long>(
-      *require_key(j, "blocking_tile_rows", where),
-      where + ": blocking_tile_rows");
-  PFC_REQUIRE(c.blocking_tile_rows >= 0,
-              where + ": blocking_tile_rows must be non-negative");
-  c.pin = require_key(j, "pin", where)->str();
-  PFC_REQUIRE(one_of(c.pin, {"none", "compact", "scatter"}),
-              where + ": pin must be \"none\", \"compact\" or \"scatter\"");
-  return c;
+const obs::FieldList<TuneCacheEntry>& json_fields(
+    obs::JsonTag<TuneCacheEntry>) {
+  using S = TuneCacheEntry;
+  using obs::field;
+  static const obs::FieldList<S> f = {
+      field("best", &S::best),
+      field("best_mlups", &S::best_mlups),
+      field("baseline_mlups", &S::baseline_mlups),
+      field("measured_runs", &S::measured_runs),
+      field("search_seconds", &S::search_seconds)};
+  return f;
 }
 
 std::vector<TuneCandidate> enumerate_candidates(const TuneOptions& o) {
@@ -107,12 +89,16 @@ std::vector<TuneCandidate> enumerate_candidates(const TuneOptions& o) {
     for (int w = 1; w <= o.max_vector_width; w *= 2) ws.push_back(w);
     return ws;
   }();
-  const std::vector<std::string> dispatches =
-      o.multi_threaded ? std::vector<std::string>{"static", "dynamic"}
-                       : std::vector<std::string>{"static"};
-  const std::vector<std::string> pins =
-      o.multi_threaded ? std::vector<std::string>{"none", "compact", "scatter"}
-                       : std::vector<std::string>{"none"};
+  using support::BlockingMode;
+  using support::Dispatch;
+  using support::PinPolicy;
+  const std::vector<Dispatch> dispatches =
+      o.multi_threaded ? std::vector{Dispatch::Static, Dispatch::Dynamic}
+                       : std::vector{Dispatch::Static};
+  const std::vector<PinPolicy> pins =
+      o.multi_threaded
+          ? std::vector{PinPolicy::None, PinPolicy::Compact, PinPolicy::Scatter}
+          : std::vector{PinPolicy::None};
   // One fixed tile height: the Auto mode already sizes tiles from the
   // blocking model, Fixed probes whether a small constant beats it.
   constexpr long long kFixedTileRows = 16;
@@ -122,18 +108,19 @@ std::vector<TuneCandidate> enumerate_candidates(const TuneOptions& o) {
     for (const int w : widths) {
       for (const bool nt : {false, true}) {
         if (nt && w == 1) continue;  // scalar loops ignore streaming stores
-        for (const char* blocking : {"off", "auto", "fixed"}) {
-          for (const std::string& dispatch : dispatches) {
-            for (const std::string& pin : pins) {
+        for (const BlockingMode blocking :
+             {BlockingMode::Off, BlockingMode::Auto, BlockingMode::Fixed}) {
+          for (const Dispatch dispatch : dispatches) {
+            for (const PinPolicy pin : pins) {
               TuneCandidate c;
               c.split = split;
               c.vector_width = w;
               c.streaming_stores = nt;
-              c.dispatch = dispatch;
-              c.blocking = blocking;
+              c.dispatch = support::enum_name(dispatch);
+              c.blocking = support::enum_name(blocking);
               c.blocking_tile_rows =
-                  std::string(blocking) == "fixed" ? kFixedTileRows : 0;
-              c.pin = pin;
+                  blocking == BlockingMode::Fixed ? kFixedTileRows : 0;
+              c.pin = support::enum_name(pin);
               out.push_back(std::move(c));
             }
           }
@@ -220,37 +207,14 @@ std::optional<TuneCacheEntry> load_tuned(const std::string& dir,
   buf << in.rdbuf();
   std::string err;
   const Json j = Json::parse(buf.str(), &err);
-  if (!err.empty() || !j.is_object()) return std::nullopt;
-  const Json* schema = j.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->str() != kTuneCacheSchema) {
-    return std::nullopt;  // stale revision: re-tune rather than trust it
-  }
-  const Json* keyj = j.find("key");
-  if (keyj == nullptr || !keyj->is_string() || keyj->str() != key) {
-    return std::nullopt;  // entry content does not match its address
-  }
+  if (!err.empty()) return std::nullopt;
   try {
-    TuneCacheEntry e;
-    const Json* best = j.find("best");
-    if (best == nullptr) return std::nullopt;
-    e.best = TuneCandidate::from_json(*best, "tune-cache best");
-    const Json* bm = j.find("best_mlups");
-    const Json* bl = j.find("baseline_mlups");
-    const Json* mr = j.find("measured_runs");
-    const Json* ss = j.find("search_seconds");
-    if (bm == nullptr || !bm->is_number() || bl == nullptr ||
-        !bl->is_number() || mr == nullptr || ss == nullptr ||
-        !ss->is_number()) {
-      return std::nullopt;
-    }
-    e.best_mlups = bm->number();
-    e.baseline_mlups = bl->number();
-    e.measured_runs = obs::json_integer<int>(*mr, "tune-cache measured_runs");
-    e.search_seconds = ss->number();
-    return e;
+    const TuneFile f = obs::from_json<TuneFile>(j, kTuneFormat);
+    // an entry whose content does not match its address is stale
+    if (f.key != key) return std::nullopt;
+    return f.entry;
   } catch (const Error&) {
-    return std::nullopt;  // corrupt entry: costs a re-tune, nothing else
+    return std::nullopt;  // corrupt or stale: costs a re-tune, nothing else
   }
 }
 
@@ -260,15 +224,7 @@ void store_tuned(const std::string& dir, const std::string& key,
   std::error_code ec;
   fs::create_directories(dir, ec);
   PFC_REQUIRE(!ec, "store_tuned: cannot create " + dir + ": " + ec.message());
-  const Json j = Json::object()
-                     .set("schema", Json(kTuneCacheSchema))
-                     .set("key", Json(key))
-                     .set("best", entry.best.to_json())
-                     .set("best_mlups", Json(entry.best_mlups))
-                     .set("baseline_mlups", Json(entry.baseline_mlups))
-                     .set("measured_runs", Json(double(entry.measured_runs)))
-                     .set("search_seconds", Json(entry.search_seconds));
-  obs::write_json(tune_cache_path(dir, key), j);
+  obs::write_json(tune_cache_path(dir, key), obs::to_json(TuneFile{key, entry}));
 }
 
 }  // namespace pfc::perf

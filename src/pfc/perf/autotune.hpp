@@ -37,28 +37,22 @@ namespace pfc::perf {
 /// the measured search.
 inline constexpr const char* kTuneCacheSchema = "pfc-tune-v1";
 
-/// One point of the knob space. Driver-level spellings ("static"/"dynamic",
-/// "off"/"auto"/"fixed", pin-policy names) keep this layer free of app
-/// enums and make the JSON form self-describing.
+/// One point of the knob space. The driver knobs hold the spellings of
+/// support::Dispatch, support::BlockingMode and support::PinPolicy, which
+/// keeps the JSON form self-describing.
 struct TuneCandidate {
   bool split = false;            ///< split staggered-flux kernels (φ and µ)
   int vector_width = 1;          ///< emitted SIMD width: 1/2/4/8
   bool streaming_stores = false; ///< non-temporal stores (width > 1 only)
-  std::string dispatch = "static";  ///< "static" | "dynamic"
-  std::string blocking = "off";     ///< "off" | "auto" | "fixed"
-  long long blocking_tile_rows = 0; ///< rows for blocking == "fixed"
-  std::string pin = "none";         ///< "none" | "compact" | "scatter"
+  std::string dispatch = support::enum_name(support::Dispatch::Static);
+  std::string blocking = support::enum_name(support::BlockingMode::Off);
+  long long blocking_tile_rows = 0;  ///< rows for BlockingMode::Fixed
+  std::string pin = support::enum_name(support::PinPolicy::None);
 
   /// Canonical one-line label ("split=1 w=4 nt=0 dispatch=static
   /// blocking=auto tile=0 pin=none") — the identity two candidates are
   /// compared by and the spelling reports/caches use.
   std::string label() const;
-
-  obs::Json to_json() const;
-  /// Strict decode (unknown keys, wrong types, integers outside
-  /// obs::json_integer's rule and out-of-range widths throw pfc::Error
-  /// naming `where`).
-  static TuneCandidate from_json(const obs::Json& j, const std::string& where);
 };
 
 inline bool operator==(const TuneCandidate& a, const TuneCandidate& b) {
@@ -127,6 +121,12 @@ struct TuneCacheEntry {
   int measured_runs = 0;        ///< search cost when the entry was written
   double search_seconds = 0.0;
 };
+
+// The pfc-tune-v1 entry: {"schema", "key", "best": TuneCandidate, ...the
+// TuneCacheEntry fields}; every key is required.
+const obs::FieldList<TuneCandidate>& json_fields(obs::JsonTag<TuneCandidate>);
+const obs::FieldList<TuneCacheEntry>& json_fields(
+    obs::JsonTag<TuneCacheEntry>);
 
 /// Deterministic signature of the machine the measurements are valid on:
 /// topology extents (cpus/cores/packages/NUMA nodes after the affinity

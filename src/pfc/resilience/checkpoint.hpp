@@ -3,7 +3,9 @@
 // On-disk format: a directory holding one binary state file (the interior
 // cells of every registered array, concatenated as raw doubles) plus a JSON
 // manifest recording the schema version, step/time/dt/seed, a driver layout
-// signature, and per-array shapes, offsets and FNV-1a 64 checksums. Both
+// signature, the accumulated health findings, and per-array shapes, offsets
+// and FNV-1a 64 checksums (DESIGN.md §7), declared once as a field list
+// (obs/json_fields.hpp) that write_checkpoint and read_manifest walk. Both
 // files are written atomically (tmp + rename, the same helper every JSON
 // artifact uses), and the manifest is written last — a readable manifest
 // therefore implies a complete state file. waLBerla's block-structured
@@ -21,8 +23,8 @@
 // back (the caller refreshes ghosts).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -44,7 +46,24 @@ struct CheckpointMeta {
   std::uint64_t rng_seed = 0;    ///< Philox key — fluctuation stream id
   std::string layout;            ///< driver signature; must match on restore
   obs::HealthStats health;       ///< accumulated in-situ findings
-  std::map<std::string, std::uint64_t> counters;  ///< obs counters to carry
+};
+
+/// One array in the manifest: shape, place in the state file (doubles)
+/// and the checksum of those bytes.
+struct ManifestArray {
+  std::string name;
+  int components = 0;
+  std::array<long long, 3> size{0, 0, 0};
+  std::uint64_t offset = 0;
+  std::uint64_t count = 0;
+  std::uint64_t fnv1a64 = 0;
+};
+
+/// A manifest: the meta, the state file next to it and its index.
+struct Manifest {
+  CheckpointMeta meta;
+  std::string data_file;
+  std::vector<ManifestArray> arrays;
 };
 
 /// One named array to serialize ("phi", "mu/block3", ...).
@@ -57,6 +76,9 @@ struct RestoreArray {
   Array* array;
 };
 
+const obs::FieldList<ManifestArray>& json_fields(obs::JsonTag<ManifestArray>);
+const obs::FieldList<Manifest>& json_fields(obs::JsonTag<Manifest>);
+
 /// "manifest.json" (rank < 0) or "manifest.rank<r>.json" inside `dir`.
 std::string manifest_path(const std::string& dir, int rank = -1);
 
@@ -67,12 +89,17 @@ void write_checkpoint(const std::string& dir, const CheckpointMeta& meta,
                       const std::vector<CheckpointArray>& arrays,
                       int rank = -1, bool truncate_fault = false);
 
-/// Restores every array in `arrays` from the checkpoint in `dir`. Validates
-/// the manifest schema, the layout signature (when `expect_layout` is
-/// non-empty), per-array shapes, the state-file size and every checksum;
-/// throws pfc::Error on any mismatch (truncated or corrupt checkpoints are
-/// rejected, never half-applied: arrays are only written after all
-/// validation passed). Ghost layers are the caller's job.
+/// Strict decode of the manifest at `path` (typed keys, integers under
+/// obs::json_integer's rule, numbers >= 0, dt > 0, a non-empty layout,
+/// contiguous offsets totalling below 2^53) and a state file of exactly the
+/// indexed size; throws pfc::Error naming the manifest and the key's path.
+Manifest read_manifest(const std::string& path);
+
+/// Restores every array in `arrays` from the checkpoint in `dir`: the
+/// manifest passes read_manifest, the layout signature matches (when
+/// `expect_layout` is non-empty), every shape and checksum match. Throws
+/// pfc::Error on any mismatch; a corrupt checkpoint is never half-applied
+/// (arrays are written after all validation). Ghosts are the caller's job.
 CheckpointMeta read_checkpoint(const std::string& dir,
                                const std::vector<RestoreArray>& arrays,
                                const std::string& expect_layout = "",

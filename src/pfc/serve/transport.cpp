@@ -159,15 +159,23 @@ int listen_endpoint(const Endpoint& ep, int backlog, int* bound_port) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) throw_errno("socket", ep.describe(), errno);
     FdGuard guard{fd};
-    ::unlink(ep.path.c_str());
-    sockaddr_un addr = unix_addr(ep.path);
+    // Bind and listen under a sibling name, then rename it into place: a
+    // client that sees the path can connect (bind alone creates the file
+    // before listen() accepts). A path too long for the sibling binds
+    // directly.
+    const std::string tmp = ep.path + ".new";
+    const std::string& at =
+        tmp.size() < sizeof(sockaddr_un::sun_path) ? tmp : ep.path;
+    ::unlink(at.c_str());
+    sockaddr_un addr = unix_addr(at);
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
         0) {
       throw_errno("bind", ep.describe(), errno);
     }
-    if (::listen(fd, backlog) != 0) {
+    if (::listen(fd, backlog) != 0 ||
+        (at != ep.path && ::rename(at.c_str(), ep.path.c_str()) != 0)) {
       const int e = errno;
-      ::unlink(ep.path.c_str());
+      ::unlink(at.c_str());
       throw_errno("listen", ep.describe(), e);
     }
     if (bound_port != nullptr) *bound_port = 0;

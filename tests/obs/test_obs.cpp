@@ -262,5 +262,195 @@ TEST(ObsReportTest, CumulativeAcrossBursts) {
   EXPECT_EQ(r2.cell_updates, 5u * 24u * 24u);
 }
 
+
+// --- strict decode (ctest report_decode_strict) ------------------------------
+
+/// A run report with every member away from its default: overlap and
+/// tuning on, two model_accuracy targets, a restart, an embedded compile
+/// report.
+RunReport full_run_report() {
+  RunReport r;
+  r.name = "full";
+  r.steps = 40;
+  r.cells_per_step = 4096;
+  r.cell_updates = 40 * 4096;
+  r.kernel_timers["phi-full"] = {0.75, 160};
+  r.kernel_timers["mu-full"] = {0.3333333333333333, 160};
+  r.kernel_seconds_total = 0.75 + 0.3333333333333333;
+  r.exchange_seconds = 0.0625;
+  r.exchange_bytes = 123456;
+  r.num_blocks = 4;
+  r.block_imbalance = 1.0625;
+  r.model_accuracy["kernel/phi-full"] = {0.5, 0.75, 1.5};
+  r.model_accuracy["exchange"] = {0.03125, 0.0625, 2.0};
+  r.health = {7, 1, 2, 3, 4, 0.125, 1.5e-9};
+  r.health_policy = HealthPolicy::Recover;
+  r.resilience = {3, 2, 40, 1, 1, 1, true, 20, 0.0025};
+  r.overlap = {true, 0.01, 0.02, 0.5, 0.25, 3584, 512, 0.015, 0.75};
+  r.threading.threads = 2;
+  r.threading.pin_policy = "compact";
+  r.threading.dispatch = "dynamic";
+  r.threading.first_touch = true;
+  r.threading.cpus = 4;
+  r.threading.cores = 4;
+  r.threading.packages = 1;
+  r.threading.numa_nodes = 2;
+  r.threading.blocking_enabled = true;
+  r.threading.blocking_tile_rows = 16;
+  r.threading.blocking_lookahead = 2;
+  r.threading.fused_stages = 2;
+  r.threading.fused_substeps = 40;
+  r.threading.blocking_reason = "tile fits L2";
+  r.threading.bytes_per_update_unfused = 96.0;
+  r.threading.bytes_per_update_fused = 48.5;
+  r.tuning.enabled = true;
+  r.tuning.mode = "full";
+  r.tuning.cache_key = std::string(64, 'a');
+  r.tuning.machine = "cpus=4;cores=4";
+  r.tuning.candidates = 24;
+  r.tuning.measured_runs = 8;
+  r.tuning.search_seconds = 3.25;
+  r.tuning.baseline_mlups = 10.5;
+  r.tuning.best_mlups = 12.25;
+  r.tuning.best_config = "split=1 w=4";
+  r.tuning.ranking = {{"split=0 w=1", 9.0, 10.5}, {"split=1 w=4", 11.0, 12.25}};
+  return r;
+}
+
+/// A compile report served from the kernel cache after one fallback.
+CompileReport full_compile_report() {
+  CompileReport c;
+  c.name = "full-compile";
+  c.add_stage("discretize", 0.125);
+  c.add_stage("emit", 0.0625);
+  c.add_stage("jit", 1.5);
+  c.ops_per_cell_pre = 4000;
+  c.ops_per_cell_post = 900;
+  c.vector_width = 4;
+  c.ops_per_cell_widened = 312.5;
+  c.kernel_names = {"phi-full", "mu-full"};
+  c.backend_tier = support::enum_name(BackendTier::Scalar);
+  c.fallback_reason = "unit 1 of 2: injected failure";
+  c.fallback_attempts = 1;
+  c.cache_used = true;
+  c.cache_hit = true;
+  c.cache_key = std::string(64, 'b');
+  c.cache_hits = 3;
+  c.cache_misses = 1;
+  c.cache_evictions = 2;
+  c.cache_bytes = 65536;
+  return c;
+}
+
+// Every member is written, so JSON equality after decode is member
+// equality; the members whose JSON form is not a plain copy (the timers,
+// the cache flag, the embedded report) are compared directly too.
+TEST(ObsReportTest, EveryFieldSurvivesDecode) {
+  RunReport r = full_run_report();
+  r.compile = full_compile_report();
+  const Json j = r.to_json();
+  const RunReport back = RunReport::from_json(j);
+  EXPECT_TRUE(back.to_json() == j) << j.dump(2);
+  EXPECT_EQ(back.steps, r.steps);
+  EXPECT_EQ(back.exchange_seconds, r.exchange_seconds);
+  ASSERT_EQ(back.kernel_timers.size(), 2u);
+  EXPECT_EQ(back.kernel_timers.at("mu-full").seconds,
+            r.kernel_timers.at("mu-full").seconds);
+  EXPECT_EQ(back.kernel_timers.at("phi-full").count, 160u);
+  EXPECT_EQ(back.health_policy, HealthPolicy::Recover);
+  EXPECT_EQ(back.health.conservation_drift, r.health.conservation_drift);
+  EXPECT_TRUE(back.resilience.restarted);
+  EXPECT_EQ(back.resilience.restart_step, 20);
+  EXPECT_TRUE(back.overlap.enabled);
+  EXPECT_EQ(back.overlap.frontier_cells, 512);
+  EXPECT_EQ(back.threading.blocking_tile_rows, 16);
+  EXPECT_EQ(back.tuning.ranking.size(), 2u);
+  EXPECT_EQ(back.model_accuracy.at("exchange").ratio, 2.0);
+  ASSERT_TRUE(back.compile.has_value());
+  EXPECT_TRUE(back.compile->cache_used);
+  EXPECT_EQ(back.compile->cache_evictions, 2u);
+
+  const CompileReport c = full_compile_report();
+  const Json cj = c.to_json();
+  const CompileReport cback = CompileReport::from_json(cj);
+  EXPECT_TRUE(cback.to_json() == cj) << cj.dump(2);
+  EXPECT_EQ(cback.stage_timers.size(), 3u);
+  EXPECT_EQ(cback.compile_seconds(), 1.5);
+  EXPECT_EQ(cback.kernel_names, c.kernel_names);
+  EXPECT_EQ(cback.fallback_attempts, 1);
+  EXPECT_TRUE(cback.cache_used);
+  EXPECT_TRUE(cback.cache_hit);
+
+  // sections the writer leaves out stay out
+  const RunReport plain = RunReport::from_json(RunReport{}.to_json());
+  EXPECT_FALSE(plain.overlap.enabled);
+  EXPECT_FALSE(plain.tuning.enabled);
+  EXPECT_FALSE(plain.compile.has_value());
+  EXPECT_FALSE(CompileReport::from_json(CompileReport{}.to_json()).cache_used);
+}
+
+/// `j` with `path` ("a.b") set to `v`, or removed when `v` is null.
+Json with(Json j, const std::string& path, const Json& v) {
+  const auto dot = path.find('.');
+  const std::string head = path.substr(0, dot);
+  if (dot != std::string::npos) {
+    return j.set(head, with(*j.find(head), path.substr(dot + 1), v));
+  }
+  if (v.kind() != Json::Kind::Null) return j.set(head, v);
+  Json out = Json::object();
+  for (const auto& [k, e] : j.items()) {
+    if (k != head) out.set(k, e);
+  }
+  return out;
+}
+
+TEST(ObsReportTest, DecodeRefusesWhatTheEmitterNeverWrites) {
+  RunReport full = full_run_report();
+  full.compile = full_compile_report();
+  const Json run = full.to_json();
+  const Json compile = full_compile_report().to_json();
+  const struct {
+    Json doc;
+    bool is_run;
+    const char* error;
+  } cases[] = {
+      {with(run, "bogus", Json(1.0)), true, "report: bogus: unknown key"},
+      {with(run, "threading", Json()), true, "report: threading: missing"},
+      {with(run, "counters.steps", Json("40")), true,
+       "report: counters.steps: expected a number"},
+      {with(run, "counters.cell_updates", Json(-1.0)), true,
+       "report: counters.cell_updates: "},
+      {with(run, "resilience.restart_step", Json(-1.0)), true,
+       "report: resilience.restart_step: must be >= 0"},
+      {with(run, "overlap.hidden_fraction", Json(1.5)), true,
+       "report: overlap.hidden_fraction: must be in [0, 1]"},
+      {with(compile, "backend_tier", Json("gpu")), false,
+       "report: backend_tier: unknown backend tier \"gpu\""},
+      {with(run, "overlap.interior_cells", Json(3000.0)), true,
+       "report: interior and frontier cells (3512) do not tile the 4096 "
+       "cells of a step"},
+      {with(run, "derived.mlups", Json(3.0)), true,
+       "report: derived.mlups: 3 disagrees with the other fields"},
+      {with(compile, "kernels", Json("phi-full")), false,
+       "report: kernels: expected an array"},
+      {with(run, "compile.kernels", Json(2.0)), true,
+       "report: compile.kernels: expected an array"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    try {
+      if (c.is_run) {
+        (void)RunReport::from_json(c.doc);
+      } else {
+        (void)CompileReport::from_json(c.doc);
+      }
+    } catch (const Error& e) {
+      err = e.what();
+    }
+    EXPECT_NE(err.find(c.error), std::string::npos)
+        << "want \"" << c.error << "\", got \"" << err << "\"";
+  }
+}
+
 }  // namespace
 }  // namespace pfc::obs

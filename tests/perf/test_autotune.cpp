@@ -22,6 +22,7 @@
 #include "pfc/app/simulation.hpp"
 #include "pfc/app/tuning.hpp"
 #include "pfc/obs/json.hpp"
+#include "pfc/obs/json_fields.hpp"
 #include "pfc/obs/report.hpp"
 #include "pfc/perf/autotune.hpp"
 #include "pfc/support/assert.hpp"
@@ -87,28 +88,34 @@ std::vector<std::pair<std::string, obs::Json>> malformed_candidate_values() {
           {"blocking_tile_rows", obs::Json(1e300)}};
 }
 
+/// The candidate's strict decode, as a tuning-cache entry reads it.
+TuneCandidate decode_candidate(const obs::Json& j) {
+  static const obs::JsonFormat format{"test", /*complete=*/true};
+  return obs::from_json<TuneCandidate>(j, format);
+}
+
 TEST(TuneCandidateCodec, RoundTripsAndRejectsMalformedInput) {
   const TuneCandidate c = rich_candidate();
-  const TuneCandidate d = TuneCandidate::from_json(c.to_json(), "test");
+  const TuneCandidate d = decode_candidate(obs::to_json(c));
   EXPECT_TRUE(c == d);
   EXPECT_EQ(c.label(), d.label());
 
-  obs::Json unknown = c.to_json();
+  obs::Json unknown = obs::to_json(c);
   unknown.set("bogus", obs::Json(1.0));
-  EXPECT_THROW(TuneCandidate::from_json(unknown, "test"), Error);
+  EXPECT_THROW(decode_candidate(unknown), Error);
 
-  obs::Json bad_width = c.to_json();
+  obs::Json bad_width = obs::to_json(c);
   bad_width.set("vector_width", obs::Json(3.0));
-  EXPECT_THROW(TuneCandidate::from_json(bad_width, "test"), Error);
+  EXPECT_THROW(decode_candidate(bad_width), Error);
 
-  obs::Json bad_dispatch = c.to_json();
+  obs::Json bad_dispatch = obs::to_json(c);
   bad_dispatch.set("dispatch", obs::Json(std::string("sideways")));
-  EXPECT_THROW(TuneCandidate::from_json(bad_dispatch, "test"), Error);
+  EXPECT_THROW(decode_candidate(bad_dispatch), Error);
 
   for (const auto& [key, value] : malformed_candidate_values()) {
-    obs::Json bad = c.to_json();
+    obs::Json bad = obs::to_json(c);
     bad.set(key, value);
-    EXPECT_THROW(TuneCandidate::from_json(bad, "test"), Error)
+    EXPECT_THROW(decode_candidate(bad), Error)
         << key << " = " << value.dump(-1);
   }
 }
@@ -290,7 +297,7 @@ TEST(TuneCache, CorruptStaleOrMismatchedEntriesMissToFullSearch) {
   // truncated or wrapped value.
   for (const auto& [member, value] : malformed_candidate_values()) {
     store_tuned(dir.path, key, e);
-    obs::Json best = e.best.to_json();
+    obs::Json best = obs::to_json(e.best);
     best.set(member, value);
     obs::Json j = obs::Json::parse(read_text(tune_cache_path(dir.path, key)));
     j.set("best", best);

@@ -25,6 +25,8 @@
 #include "pfc/resilience/resilience.hpp"
 #include "pfc/support/assert.hpp"
 
+#include "../json_mutator.hpp"
+
 namespace pfc {
 namespace {
 
@@ -177,7 +179,7 @@ TEST(CheckpointRestart, SeedRoundTripsExactly) {
 
 // Manifest integers follow the jobspec's rule (obs::json_integer): a step
 // a double cannot hold exactly, a negative or a fractional count is
-// refused with an error that names the key, never cast.
+// refused with an error that names the key's path, never cast.
 TEST(CheckpointRestart, ManifestRefusesIntegersOutsideTheRule) {
   TempDir dir("ints");
   ASSERT_FALSE(dir.path.empty());
@@ -199,9 +201,9 @@ TEST(CheckpointRestart, ManifestRefusesIntegersOutsideTheRule) {
     const char* from;
     const char* to;
     const char* key;
-  } cases[] = {{"\"step\": 3", "\"step\": 1e300", "\"step\""},
-               {"\"count\": 8", "\"count\": -1", "\"count\""},
-               {"\"count\": 8", "\"count\": 2.5", "\"count\""}};
+  } cases[] = {{"\"step\": 3", "\"step\": 1e300", ": step: "},
+               {"\"count\": 8", "\"count\": -1", ": arrays[0].count: "},
+               {"\"count\": 8", "\"count\": 2.5", ": arrays[0].count: "}};
   for (const auto& c : cases) {
     std::string text = clean;
     const auto at = text.find(c.from);
@@ -294,6 +296,154 @@ TEST(CheckpointRestart, ChecksumCatchesBitFlip) {
   std::fclose(fp);
   EXPECT_THROW(resilience::read_checkpoint(dir.path, {{"a", &b}}, "test"),
                Error);
+}
+
+// A run split by a restart reports the steps it ran, not the position it
+// reached: the counters, the exchange timer and the model's exchange
+// price all cover the same steps.
+TEST(CheckpointRestart, ReportCountsOnlyStepsItRan) {
+  TempDir dir("steps");
+  ASSERT_FALSE(dir.path.empty());
+  const app::GrandChemModel model = noisy_model();
+  app::SimulationOptions o = noisy_opts(1);
+  o.boundary = grid::BoundaryKind::Periodic;
+  {
+    app::SimulationOptions first = o;
+    first.with_resilience(resilience::ResilienceOptions{}.every(10)
+                              .with_directory(dir.path));
+    app::Simulation sim(model, first);
+    init_seed(sim, model.params().epsilon);
+    sim.run(10);
+  }
+  o.with_resilience(resilience::ResilienceOptions{}.with_restart(dir.path));
+  app::Simulation second(model, o);
+  const obs::RunReport rep = second.run(8);
+  EXPECT_EQ(second.step_count(), 18);
+  EXPECT_EQ(rep.resilience.restart_step, 10);
+  EXPECT_EQ(rep.steps, 8);
+  EXPECT_EQ(std::uint64_t(rep.steps * rep.cells_per_step), rep.cell_updates);
+  const obs::Json j = rep.to_json();
+  const obs::Json* exchange = j.find("timers")->find("exchange");
+  ASSERT_NE(exchange, nullptr);
+  EXPECT_EQ(exchange->find("count")->number(), double(rep.steps));
+}
+
+/// The interior of `a`, component-major.
+std::vector<double> interior(const Array& a) {
+  std::vector<double> v(std::size_t(a.interior_count()));
+  a.copy_interior_out(v.data());
+  return v;
+}
+
+/// A two-array checkpoint with a seed above 2^53, written to `dir`.
+struct FuzzCheckpoint {
+  explicit FuzzCheckpoint(const std::string& dir)
+      : f2(Field::create("a", 2, 2)),
+        f1(Field::create("b", 2, 1)),
+        a(f2, {5, 3, 1}, 1),
+        b(f1, {4, 4, 1}, 2) {
+    for (long long y = 0; y < 4; ++y) {
+      for (long long x = 0; x < 5; ++x) {
+        if (y < 3) {
+          a.at(x, y, 0, 0) = 0.1 * double(x) - double(y);
+          a.at(x, y, 0, 1) = 1.0 / double(1 + x + y);
+        }
+        if (x < 4) b.at(x, y, 0, 0) = double(x * y) - 2.5;
+      }
+    }
+    resilience::CheckpointMeta meta;
+    meta.step = 40;
+    meta.time = 0.2;
+    meta.dt = 0.005;
+    meta.rng_seed = 0xd1b54a32d192ed03ull;
+    meta.layout = "fuzz";
+    resilience::write_checkpoint(dir, meta, {{"a", &a}, {"b", &b}});
+  }
+  FieldPtr f2, f1;
+  Array a, b;
+};
+
+/// The error reading the checkpoint in `dir` throws ("" when it restores).
+std::string restore_error(const std::string& dir, Array& a, Array& b) {
+  try {
+    resilience::read_checkpoint(dir, {{"a", &a}, {"b", &b}});
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Seeded mutation fuzzing of the manifest decoder (read_checkpoint, the
+// path every restart takes) with the shared mutator: every mutant is
+// refused with pfc::Error or restores both arrays bitwise (ctest
+// checkpoint_manifest_fuzz).
+TEST(CheckpointManifestFuzz, MutantsRefusedOrRestoreBitwise) {
+  TempDir dir("mfuzz");
+  ASSERT_FALSE(dir.path.empty());
+  const FuzzCheckpoint ck(dir.path);
+  const std::string path = resilience::manifest_path(dir.path);
+  std::string stored;
+  {
+    std::ifstream in(path);
+    stored.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  const std::vector<double> want_a = interior(ck.a), want_b = interior(ck.b);
+  Array a(ck.f2, {5, 3, 1}, 1), b(ck.f1, {4, 4, 1}, 2);
+  ASSERT_EQ(restore_error(dir.path, a, b), "");
+
+  constexpr int kMutants = 20000;
+  fuzz::Rng rng(0x6d616e6966657374ull);
+  int restored = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text = fuzz::mutate(stored, rng);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << text;
+    }
+    a.fill(-7.0);
+    b.fill(-7.0);
+    if (!restore_error(dir.path, a, b).empty()) continue;
+    ++restored;
+    ASSERT_TRUE(interior(a) == want_a) << "mutant " << i << ":\n" << text;
+    ASSERT_TRUE(interior(b) == want_b) << "mutant " << i << ":\n" << text;
+  }
+  std::printf("checkpoint_manifest_fuzz: %d mutants, %d restored, %d "
+              "refused\n",
+              kMutants, restored, kMutants - restored);
+  // Most mutants break the manifest; enough must restore for the bitwise
+  // check to mean something.
+  EXPECT_GT(restored, kMutants / 50);
+}
+
+// A mistyped time, dt or layout is refused by its path, never read as a
+// default.
+TEST(CheckpointManifestFuzz, MistypedKeysRefusedByPath) {
+  TempDir dir("mtype");
+  ASSERT_FALSE(dir.path.empty());
+  const FuzzCheckpoint ck(dir.path);
+  const std::string path = resilience::manifest_path(dir.path);
+  const obs::Json clean = [&] {
+    std::ifstream in(path);
+    return obs::Json::parse(std::string(std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()));
+  }();
+  const struct {
+    const char* key;
+    obs::Json value;
+    const char* error;
+  } cases[] = {{"dt", obs::Json("fast"), ": dt: expected a number"},
+               {"time", obs::Json("0.2"), ": time: expected a number"},
+               {"layout", obs::Json(3.0), ": layout: expected a string"}};
+  Array a(ck.f2, {5, 3, 1}, 1), b(ck.f1, {4, 4, 1}, 2);
+  for (const auto& c : cases) {
+    obs::Json j = clean;
+    j.set(c.key, c.value);
+    obs::write_json(path, j);
+    const std::string err = restore_error(dir.path, a, b);
+    EXPECT_NE(err.find(c.error), std::string::npos)
+        << c.key << ": \"" << err << "\"";
+  }
 }
 
 TEST(Snapshot, RoundTripAndGuards) {
@@ -513,6 +663,9 @@ TEST(FaultInject, NanRecoversViaRollback) {
   init_seed(sim, model.params().epsilon);
   const obs::RunReport rep = sim.run(20);  // net steps, despite the rollback
   EXPECT_EQ(sim.step_count(), 20);
+  // the report counts the work: steps 6 and 7 ran twice
+  EXPECT_EQ(rep.steps, 22);
+  EXPECT_EQ(rep.cell_updates, std::uint64_t(rep.steps * 32 * 32));
   EXPECT_EQ(rep.resilience.rollbacks, 1u);
   EXPECT_EQ(rep.resilience.faults_injected, 1u);
   // the final state must be clean: the injected NaN was rolled away

@@ -1,41 +1,31 @@
-// Validates a pfc-obs report JSON file against the shared schema
-// (pfc-obs-report-v7, the only revision any producer writes), including the optional model_accuracy (ECM/netmodel drift), health,
-// resilience, overlap (communication-hiding phase split), cache
-// (kernel-cache provenance), threading (execution resources) and tuning
-// (measured-autotuning decision) sections.
-// Run by ctest against the file quickstart emits, so every producer that
-// funnels through obs::make_report_json stays honest.
+// Validates a pfc-obs report JSON file (pfc-obs-report-v7, the only
+// revision any producer writes) by strict decode -> re-emit -> equality:
+// the file decodes as a run, compile or bench report (obs/report.hpp, a
+// run report's embedded compile report included), and writing the decoded
+// report back out gives the input again. Decoding refuses an unknown or
+// missing key, a mistyped or out-of-range value, a derived value that
+// disagrees with the fields it is computed from and a broken cross-field
+// rule; re-emitting catches whatever the decoder reads but the producers
+// never write. The field lists in report.cpp are the schema, so this file
+// spells none of its keys. Run by ctest against the files quickstart,
+// distributed_demo and the Fig. 2 bench emit.
 //
 // With --trace the argument is instead a chrome://tracing trace file (as
 // written by obs::TraceRecorder) and the structure of its traceEvents is
 // validated, including that kernel and ghost-exchange spans are present.
 //
-// With --checkpoint the argument is a checkpoint manifest (as written by
-// pfc::resilience::write_checkpoint): schema, required keys, the per-array
-// entries (shape/offset/count/checksum format, contiguous offsets) and the
-// state file's existence and exact size are validated.
+// With --checkpoint the argument is a checkpoint manifest; it is read with
+// resilience::read_manifest, the decoder a restart uses (typed keys,
+// contiguous offsets, dt > 0, a state file of the exact size).
 //
-// With --require-vector-width the report must additionally carry a
-// counters/vector_width entry (either top-level or inside an embedded
-// "compile" sub-report, as quickstart writes it) whose value is one of the
-// supported SIMD widths {1, 2, 4, 8}. This keeps the compile pipeline's
-// vectorization decision visible in every report funnel.
-//
-// With --require-overlap the report must carry an enabled "overlap"
-// section: the interior/frontier phase timers of a communication-
-// hiding run. Its internal consistency (hidden_fraction in [0, 1], cell
-// counts tiling the local lattice) is validated whenever the section is
-// present, flag or not.
-//
-// With --require-cache the compile report (top-level or embedded under
-// "compile") must carry the "cache" section: kernel-cache provenance
-// (hit flag, 64-hex content key, process-wide hit/miss/evict/byte
-// counters). The section is structurally validated whenever present.
-//
-// With --require-threading the run report must carry the "threading"
-// section (pool width >= 1, pinning/dispatch policy, first-touch flag and
-// the temporal-blocking decision). The section is structurally validated
-// whenever present, flag or not.
+// The --require-* flags read the decoded report:
+//   --require-vector-width  a compile report is present (top-level or
+//                           embedded); its vector width is one of 1, 2,
+//                           4, 8 whenever it is present, flag or not;
+//   --require-overlap       the run's overlap section is enabled;
+//   --require-cache         the compile report carries its cache section;
+//   --require-threading     the run's thread pool has >= 1 threads;
+//   --require-tuning        the run's tuning section is enabled.
 //
 // With --jobspec the argument is a pfc-jobspec-v2 file; it is parsed with
 // the same strict decoder the serve daemon uses (unknown keys, type
@@ -56,7 +46,7 @@
 //
 // Usage: report_check [--require-vector-width] [--require-overlap]
 //                     [--require-cache] [--require-threading]
-//                     <report.json> [expected-kind]
+//                     [--require-tuning] <report.json> [run|compile|bench]
 //        report_check --trace <trace.json>
 //        report_check --checkpoint <manifest.json>
 //        report_check --jobspec <jobspec.json>
@@ -66,7 +56,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -93,14 +85,6 @@ void check_finite_nonneg(const pfc::obs::Json& v, const std::string& where) {
   }
   const double x = v.number();
   if (!(x >= 0.0)) fail(where + ": negative or non-finite value");
-}
-
-/// A string spelled by enum E's table (support/enum_names.hpp).
-template <typename E>
-void check_enum(const pfc::obs::Json* v, const std::string& where) {
-  if (!v || !v->is_string() || !pfc::support::find_enum<E>(v->str())) {
-    fail(where + " must be one of " + pfc::support::enum_spellings<E>());
-  }
 }
 
 std::string read_file(const char* path) {
@@ -190,338 +174,61 @@ int check_trace(const char* path) {
   return 0;
 }
 
-/// --checkpoint mode: structural validation of a checkpoint manifest plus
-/// the existence and exact size of the state file it references.
+/// --checkpoint mode: the manifest through the restart's own reader.
 int check_checkpoint(const char* path) {
-  const std::string text = read_file(path);
-  if (g_errors) return 1;
-  std::string err;
-  const pfc::obs::Json j = pfc::obs::Json::parse(text, &err);
-  if (!err.empty()) {
-    fail("parse error: " + err);
+  try {
+    const pfc::resilience::Manifest m = pfc::resilience::read_manifest(path);
+    std::printf("report_check: %s OK (checkpoint, %zu arrays, %llu "
+                "doubles)\n",
+                path, m.arrays.size(),
+                (unsigned long long)(m.arrays.back().offset +
+                                     m.arrays.back().count));
+    return 0;
+  } catch (const pfc::Error& e) {
+    fail(e.what());
+    std::fprintf(stderr, "report_check: %s FAILED (1 error)\n", path);
     return 1;
   }
-  if (!j.is_object()) {
-    fail("top level must be an object");
-    return 1;
-  }
-  for (const char* key : {"schema", "step", "time", "dt", "rng_seed",
-                          "layout", "data_file", "arrays"}) {
-    if (!j.find(key)) fail(std::string("missing required key \"") + key + '"');
-  }
-  if (g_errors) return 1;
-  if (!j.find("schema")->is_string() ||
-      j.find("schema")->str() != pfc::resilience::kCheckpointSchema) {
-    fail(std::string("schema must be \"") +
-         pfc::resilience::kCheckpointSchema + '"');
-  }
-  check_finite_nonneg(*j.find("step"), "step");
-  check_finite_nonneg(*j.find("time"), "time");
-  check_finite_nonneg(*j.find("dt"), "dt");
-  if (j.find("dt")->is_number() && !(j.find("dt")->number() > 0.0)) {
-    fail("dt must be positive");
-  }
-  if (!j.find("layout")->is_string() || j.find("layout")->str().empty()) {
-    fail("layout must be a non-empty string");
-  }
-  const pfc::obs::Json& arrays = *j.find("arrays");
-  if (!arrays.is_array() || arrays.elements().empty()) {
-    fail("arrays must be a non-empty array");
-    return 1;
-  }
-  double expected_offset = 0.0;
-  for (std::size_t i = 0; i < arrays.elements().size(); ++i) {
-    const pfc::obs::Json& e = arrays.elements()[i];
-    const std::string where = "arrays[" + std::to_string(i) + ']';
-    if (!e.is_object()) {
-      fail(where + ": expected an object");
-      continue;
-    }
-    for (const char* key :
-         {"name", "components", "size", "offset", "count", "fnv1a64"}) {
-      if (!e.find(key)) fail(where + ": missing \"" + key + '"');
-    }
-    if (g_errors) continue;
-    check_finite_nonneg(*e.find("components"), where + "/components");
-    check_finite_nonneg(*e.find("offset"), where + "/offset");
-    check_finite_nonneg(*e.find("count"), where + "/count");
-    if (e.find("offset")->is_number() &&
-        e.find("offset")->number() != expected_offset) {
-      fail(where + ": offsets are not contiguous");
-    }
-    if (e.find("count")->is_number()) {
-      expected_offset += e.find("count")->number();
-    }
-    const pfc::obs::Json* sum = e.find("fnv1a64");
-    if (!sum->is_string() || sum->str().rfind("0x", 0) != 0 ||
-        sum->str().size() != 18) {
-      fail(where + ": fnv1a64 must be an \"0x\" + 16-hex-digit string");
-    }
-  }
-  // the state file must exist next to the manifest and match the manifest's
-  // total element count exactly
-  std::string dir(path);
-  const std::size_t slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  const std::string data_path = dir + "/" + j.find("data_file")->str();
-  std::FILE* f = std::fopen(data_path.c_str(), "rb");
-  if (!f) {
-    fail("state file missing: " + data_path);
-  } else {
-    std::fseek(f, 0, SEEK_END);
-    const long fsize = std::ftell(f);
-    std::fclose(f);
-    if (double(fsize) != expected_offset * double(sizeof(double))) {
-      fail("state file " + data_path + " has " + std::to_string(fsize) +
-           " bytes, manifest expects " +
-           std::to_string((long long)(expected_offset * sizeof(double))));
-    }
-  }
-  if (g_errors) {
-    std::fprintf(stderr, "report_check: %s FAILED (%d error%s)\n", path,
-                 g_errors, g_errors == 1 ? "" : "s");
-    return 1;
-  }
-  std::printf("report_check: %s OK (checkpoint, %zu arrays, %lld doubles)\n",
-              path, arrays.elements().size(), (long long)expected_offset);
-  return 0;
 }
 
-/// --require-vector-width: the SIMD width the compile pipeline chose must
-/// be recorded and supported. Quickstart-style run reports embed the
-/// CompileReport under "compile"; compile reports carry it top-level.
-void check_vector_width(const pfc::obs::Json& j) {
-  const pfc::obs::Json* counters = j.find("counters");
-  const pfc::obs::Json* vw =
-      counters && counters->is_object() ? counters->find("vector_width")
-                                        : nullptr;
-  if (!vw) {
-    if (const pfc::obs::Json* compile = j.find("compile")) {
-      const pfc::obs::Json* cc =
-          compile->is_object() ? compile->find("counters") : nullptr;
-      if (cc && cc->is_object()) vw = cc->find("vector_width");
-    }
+/// A report decoded as one kind, and its re-emitted JSON.
+struct Decoded {
+  pfc::obs::ReportKind kind;
+  std::optional<pfc::obs::RunReport> run;
+  /// The compile report itself, or the one a run report embeds.
+  std::optional<pfc::obs::CompileReport> compile;
+  pfc::obs::Json again;
+};
+
+Decoded decode(pfc::obs::ReportKind kind, const pfc::obs::Json& j) {
+  using pfc::obs::ReportKind;
+  Decoded d{kind, {}, {}, {}};
+  switch (kind) {
+    case ReportKind::Run:
+      d.run = pfc::obs::RunReport::from_json(j);
+      d.compile = d.run->compile;
+      d.again = d.run->to_json();
+      break;
+    case ReportKind::Compile:
+      d.compile = pfc::obs::CompileReport::from_json(j);
+      d.again = d.compile->to_json();
+      break;
+    case ReportKind::Bench:
+      d.again = pfc::obs::BenchReport::from_json(j).to_json();
+      break;
   }
-  if (!vw) {
-    fail("counters/vector_width missing (checked top-level and embedded "
-         "\"compile\" report)");
-    return;
-  }
-  if (!vw->is_number()) {
-    fail("counters/vector_width: expected a number");
-    return;
-  }
-  const double w = vw->number();
-  if (w != 1.0 && w != 2.0 && w != 4.0 && w != 8.0) {
-    fail("counters/vector_width: " + std::to_string(w) +
-         " is not a supported SIMD width (1, 2, 4 or 8)");
-  }
+  return d;
 }
 
-/// "overlap" section: phase timers and cell counts of the
-/// interior/frontier communication-hiding split. `local_cells` (from
-/// derived/cells_per_step, 0 if absent) pins the decomposition: interior
-/// and frontier must tile the rank's per-step lattice exactly.
-void check_overlap(const pfc::obs::Json& o, double local_cells) {
-  if (!o.is_object()) {
-    fail("overlap must be an object");
-    return;
+/// The first line at which the indented dumps of `a` and `b` differ
+/// ("" when they are equal).
+std::string first_difference(const pfc::obs::Json& a,
+                             const pfc::obs::Json& b) {
+  std::istringstream x(a.dump(2)), y(b.dump(2));
+  for (std::string l, m; std::getline(x, l);) {
+    if (!std::getline(y, m) || l != m) return "\"" + l + "\"";
   }
-  const pfc::obs::Json* enabled = o.find("enabled");
-  if (!enabled || enabled->kind() != pfc::obs::Json::Kind::Bool) {
-    fail("overlap/enabled must be a bool");
-  }
-  for (const char* key :
-       {"pack_seconds", "wait_seconds", "interior_seconds",
-        "frontier_seconds", "interior_cells", "frontier_cells",
-        "hidden_seconds", "hidden_fraction"}) {
-    const pfc::obs::Json* v = o.find(key);
-    if (!v) {
-      fail(std::string("overlap: missing \"") + key + '"');
-      continue;
-    }
-    check_finite_nonneg(*v, std::string("overlap/") + key);
-  }
-  if (g_errors) return;
-  const double hf = o.find("hidden_fraction")->number();
-  if (hf > 1.0) fail("overlap/hidden_fraction must be in [0, 1]");
-  const double cells = o.find("interior_cells")->number() +
-                       o.find("frontier_cells")->number();
-  if (local_cells > 0.0 && cells != local_cells) {
-    fail("overlap: interior_cells + frontier_cells (" +
-         std::to_string((long long)cells) +
-         ") must tile the local lattice (derived/cells_per_step = " +
-         std::to_string((long long)local_cells) + ')');
-  }
-}
-
-/// "threading" section: execution resources of a run — pool width,
-/// placement policy and the temporal-blocking decision.
-void check_threading(const pfc::obs::Json& t) {
-  if (!t.is_object()) {
-    fail("threading must be an object");
-    return;
-  }
-  for (const char* key : {"threads", "cpus", "cores", "packages",
-                          "numa_nodes"}) {
-    const pfc::obs::Json* v = t.find(key);
-    if (!v) {
-      fail(std::string("threading: missing \"") + key + '"');
-      continue;
-    }
-    check_finite_nonneg(*v, std::string("threading/") + key);
-  }
-  check_enum<pfc::support::PinPolicy>(t.find("pin_policy"),
-                                      "threading/pin_policy");
-  check_enum<pfc::app::Dispatch>(t.find("dispatch"), "threading/dispatch");
-  const pfc::obs::Json* ft = t.find("first_touch");
-  if (!ft || ft->kind() != pfc::obs::Json::Kind::Bool) {
-    fail("threading/first_touch must be a bool");
-  }
-  const pfc::obs::Json* b = t.find("blocking");
-  if (!b || !b->is_object()) {
-    fail("threading/blocking must be an object");
-    return;
-  }
-  const pfc::obs::Json* enabled = b->find("enabled");
-  if (!enabled || enabled->kind() != pfc::obs::Json::Kind::Bool) {
-    fail("threading/blocking/enabled must be a bool");
-  }
-  for (const char* key :
-       {"tile_rows", "lookahead", "fused_stages", "fused_substeps",
-        "bytes_per_update_unfused", "bytes_per_update_fused"}) {
-    const pfc::obs::Json* v = b->find(key);
-    if (!v) {
-      fail(std::string("threading/blocking: missing \"") + key + '"');
-      continue;
-    }
-    check_finite_nonneg(*v, std::string("threading/blocking/") + key);
-  }
-  const pfc::obs::Json* reason = b->find("reason");
-  if (!reason || !reason->is_string()) {
-    fail("threading/blocking/reason must be a string");
-  }
-  // an enabled blocking plan must carry a positive tile
-  if (!g_errors && enabled->boolean() &&
-      b->find("tile_rows")->number() < 1.0) {
-    fail("threading/blocking enabled but tile_rows < 1");
-  }
-}
-
-/// "tuning" section: measured-autotuning decision of a run — mode,
-/// cache identity, search cost and the prior-vs-measured ranking.
-void check_tuning(const pfc::obs::Json& t) {
-  if (!t.is_object()) {
-    fail("tuning must be an object");
-    return;
-  }
-  const pfc::obs::Json* enabled = t.find("enabled");
-  if (!enabled || enabled->kind() != pfc::obs::Json::Kind::Bool) {
-    fail("tuning/enabled must be a bool");
-  }
-  const pfc::obs::Json* mode = t.find("mode");
-  using pfc::app::TuneMode;
-  if (!mode || !mode->is_string() ||
-      pfc::support::find_enum<TuneMode>(mode->str()).value_or(
-          TuneMode::Off) == TuneMode::Off) {
-    fail(std::string("tuning/mode must be a tune mode other than ") +
-         pfc::support::enum_name(TuneMode::Off));
-  }
-  const pfc::obs::Json* hit = t.find("cache_hit");
-  if (!hit || hit->kind() != pfc::obs::Json::Kind::Bool) {
-    fail("tuning/cache_hit must be a bool");
-  }
-  const pfc::obs::Json* key = t.find("cache_key");
-  if (!key || !key->is_string() || key->str().size() != 64 ||
-      key->str().find_first_not_of("0123456789abcdef") != std::string::npos) {
-    fail("tuning/cache_key must be a 64-hex-digit content hash");
-  }
-  const pfc::obs::Json* machine = t.find("machine");
-  if (!machine || !machine->is_string() || machine->str().empty()) {
-    fail("tuning/machine must be a non-empty string");
-  }
-  for (const char* k : {"candidates", "measured_runs", "search_seconds",
-                        "baseline_mlups", "best_mlups"}) {
-    const pfc::obs::Json* v = t.find(k);
-    if (!v) {
-      fail(std::string("tuning: missing \"") + k + '"');
-      continue;
-    }
-    check_finite_nonneg(*v, std::string("tuning/") + k);
-  }
-  const pfc::obs::Json* best = t.find("best_config");
-  if (!best || !best->is_string() || best->str().empty()) {
-    fail("tuning/best_config must be a non-empty string");
-  }
-  const pfc::obs::Json* ranking = t.find("ranking");
-  if (!ranking || !ranking->is_array()) {
-    fail("tuning/ranking must be an array");
-    return;
-  }
-  for (std::size_t i = 0; i < ranking->elements().size(); ++i) {
-    const pfc::obs::Json& row = ranking->elements()[i];
-    const std::string where = "tuning/ranking[" + std::to_string(i) + ']';
-    if (!row.is_object()) {
-      fail(where + ": expected an object");
-      continue;
-    }
-    const pfc::obs::Json* config = row.find("config");
-    if (!config || !config->is_string() || config->str().empty()) {
-      fail(where + "/config must be a non-empty string");
-    }
-    for (const char* k : {"predicted_mlups", "measured_mlups"}) {
-      const pfc::obs::Json* v = row.find(k);
-      if (!v) {
-        fail(where + ": missing \"" + k + '"');
-        continue;
-      }
-      check_finite_nonneg(*v, where + '/' + k);
-    }
-  }
-  if (g_errors) return;
-  // Invariants of the search contract: a cache hit performed zero measured
-  // runs, a fresh search measured at least the baseline, and the winner is
-  // never slower than the baseline (it is measured first and keeps ties).
-  if (hit->boolean() && t.find("measured_runs")->number() != 0.0) {
-    fail("tuning: cache_hit is true but measured_runs != 0");
-  }
-  if (!hit->boolean() && t.find("measured_runs")->number() < 1.0) {
-    fail("tuning: fresh search must report measured_runs >= 1");
-  }
-  if (t.find("best_mlups")->number() <
-      t.find("baseline_mlups")->number()) {
-    fail("tuning: best_mlups below baseline_mlups (the baseline is always "
-         "measured, so the winner can never be slower)");
-  }
-}
-
-/// "cache" section: kernel-cache provenance of a compile report.
-void check_cache(const pfc::obs::Json& c) {
-  if (!c.is_object()) {
-    fail("cache must be an object");
-    return;
-  }
-  const pfc::obs::Json* hit = c.find("hit");
-  if (!hit || hit->kind() != pfc::obs::Json::Kind::Bool) {
-    fail("cache/hit must be a bool");
-  }
-  const pfc::obs::Json* key = c.find("key");
-  if (!key || !key->is_string() || key->str().size() != 64 ||
-      key->str().find_first_not_of("0123456789abcdef") != std::string::npos) {
-    fail("cache/key must be a 64-hex-digit content hash");
-  }
-  for (const char* k : {"hits", "misses", "evictions", "bytes"}) {
-    const pfc::obs::Json* v = c.find(k);
-    if (!v) {
-      fail(std::string("cache: missing \"") + k + '"');
-      continue;
-    }
-    check_finite_nonneg(*v, std::string("cache/") + k);
-  }
-  // a hit implies the process saw at least one earlier acquire of this key
-  if (!g_errors && hit->boolean() && c.find("hits")->number() < 1.0) {
-    fail("cache/hit is true but cache/hits is 0");
-  }
+  return a == b ? "" : "the end";
 }
 
 /// One labeled series of a --metrics family. Returns the series' scalar
@@ -948,216 +655,49 @@ int main(int argc, char** argv) {
   }
   const std::string text = read_file(argv[1]);
   if (g_errors) return 1;
-
   std::string err;
   const pfc::obs::Json j = pfc::obs::Json::parse(text, &err);
   if (!err.empty()) {
     fail("parse error: " + err);
     return 1;
   }
-  if (!j.is_object()) fail("top level must be an object");
 
-  // the six required sections
-  for (const char* key :
-       {"schema", "kind", "name", "timers", "counters", "derived"}) {
-    if (!j.find(key)) fail(std::string("missing required key \"") + key + '"');
-  }
-  if (g_errors) return 1;
-
-  if (!j.find("schema")->is_string() ||
-      j.find("schema")->str() != pfc::obs::kReportSchema) {
-    fail(std::string("schema must be \"") + pfc::obs::kReportSchema + '"');
-  }
-  const pfc::obs::Json& kind = *j.find("kind");
-  if (!kind.is_string() || (kind.str() != "run" && kind.str() != "compile" &&
-                            kind.str() != "bench")) {
-    fail("kind must be \"run\", \"compile\" or \"bench\"");
-  }
-  if (argc == 3 && kind.is_string() && kind.str() != argv[2]) {
-    fail(std::string("expected kind \"") + argv[2] + "\", got \"" +
-         kind.str() + '"');
-  }
-  if (!j.find("name")->is_string() || j.find("name")->str().empty()) {
-    fail("name must be a non-empty string");
-  }
-
-  const pfc::obs::Json& timers = *j.find("timers");
-  if (!timers.is_object()) {
-    fail("timers must be an object");
-  } else {
-    for (const auto& [path, t] : timers.items()) {
-      if (!t.is_object() || !t.find("seconds") || !t.find("count")) {
-        fail("timers/" + path + ": expected {\"seconds\", \"count\"}");
-        continue;
-      }
-      check_finite_nonneg(*t.find("seconds"), "timers/" + path + "/seconds");
-      check_finite_nonneg(*t.find("count"), "timers/" + path + "/count");
+  // The named kind, or else the first kind the report decodes as.
+  using pfc::obs::ReportKind;
+  std::optional<Decoded> d;
+  std::string errors;
+  for (const auto& e : enum_names(ReportKind{}).entries) {
+    if (argc == 3 && std::strcmp(argv[2], e.name) != 0) continue;
+    try {
+      d = decode(e.value, j);
+      break;
+    } catch (const pfc::Error& x) {
+      errors += (errors.empty() ? "" : "\n  ") + std::string(x.what());
     }
   }
-
-  const pfc::obs::Json& counters = *j.find("counters");
-  if (!counters.is_object()) {
-    fail("counters must be an object");
-  } else {
-    for (const auto& [path, v] : counters.items()) {
-      check_finite_nonneg(v, "counters/" + path);
-    }
+  if (!d) {
+    fail(errors.empty()
+             ? pfc::support::unknown_enum_message<ReportKind>(argv[2])
+             : errors);
+  } else if (const std::string at = first_difference(j, d->again);
+             !at.empty()) {
+    fail("the decoded report re-emits differently, from line " + at);
   }
-
-  const pfc::obs::Json& derived = *j.find("derived");
-  if (!derived.is_object()) {
-    fail("derived must be an object");
-  } else {
-    for (const auto& [stat, v] : derived.items()) {
-      check_finite_nonneg(v, "derived/" + stat);
-    }
+  if (d && require_vector_width && !d->compile) {
+    fail("--require-vector-width: no compile report (top-level or "
+         "embedded)");
   }
-
-  // model_accuracy and health (optional: run reports always carry health;
-  // compile/bench reports may omit both)
-  if (const pfc::obs::Json* ma = j.find("model_accuracy")) {
-    if (!ma->is_object()) {
-      fail("model_accuracy must be an object");
-    } else {
-      for (const auto& [target, a] : ma->items()) {
-        const std::string where = "model_accuracy/" + target;
-        if (!a.is_object()) {
-          fail(where + ": expected an object");
-          continue;
-        }
-        for (const char* key :
-             {"predicted_seconds", "measured_seconds", "ratio"}) {
-          const pfc::obs::Json* v = a.find(key);
-          if (!v) {
-            fail(where + ": missing \"" + key + '"');
-            continue;
-          }
-          check_finite_nonneg(*v, where + '/' + key);
-        }
-      }
-    }
+  if (d && require_overlap && !(d->run && d->run->overlap.enabled)) {
+    fail("--require-overlap: the run did not overlap its exchange");
   }
-  if (const pfc::obs::Json* h = j.find("health")) {
-    if (!h->is_object()) {
-      fail("health must be an object");
-    } else {
-      check_enum<pfc::obs::HealthPolicy>(h->find("policy"), "health/policy");
-      for (const auto& [stat, v] : h->items()) {
-        if (stat == "policy") continue;
-        check_finite_nonneg(v, "health/" + stat);
-      }
-    }
+  if (d && require_cache && !(d->compile && d->compile->cache_used)) {
+    fail("--require-cache: no compile report with a kernel-cache section");
   }
-
-  // run reports carry "resilience", compile reports carry the backend tier
-  // of the degradation chain
-  if (const pfc::obs::Json* r = j.find("resilience")) {
-    if (!r->is_object()) {
-      fail("resilience must be an object");
-    } else {
-      for (const char* key :
-           {"checkpoints", "checkpoint_files", "rollbacks", "dt_shrinks",
-            "faults_injected", "dt_current"}) {
-        const pfc::obs::Json* v = r->find(key);
-        if (!v) {
-          fail(std::string("resilience: missing \"") + key + '"');
-          continue;
-        }
-        check_finite_nonneg(*v, std::string("resilience/") + key);
-      }
-      const pfc::obs::Json* restarted = r->find("restarted");
-      if (!restarted ||
-          restarted->kind() != pfc::obs::Json::Kind::Bool) {
-        fail("resilience/restarted must be a bool");
-      }
-    }
-  } else if (kind.is_string() && kind.str() == "run") {
-    fail("run reports must carry a \"resilience\" section");
+  if (d && require_threading && !(d->run && d->run->threading.threads >= 1)) {
+    fail("--require-threading: not a run report with >= 1 threads");
   }
-  if (const pfc::obs::Json* tier = j.find("backend_tier")) {
-    check_enum<pfc::obs::BackendTier>(tier, "backend_tier");
-    const pfc::obs::Json* attempts = j.find("fallback_attempts");
-    if (!attempts) {
-      fail("backend_tier present but \"fallback_attempts\" missing");
-    } else {
-      check_finite_nonneg(*attempts, "fallback_attempts");
-    }
-  } else if (kind.is_string() && kind.str() == "compile") {
-    fail("compile reports must carry \"backend_tier\"");
-  }
-
-  // overlap phase split of a communication-hiding run (optional)
-  const pfc::obs::Json* overlap = j.find("overlap");
-  if (overlap != nullptr) {
-    const pfc::obs::Json* cps =
-        derived.is_object() ? derived.find("cells_per_step") : nullptr;
-    check_overlap(*overlap,
-                  cps != nullptr && cps->is_number() ? cps->number() : 0.0);
-  } else if (require_overlap) {
-    fail("--require-overlap: report carries no \"overlap\" section");
-  }
-  if (require_overlap && overlap != nullptr) {
-    const pfc::obs::Json* enabled = overlap->find("enabled");
-    if (enabled == nullptr ||
-        enabled->kind() != pfc::obs::Json::Kind::Bool ||
-        !enabled->boolean()) {
-      fail("--require-overlap: overlap/enabled must be true");
-    }
-  }
-
-  if (require_vector_width) check_vector_width(j);
-
-  // kernel-cache provenance of a compile report (optional). Run reports
-  // embed their compile report under "compile" (as quickstart writes it).
-  const pfc::obs::Json* cache = j.find("cache");
-  if (cache == nullptr) {
-    if (const pfc::obs::Json* compile = j.find("compile")) {
-      if (compile->is_object()) cache = compile->find("cache");
-    }
-  }
-  if (cache != nullptr) {
-    check_cache(*cache);
-  } else if (require_cache) {
-    fail("--require-cache: report carries no \"cache\" section (checked "
-         "top-level and embedded \"compile\" report)");
-  }
-
-  // execution resources of a run (pool width, pinning policy, first-touch
-  // placement, temporal-blocking decision). Mandatory on run reports;
-  // compile/bench reports never carry it.
-  const pfc::obs::Json* threading = j.find("threading");
-  if (threading != nullptr) {
-    check_threading(*threading);
-  } else if (kind.is_string() && kind.str() == "run") {
-    fail("run reports must carry a \"threading\" section");
-  }
-  if (require_threading) {
-    if (threading == nullptr) {
-      fail("--require-threading: report carries no \"threading\" section");
-    } else if (!g_errors) {
-      const pfc::obs::Json* threads = threading->find("threads");
-      if (threads == nullptr || !threads->is_number() ||
-          threads->number() < 1.0) {
-        fail("--require-threading: threading/threads must be >= 1");
-      }
-    }
-  }
-
-  // the measured-autotuning decision. Optional (runs with tune = off never
-  // write it).
-  const pfc::obs::Json* tuning = j.find("tuning");
-  if (tuning != nullptr) {
-    check_tuning(*tuning);
-  } else if (require_tuning) {
-    fail("--require-tuning: report carries no \"tuning\" section");
-  }
-  if (require_tuning && tuning != nullptr && !g_errors) {
-    const pfc::obs::Json* enabled = tuning->find("enabled");
-    if (enabled == nullptr ||
-        enabled->kind() != pfc::obs::Json::Kind::Bool ||
-        !enabled->boolean()) {
-      fail("--require-tuning: tuning/enabled must be true");
-    }
+  if (d && require_tuning && !(d->run && d->run->tuning.enabled)) {
+    fail("--require-tuning: the run did not tune");
   }
 
   if (g_errors) {
@@ -1165,8 +705,7 @@ int main(int argc, char** argv) {
                  g_errors, g_errors == 1 ? "" : "s");
     return 1;
   }
-  std::printf("report_check: %s OK (kind=%s, %zu timers, %zu counters)\n",
-              argv[1], kind.str().c_str(), timers.items().size(),
-              counters.items().size());
+  std::printf("report_check: %s OK (%s report, decode -> re-emit equal)\n",
+              argv[1], pfc::support::enum_name(d->kind));
   return 0;
 }
