@@ -121,6 +121,7 @@ std::vector<ir::Kernel> ModelCompiler::lower(
     stage.reset();
     ir::Kernel k = ir::build_kernel(sk, bo);
     ir::fold_reciprocals(k);
+    ir::fold_radicals(k);
     ir::share_sums(k);
     if (report != nullptr) report->add_stage("ir_build", stage.seconds());
     if (opts.schedule) {

@@ -31,32 +31,39 @@ Range sweep_range(const Array& a, int axis) {
   return r;
 }
 
+/// Ghost -gi takes cell n - gi (periodic) or 0, ghost n - 1 + gi takes
+/// cell gi - 1 or n - 1, over the transverse range r. Along x each row
+/// fills its own ends; along y and z whole x-rows are copied.
 void fill_axis_over(Array& a, int axis, BoundaryKind kind, bool lower,
                     bool upper, const Range& r) {
   const int g = a.ghost_layers();
   const std::int64_t n = a.size()[std::size_t(axis)];
+  const bool periodic = kind == BoundaryKind::Periodic;
+  const auto lower_src = [&](int gi) { return periodic ? n - gi : 0; };
+  const auto upper_src = [&](int gi) { return periodic ? gi - 1 : n - 1; };
 
   for (int c = 0; c < a.components(); ++c) {
-    for (std::int64_t u = r.lo[(axis + 1) % 3]; u < r.hi[(axis + 1) % 3];
-         ++u) {
-      for (std::int64_t v = r.lo[(axis + 2) % 3]; v < r.hi[(axis + 2) % 3];
-           ++v) {
-        const auto cell = [&](std::int64_t w) -> double& {
-          std::int64_t xyz[3];
-          xyz[axis] = w;
-          xyz[(axis + 1) % 3] = u;
-          xyz[(axis + 2) % 3] = v;
-          return a.at(xyz[0], xyz[1], xyz[2], c);
-        };
-        for (int gi = 1; gi <= g; ++gi) {
-          if (kind == BoundaryKind::Periodic) {
-            if (lower) cell(-gi) = cell(n - gi);
-            if (upper) cell(n - 1 + gi) = cell(gi - 1);
-          } else {
-            if (lower) cell(-gi) = cell(0);
-            if (upper) cell(n - 1 + gi) = cell(n - 1);
+    if (axis == 0) {
+      for (std::int64_t z = r.lo[2]; z < r.hi[2]; ++z) {
+        for (std::int64_t y = r.lo[1]; y < r.hi[1]; ++y) {
+          double* row = a.origin(c) + y * a.stride(1) + z * a.stride(2);
+          for (int gi = 1; gi <= g; ++gi) {
+            if (lower) row[-gi] = row[lower_src(gi)];
+            if (upper) row[n - 1 + gi] = row[upper_src(gi)];
           }
         }
+      }
+      continue;
+    }
+    const int other = 3 - axis;  // the transverse axis besides x
+    const std::int64_t len = r.hi[0] - r.lo[0];
+    const auto row = [&](std::int64_t w, std::int64_t v) {
+      return a.origin(c) + r.lo[0] + w * a.stride(axis) + v * a.stride(other);
+    };
+    for (std::int64_t v = r.lo[other]; v < r.hi[other]; ++v) {
+      for (int gi = 1; gi <= g; ++gi) {
+        if (lower) std::copy_n(row(lower_src(gi), v), len, row(-gi, v));
+        if (upper) std::copy_n(row(upper_src(gi), v), len, row(n - 1 + gi, v));
       }
     }
   }

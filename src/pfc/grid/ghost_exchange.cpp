@@ -1,5 +1,7 @@
 #include "pfc/grid/ghost_exchange.hpp"
 
+#include <algorithm>
+
 #include "pfc/support/assert.hpp"
 
 namespace pfc::grid {
@@ -46,15 +48,22 @@ std::size_t slab_doubles(const Array& a, int axis) {
   return box_cells(b) * std::size_t(a.components());
 }
 
+/// Start of the x-row (y, z) of component c inside box b: a row runs
+/// b.hi[0] - b.lo[0] contiguous cells from x = b.lo[0] (stride(0) == 1).
+template <class A>
+auto row(A& a, const SlabBox& b, int c, std::int64_t y, std::int64_t z) {
+  return a.origin(c) + b.lo[0] + y * a.stride(1) + z * a.stride(2);
+}
+
 void pack(const Array& a, const SlabBox& b, std::vector<double>& buf) {
+  const std::int64_t len = b.hi[0] - b.lo[0];
   buf.clear();
   buf.reserve(box_cells(b) * std::size_t(a.components()));
   for (int c = 0; c < a.components(); ++c) {
     for (std::int64_t z = b.lo[2]; z < b.hi[2]; ++z) {
       for (std::int64_t y = b.lo[1]; y < b.hi[1]; ++y) {
-        for (std::int64_t x = b.lo[0]; x < b.hi[0]; ++x) {
-          buf.push_back(a.at(x, y, z, c));
-        }
+        const double* p = row(a, b, c, y, z);
+        buf.insert(buf.end(), p, p + len);
       }
     }
   }
@@ -62,31 +71,42 @@ void pack(const Array& a, const SlabBox& b, std::vector<double>& buf) {
 
 void unpack(Array& a, const SlabBox& b, const std::vector<double>& buf) {
   PFC_ASSERT(buf.size() == box_cells(b) * std::size_t(a.components()));
-  std::size_t i = 0;
+  const std::int64_t len = b.hi[0] - b.lo[0];
+  const double* in = buf.data();
   for (int c = 0; c < a.components(); ++c) {
     for (std::int64_t z = b.lo[2]; z < b.hi[2]; ++z) {
       for (std::int64_t y = b.lo[1]; y < b.hi[1]; ++y) {
-        for (std::int64_t x = b.lo[0]; x < b.hi[0]; ++x) {
-          a.at(x, y, z, c) = buf[i++];
-        }
+        std::copy_n(in, len, row(a, b, c, y, z));
+        in += len;
       }
     }
   }
 }
 
-/// Copies neighbour interior into my ghosts directly (both local).
-/// `buf` is the caller's staging storage (reused across copies).
-void copy_local(Array& dst, const Array& src, int axis, int side, int g,
-                std::vector<double>& buf) {
+/// Copies neighbour interior into my ghosts directly (both local), row by
+/// row. The two slabs are disjoint, also when a periodic block is its own
+/// neighbour, because each block is at least g cells wide.
+void copy_local(Array& dst, const Array& src, int axis, int side, int g) {
   const std::int64_t n_dst = dst.size()[std::size_t(axis)];
   const std::int64_t n_src = src.size()[std::size_t(axis)];
+  PFC_ASSERT(n_src >= g, "ghost exchange: block thinner than its ghosts");
   // my ghosts on `side` <- neighbour interior at the opposite edge
   const SlabBox gbox = slab_box(dst, axis, side > 0 ? n_dst : -g,
                                 side > 0 ? n_dst + g : 0);
   const SlabBox sbox = slab_box(src, axis, side > 0 ? 0 : n_src - g,
                                 side > 0 ? g : n_src);
-  pack(src, sbox, buf);
-  unpack(dst, gbox, buf);
+  PFC_ASSERT(box_cells(gbox) == box_cells(sbox));
+  const std::int64_t len = gbox.hi[0] - gbox.lo[0];
+  const std::int64_t dy = sbox.lo[1] - gbox.lo[1];
+  const std::int64_t dz = sbox.lo[2] - gbox.lo[2];
+  for (int c = 0; c < dst.components(); ++c) {
+    for (std::int64_t z = gbox.lo[2]; z < gbox.hi[2]; ++z) {
+      for (std::int64_t y = gbox.lo[1]; y < gbox.hi[1]; ++y) {
+        std::copy_n(row(src, sbox, c, y + dy, z + dz), len,
+                    row(dst, gbox, c, y, z));
+      }
+    }
+  }
 }
 
 int message_tag(int field_tag, int axis, int recv_side,
@@ -111,7 +131,6 @@ GhostExchange::GhostExchange(const BlockForest& forest, mpi::Comm* comm,
   // never allocate. Local faces and unused axes never touch theirs.
   const auto& s = forest.blocks().front().size;
   const int g = max_ghost_layers;
-  std::size_t scratch = 0;
   for (int axis = 0; axis < forest.dims(); ++axis) {
     std::size_t cells = 1;
     for (int d = 0; d < forest.dims(); ++d) {
@@ -120,7 +139,6 @@ GhostExchange::GhostExchange(const BlockForest& forest, mpi::Comm* comm,
       else cells *= std::size_t(s[std::size_t(d)]);
     }
     const std::size_t cap = cells * std::size_t(max_components);
-    scratch = std::max(scratch, cap);
     for (int slot = 0; slot < num_slots_; ++slot) {
       for (int side : {-1, +1}) {
         const Block* nb = forest.neighbor(*mine[std::size_t(slot)], axis, side);
@@ -130,7 +148,6 @@ GhostExchange::GhostExchange(const BlockForest& forest, mpi::Comm* comm,
       }
     }
   }
-  scratch_.reserve(scratch);
   pending_local_.reserve(std::size_t(num_slots_));
   pending_.reserve(std::size_t(num_slots_) * 2);
   pending_reqs_.reserve(std::size_t(num_slots_) * 2);
@@ -220,8 +237,7 @@ void GhostExchange::fill_local(const std::vector<LocalBlockField>& local,
         fill_ghosts_axis(a, axis, BoundaryKind::ZeroGradient,
                          /*lower=*/side < 0, /*upper=*/side > 0);
       } else if (nb->owner == my_rank) {
-        copy_local(a, *find_local(nb), axis, side, a.ghost_layers(),
-                   scratch_);
+        copy_local(a, *find_local(nb), axis, side, a.ghost_layers());
       }
     }
   }

@@ -3,9 +3,11 @@
 // The exchange is axis-sequential (x, then y, then z); each sweep includes
 // the ghost cells already filled by earlier sweeps, so edge and corner
 // ghosts propagate without diagonal messages — the standard trick also used
-// by waLBerla. Local neighbour pairs are copied directly; remote pairs are
-// packed into contiguous buffers and sent via pfc::mpi (the paper's pack →
-// single asynchronous message design).
+// by waLBerla. Local neighbour pairs are copied directly, one contiguous
+// x-row at a time from the neighbour's array into the ghosts (a periodic
+// one-block forest copies within its own array); remote pairs are packed
+// row by row into contiguous buffers and sent via pfc::mpi (the paper's
+// pack → single asynchronous message design).
 //
 // Two entry points share the same sweeps:
 //   - exchange(): the fully synchronous round (pack, send, recv, unpack per
@@ -103,7 +105,6 @@ class GhostExchange {
   mpi::Comm* comm_;
   int num_slots_ = 0;
   std::vector<std::vector<double>> bufs_;  // (slot,axis,side,dir) flattened
-  std::vector<double> scratch_;            // local-copy staging
 
   // in-flight round state (begin .. finish); pending_/pending_reqs_ hold
   // the posted receives of the axis in progress on either path

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 
+#include "pfc/ir/opcount.hpp"
 #include "pfc/sym/simplify.hpp"
 #include "pfc/sym/subs.hpp"
 #include "pfc/support/assert.hpp"
@@ -110,6 +111,80 @@ struct Divisions {
     return d;
   }
 };
+
+/// e as radicand^(h/2) when e is sqrt(a), rsqrt(a) or a^(k/2) with k odd.
+bool radical(const Expr& e, Expr* radicand, long* h) {
+  if (e->kind() == Kind::Call &&
+      (e->func() == sym::Func::Sqrt || e->func() == sym::Func::RSqrt)) {
+    *radicand = e->arg(0);
+    *h = e->func() == sym::Func::Sqrt ? 1 : -1;
+    return true;
+  }
+  long twice = 0;
+  if (e->kind() == Kind::Pow && e->arg(1)->kind() == Kind::Number &&
+      sym::num(2.0 * e->arg(1)->number())->integer_value(&twice) &&
+      twice % 2 != 0) {
+    *radicand = e->arg(0);
+    *h = twice;
+    return true;
+  }
+  return false;
+}
+
+using Defs = std::unordered_map<std::string, Expr>;
+
+/// A radical factor of a product, radicand^(h/2), written inline or read
+/// through the temp `via`.
+struct Radical {
+  Expr radicand;
+  long h = 0;
+  Expr via;
+};
+
+/// True when the product factor f is a radical that may be merged: sqrt(a),
+/// rsqrt(a), a^(k/2), a temp defined as one, or an integer power of these,
+/// whose radicand is max(e, c) with a numeric c >= 0, and c > 0 when it
+/// divides. Then a_1^(h_1/2) · a_2^(h_2/2) equals
+/// (a_1^h_1 · a_2^h_2)^(1/2).
+bool radical_factor(const Expr& f, const Defs& defs, Radical* out) {
+  Expr base = f;
+  long n = 1;
+  if (f->kind() == Kind::Pow && f->arg(1)->integer_value(&n)) {
+    base = f->arg(0);
+  } else {
+    n = 1;
+  }
+  Radical r;
+  if (base->kind() == Kind::Symbol) {
+    const auto it = defs.find(base->name());
+    if (it == defs.end() || !radical(it->second, &r.radicand, &r.h)) {
+      return false;
+    }
+    r.via = base;
+  } else if (!radical(base, &r.radicand, &r.h)) {
+    return false;
+  }
+  r.h *= n;
+  const Expr& guard = r.radicand;
+  if (guard->kind() != Kind::Call || guard->func() != sym::Func::Max) {
+    return false;
+  }
+  for (const auto& c : guard->args()) {
+    if (c->kind() == Kind::Number &&
+        (r.h > 0 ? c->number() >= 0.0 : c->number() > 0.0)) {
+      *out = std::move(r);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The divider instructions (sqrt and division; an exact rsqrt is one of
+/// each) that an expression's C rendering executes.
+long dividers(const Expr& e) {
+  const OpCounts c = count_ops(e);
+  return c.sqrts + c.divs + 2 * c.rsqrts;
+}
 
 }  // namespace
 
@@ -218,6 +293,234 @@ std::size_t fold_reciprocals(Kernel& k) {
     ScheduledAssignment out = sa;
     out.assign.rhs = sym::substitute(sa.assign.rhs, to_recip);
     define_read(out.assign.rhs);
+    body.push_back(std::move(out));
+  }
+  k.body = std::move(body);
+  return folded;
+}
+
+std::size_t fold_radicals(Kernel& k) {
+  Defs defs;
+  std::unordered_map<std::string, Level> temp_level;
+  for (const auto& sa : k.body) {
+    if (sa.assign.lhs->kind() != Kind::Symbol) continue;
+    defs[sa.assign.lhs->name()] = sa.assign.rhs;
+    temp_level[sa.assign.lhs->name()] = sa.level;
+  }
+
+  // Every per-cell product of two or more mergeable radicals is a site.
+  // Sites whose radicals multiply to one radicand N·D^-1 form a group, and
+  // groups with one denominator D share its reciprocal.
+  ExprIndex radicands, dens, temps;
+  std::vector<Expr> numer;          // per group: N
+  std::vector<std::size_t> den_of;  // per group: D, or kNone
+  struct Site {
+    std::size_t group;
+    long inline_cost;                // dividers of the radicals written inline
+    std::vector<std::size_t> temps;  // radical temps it reads
+  };
+  std::vector<Site> sites;
+  std::unordered_map<const sym::Node*, std::size_t> group_at;
+  std::function<void(const Expr&)> scan = [&](const Expr& e) {
+    Expr a;
+    long h = 0;
+    if (radical(e, &a, &h)) return;
+    for (const auto& x : e->args()) scan(x);
+    if (e->kind() != Kind::Mul) return;
+    Site site{kNone, 0, {}};
+    std::vector<std::pair<Expr, long>> powers;  // radicand, summed h
+    std::size_t factors = 0;
+    for (const auto& f : e->args()) {
+      Radical r;
+      if (!radical_factor(f, defs, &r)) continue;
+      ++factors;
+      if (r.via) {
+        site.temps.push_back(temps.intern(r.via));
+      } else {
+        site.inline_cost += dividers(f);
+      }
+      auto it = std::find_if(powers.begin(), powers.end(), [&](const auto& p) {
+        return sym::equals(p.first, r.radicand);
+      });
+      if (it == powers.end()) {
+        powers.emplace_back(r.radicand, r.h);
+      } else {
+        it->second += r.h;
+      }
+    }
+    if (factors < 2) return;
+    std::vector<Expr> num, den;
+    for (const auto& [base, p] : powers) {
+      if (p > 0) num.push_back(sym::pow(base, p));
+      if (p < 0) den.push_back(sym::pow(base, -p));
+    }
+    if (num.empty() && den.empty()) return;
+    const Expr n = sym::mul(num);
+    const Expr d = den.empty() ? nullptr : sym::mul(den);
+    const std::size_t g =
+        radicands.intern(d ? sym::mul({n, sym::pow(d, -1)}) : n);
+    if (g == numer.size()) {
+      numer.push_back(n);
+      den_of.push_back(d ? dens.intern(d) : kNone);
+    }
+    site.group = g;
+    group_at[e.get()] = g;
+    sites.push_back(std::move(site));
+  };
+  for (const auto& sa : k.body) {
+    if (sa.level == Level::Body) scan(sa.assign.rhs);
+  }
+  const std::size_t ng = radicands.size();
+  if (ng == 0) return 0;
+
+  // Per-cell dividers that depend on the fold: radical temps still read,
+  // radicals written inline in unfolded sites, and one square root per
+  // folded group plus one division per denominator they use.
+  const auto per_cell = [&](const Expr& def, long cost) {
+    return level_of(def, k.dims, temp_level) == Level::Body ? cost : 0;
+  };
+  std::vector<long> root_cost(ng), den_cost(dens.size()), temp_cost;
+  for (std::size_t g = 0; g < ng; ++g) {
+    root_cost[g] = per_cell(radicands[g], 1 + dividers(numer[g]));
+  }
+  for (std::size_t d = 0; d < dens.size(); ++d) {
+    den_cost[d] = per_cell(dens[d], 1 + dividers(dens[d]));
+  }
+  std::unordered_map<std::string, std::size_t> temp_index;
+  for (std::size_t t = 0; t < temps.size(); ++t) {
+    const std::string& name = temps[t]->name();
+    temp_index.emplace(name, t);
+    temp_cost.push_back(
+        temp_level[name] == Level::Body ? dividers(defs[name]) : 0);
+  }
+  std::vector<std::size_t> uses(temps.size(), 0);
+  for (const auto& sa : k.body) {
+    sym::for_each(sa.assign.rhs, [&](const Expr& x) {
+      if (x->kind() != Kind::Symbol) return;
+      const auto it = temp_index.find(x->name());
+      if (it != temp_index.end()) ++uses[it->second];
+    });
+  }
+  const auto count = [&](const std::vector<char>& fold,
+                         std::vector<std::size_t>* freed) {
+    long d = 0;
+    freed->assign(temps.size(), 0);
+    std::vector<char> den_used(dens.size(), 0);
+    for (const Site& s : sites) {
+      if (fold[s.group] == 0) {
+        d += s.inline_cost;
+        continue;
+      }
+      for (const std::size_t t : s.temps) ++(*freed)[t];
+    }
+    for (std::size_t t = 0; t < temps.size(); ++t) {
+      if ((*freed)[t] < uses[t]) d += temp_cost[t];
+    }
+    for (std::size_t g = 0; g < ng; ++g) {
+      if (fold[g] == 0) continue;
+      d += root_cost[g];
+      if (den_of[g] != kNone) den_used[den_of[g]] = 1;
+    }
+    for (std::size_t i = 0; i < dens.size(); ++i) {
+      if (den_used[i] != 0) d += den_cost[i];
+    }
+    return d;
+  };
+  // Fold every group, then drop groups while that does not add dividers
+  // (a radical temp other statements still read stays alive).
+  std::vector<std::size_t> freed;
+  const long unfolded = count(std::vector<char>(ng, 0), &freed);
+  std::vector<char> fold(ng, 1);
+  long divs = count(fold, &freed);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t g = 0; g < ng; ++g) {
+      if (fold[g] == 0) continue;
+      fold[g] = 0;
+      const long d = count(fold, &freed);
+      if (d <= divs) {
+        divs = d;
+        changed = true;
+      } else {
+        fold[g] = 1;
+      }
+    }
+  }
+  if (divs >= unfolded) return 0;
+  count(fold, &freed);  // the reads each radical temp loses
+
+  // R_g = sqrt(N · r) with r = D^-1 a temp of its own, so every tier
+  // multiplies by the one reciprocal.
+  std::vector<Expr> root(ng), recip(dens.size());
+  std::unordered_map<std::string, std::size_t> root_group;
+  std::size_t folded = 0, reciprocals = 0;
+  for (std::size_t g = 0; g < ng; ++g) {
+    if (fold[g] == 0) continue;
+    root[g] = sym::symbol(k.name + "_sqrt_" + std::to_string(folded++));
+    root_group.emplace(root[g]->name(), g);
+    const std::size_t d = den_of[g];
+    if (d != kNone && !recip[d]) {
+      recip[d] =
+          sym::symbol(k.name + "_rden_" + std::to_string(reciprocals++));
+    }
+  }
+  std::function<Expr(const Expr&)> rewrite = [&](const Expr& e) -> Expr {
+    Expr a;
+    long h = 0;
+    if (e->arity() == 0 || radical(e, &a, &h)) return e;
+    std::vector<Expr> args;
+    bool changed = false;
+    for (const auto& x : e->args()) {
+      args.push_back(rewrite(x));
+      changed = changed || args.back().get() != x.get();
+    }
+    const auto it = group_at.find(e.get());
+    if (it != group_at.end() && fold[it->second] != 0) {
+      std::vector<Expr> rest{root[it->second]};
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        Radical r;
+        if (!radical_factor(e->arg(i), defs, &r)) rest.push_back(args[i]);
+      }
+      return sym::mul(std::move(rest));
+    }
+    return changed ? sym::with_args(e, std::move(args)) : e;
+  };
+
+  // Each root is defined just ahead of its first reader, after its
+  // reciprocal; a radical temp no statement reads any more goes.
+  std::vector<ScheduledAssignment> body;
+  body.reserve(k.body.size() + 2 * folded);
+  std::vector<char> defined(ng, 0), den_defined(dens.size(), 0);
+  const auto define = [&](const Expr& lhs, const Expr& def) {
+    const Level lvl = level_of(def, k.dims, temp_level);
+    temp_level[lhs->name()] = lvl;
+    body.push_back({{lhs, def}, lvl});
+  };
+  for (const auto& sa : k.body) {
+    if (sa.assign.lhs->kind() == Kind::Symbol) {
+      const auto it = temp_index.find(sa.assign.lhs->name());
+      if (it != temp_index.end() && freed[it->second] == uses[it->second]) {
+        continue;
+      }
+    }
+    ScheduledAssignment out = sa;
+    if (sa.level == Level::Body) out.assign.rhs = rewrite(sa.assign.rhs);
+    sym::for_each(out.assign.rhs, [&](const Expr& x) {
+      if (x->kind() != Kind::Symbol) return;
+      const auto it = root_group.find(x->name());
+      if (it == root_group.end() || defined[it->second] != 0) return;
+      const std::size_t g = it->second, d = den_of[g];
+      defined[g] = 1;
+      std::vector<Expr> radicand{numer[g]};
+      if (d != kNone) {
+        if (den_defined[d] == 0) {
+          den_defined[d] = 1;
+          define(recip[d], sym::pow(dens[d], -1));
+        }
+        radicand.push_back(recip[d]);
+      }
+      define(root[g], sym::sqrt_(sym::mul(std::move(radicand))));
+    });
     body.push_back(std::move(out));
   }
   k.body = std::move(body);

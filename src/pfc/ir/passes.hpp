@@ -1,5 +1,6 @@
 // IR-level optimization passes (paper §3.4–3.5): reciprocal folding of
-// repeated divisors and shared partial sums (both run by every lowering),
+// repeated divisors, merged radicals and shared partial sums (all run by
+// every lowering),
 // rematerialization of cheap CSE temporaries ("dupl"), modelled thread
 // fences ("fence"), dead-code elimination and runtime-parameter folding
 // (the §5.1 ablation of compile-time vs runtime model parameters).
@@ -29,6 +30,22 @@ struct RematOptions {
 /// back-end reads the folded IR, so all tiers round alike. Returns the
 /// number of bases folded.
 std::size_t fold_reciprocals(Kernel& k);
+
+/// Merges the radicals of a product into one square root: in every per-cell
+/// product, the factors sqrt(a), rsqrt(a), a^(k/2) (or temps defined as one,
+/// or integer powers of these) become one temp R = sqrt(N · r), where N
+/// multiplies the radicands of positive power and r = D^-1 is a reciprocal
+/// temp of those of negative power. So sqrt(u)·rsqrt(v)·rsqrt(w)^2 costs
+/// one sqrt and one division instead of three sqrts and two divisions.
+/// Products with one radicand share one R, and radicands with one D one r.
+/// A radical merges only when its radicand is max(e, c) with a numeric
+/// c >= 0 (c > 0 when it divides), so every merged radicand is
+/// non-negative and every divisor positive. A product is folded only when
+/// that lowers the kernel's per-cell dividers (sqrt plus division, an
+/// exact rsqrt counting one of each); a radical temp that other statements
+/// still read stays. Rounding moves by a few ulp, for every tier alike.
+/// Returns the number of roots R.
+std::size_t fold_radicals(Kernel& k);
 
 /// Builds a shared partial sum once instead of once per statement. Each
 /// per-cell statement's largest sum is a linear combination of terms; terms

@@ -106,17 +106,32 @@ TEST(GrandChemTest, MuUpdateReadsPhiDst) {
 
 TEST(GrandChemTest, AntiTrappingBringsSqrtAndRsqrt) {
   GrandChemModel m(make_p1(3));
-  ModelCompiler mc;
+  const fd::PdeUpdate pde = m.mu_update();
+  long sqrts = 0, rsqrts = 0;
+  for (const auto& r : pde.rhs) {
+    sym::for_each(r, [&](const sym::Expr& e) {
+      if (e->kind() != sym::Kind::Call) return;
+      sqrts += e->func() == sym::Func::Sqrt ? 1 : 0;
+      rsqrts += e->func() == sym::Func::RSqrt ? 1 : 0;
+    });
+  }
+  EXPECT_GT(sqrts, 0) << "sqrt(phi_a phi_l) terms expected";
+  EXPECT_GT(rsqrts, 0) << "gradient normals expected";
+
+  // The lowering merges each face's sqrt(φ_α φ_l)·rsqrt(|∇φ_l|²)·
+  // rsqrt(|∇φ_α|²)² into one sqrt and one division (ir::fold_radicals):
+  // 3 solid phases on 6 faces, plus the one reciprocal of the χ
+  // determinant.
   fd::DiscretizeOptions dopts;
   dopts.dims = 3;
   std::optional<FieldPtr> flux;
-  auto kernels = ModelCompiler::lower(m.mu_update(), dopts, CompileOptions{},
-                                      &flux);
+  auto kernels =
+      ModelCompiler::lower(pde, dopts, CompileOptions{}, &flux);
   ASSERT_EQ(kernels.size(), 1u);
   const auto ops = ir::count_ops(kernels[0]);
-  EXPECT_GT(ops.sqrts, 0) << "sqrt(phi_a phi_l) terms expected";
-  EXPECT_GT(ops.rsqrts, 0) << "gradient normals expected";
-  EXPECT_GT(ops.divs, 0);
+  EXPECT_EQ(ops.sqrts, 18);
+  EXPECT_EQ(ops.rsqrts, 0);
+  EXPECT_EQ(ops.divs, 19);
 }
 
 TEST(GrandChemTest, P2PhiKernelIsMuchHeavierThanP1) {

@@ -210,6 +210,58 @@ TEST_P(JitVsInterpreter, FoldedDivisorsAgreeBitwise) {
   EXPECT_EQ(app::interior_checksum(dst_jit), app::interior_checksum(dst_interp));
 }
 
+TEST_P(JitVsInterpreter, FoldedRadicalsAgreeBitwise) {
+  // Two stores read sqrt(max(ab, 0))·rsqrt(max(v, ε))·rsqrt(max(w, ε))², the
+  // shape of Eq. 10's anti-trapping term. Folded, every tier takes one sqrt
+  // of u·r with r = (v·w²)^-1 a temp of its own. Were the division written
+  // inline, the C body would divide u/(v·w²) where the interpreter
+  // multiplies u·(1/(v·w²)), and the checksums would part.
+  const int dims = GetParam() % 2 == 0 ? 2 : 3;
+  static int counter = 0;
+  const std::string suffix = std::to_string(counter++);
+  auto src = Field::create("qfold_src" + suffix, dims, 3);
+  auto dst = Field::create("qfold_dst" + suffix, dims, 2);
+  const Expr a = sym::at(src, 0), b = sym::at(src, 1), c = sym::at(src, 2);
+  const Expr gb = sym::shifted(b, 0, 1) - b, gc = c - sym::shifted(c, 0, -1);
+  const Expr rad =
+      sym::sqrt_(sym::max_(a * b, num(0.0))) *
+      sym::rsqrt(sym::max_(gb * gb + b * b, num(1e-9))) *
+      sym::pow(sym::rsqrt(sym::max_(gc * gc + a * a, num(1e-9))), 2);
+  fd::StencilKernel sk;
+  sk.name = "qfold" + suffix;
+  sk.assignments = {{sym::at(dst, 0), c * rad},
+                    {sym::at(dst, 1), (a - b) * rad}};
+  ir::BuildOptions bo;
+  bo.dims = dims;
+  ir::Kernel kernel = ir::build_kernel(sk, bo);
+  ir::fold_reciprocals(kernel);
+  ASSERT_EQ(ir::fold_radicals(kernel), 1u);
+
+  const std::array<long long, 3> n{21, 9, dims == 3 ? 6 : 1};
+  Array src_a(src, {n[0], n[1], n[2]}, 1);
+  fill_pattern(src_a);
+  const auto bind = [&](Array& out) {
+    Binding b;
+    b.arrays.resize(kernel.fields.size());
+    for (std::size_t i = 0; i < kernel.fields.size(); ++i) {
+      b.arrays[i] = kernel.fields[i]->id() == src->id() ? &src_a : &out;
+    }
+    return b;
+  };
+  Array dst_interp(dst, {n[0], n[1], n[2]}, 1);
+  InterpreterKernel(kernel).run(bind(dst_interp), n, 0.0, 0);
+  const std::uint64_t expected = app::interior_checksum(dst_interp);
+  for (const int width : {1, 8}) {
+    CEmitOptions eo;
+    eo.vector_width = width;
+    JitLibrary lib = JitLibrary::compile(emit_c(kernel, eo));
+    Array dst_jit(dst, {n[0], n[1], n[2]}, 1);
+    run_compiled(kernel, lib.get(entry_name(kernel)), bind(dst_jit), n, 0.0,
+                 0, nullptr, nullptr, width);
+    EXPECT_EQ(app::interior_checksum(dst_jit), expected) << "width " << width;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Cases, JitVsInterpreter, ::testing::Range(0, 4));
 
 TEST(JitTest, ThreadedMatchesSerial) {

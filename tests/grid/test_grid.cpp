@@ -1,6 +1,7 @@
 // Block forest, boundary fills, ghost exchange and in-process MPI tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <fstream>
@@ -322,6 +323,99 @@ TEST(GhostExchangeTest, BeginFinishMatchesExchange) {
           body(nullptr);
         } else {
           mpi::run(ranks, [&](mpi::Comm& comm) { body(&comm); });
+        }
+      }
+    }
+  }
+}
+
+TEST(GhostExchangeTest, EveryGhostMatchesReference) {
+  // After exchange() every ghost cell, corners included, holds the global
+  // pattern at the periodic image (periodic) or the clamped edge
+  // (zero-gradient) of its global coordinate, per axis: 2-D and 3-D,
+  // g = 1 and 2, one and four components, one self-neighbouring block and
+  // 2x2x1 / 2x1x2 forests on one and two ranks.
+  constexpr double kSentinel = -777.0;
+  struct Layout {
+    std::array<int, 3> blocks;
+    int ranks;
+  };
+  const Layout layouts[] = {{{1, 1, 1}, 1}, {{2, 2, 1}, 1}, {{2, 2, 1}, 2},
+                            {{2, 1, 2}, 1}, {{2, 1, 2}, 2}};
+  for (int dims : {2, 3}) {
+    for (int g : {1, 2}) {
+      for (int comps : {1, 4}) {
+        for (BoundaryKind kind :
+             {BoundaryKind::Periodic, BoundaryKind::ZeroGradient}) {
+          for (const Layout& lay : layouts) {
+            if (dims == 2 && lay.blocks[2] > 1) continue;
+            SCOPED_TRACE("dims " + std::to_string(dims) + ", g " +
+                         std::to_string(g) + ", comps " +
+                         std::to_string(comps) + ", " +
+                         std::string(support::enum_name(kind)) + ", blocks " +
+                         std::to_string(lay.blocks[0]) +
+                         std::to_string(lay.blocks[1]) +
+                         std::to_string(lay.blocks[2]) + ", ranks " +
+                         std::to_string(lay.ranks));
+            const auto body = [&](mpi::Comm* comm) {
+              const int rank = comm != nullptr ? comm->rank() : 0;
+              const std::array<long long, 3> block{5, 4, dims == 3 ? 3 : 1};
+              std::array<long long, 3> cells{};
+              for (int d = 0; d < 3; ++d) {
+                cells[std::size_t(d)] =
+                    block[std::size_t(d)] * lay.blocks[std::size_t(d)];
+              }
+              BlockForest f(cells, lay.blocks, lay.ranks, dims, kind);
+              auto fld = Field::create("ref", dims, comps);
+              std::vector<std::unique_ptr<Array>> arrays;
+              std::vector<LocalBlockField> view;
+              for (const Block* b : f.blocks_of_rank(rank)) {
+                arrays.push_back(std::make_unique<Array>(
+                    fld, std::array<std::int64_t, 3>{block[0], block[1],
+                                                     block[2]},
+                    g));
+                arrays.back()->fill(kSentinel);
+                fill_global(*arrays.back(), *b, global_pattern);
+                view.push_back({b, arrays.back().get()});
+              }
+              GhostExchange ex(f, comm, comps, g);
+              ex.exchange(view, 0);
+
+              // the global cell a ghost shows along one axis
+              const auto image = [&](long long v, int d) {
+                const long long n = cells[std::size_t(d)];
+                if (kind == BoundaryKind::Periodic) return ((v % n) + n) % n;
+                return std::clamp(v, 0LL, n - 1);
+              };
+              long long mismatches = 0;
+              for (const auto& lf : view) {
+                const Block& b = *lf.block;
+                const Array& a = *lf.array;
+                const long long gz = dims == 3 ? g : 0;
+                for (int c = 0; c < comps; ++c) {
+                  for (long long z = -gz; z < block[2] + gz; ++z) {
+                    for (long long y = -g; y < block[1] + g; ++y) {
+                      for (long long x = -g; x < block[0] + g; ++x) {
+                        const double want = global_pattern(
+                            image(x + b.offset[0], 0),
+                            image(y + b.offset[1], 1),
+                            image(z + b.offset[2], 2), c);
+                        if (bits(a.at(x, y, z, c)) != bits(want)) {
+                          ++mismatches;
+                        }
+                      }
+                    }
+                  }
+                }
+              }
+              EXPECT_EQ(mismatches, 0) << "rank " << rank;
+            };
+            if (lay.ranks == 1) {
+              body(nullptr);
+            } else {
+              mpi::run(lay.ranks, [&](mpi::Comm& comm) { body(&comm); });
+            }
+          }
         }
       }
     }

@@ -318,20 +318,23 @@ struct DivisionRow {
   bool p2, phi, split;
   int dims;
   long before, after;  // per-cell divisions summed over the kernels
+  long lowered;        // after every lowering pass (ir::fold_radicals too)
 };
 
 /// Divisions per cell of every Table 1 kernel (3-D) and of the 2-D P2 φ
-/// the dendrite runs, before and after the fold.
+/// the dendrite runs, before and after the fold. The µ kernels' lowering
+/// adds one division per merged radical group (ir::fold_radicals) and
+/// drops their exact rsqrts, each a division of its own.
 const DivisionRow kDivisionRows[] = {
-    {"P1 mu full", false, false, false, 3, 4, 1},
-    {"P1 mu split", false, false, true, 3, 4, 1},
-    {"P1 phi full", false, true, false, 3, 9, 3},
-    {"P1 phi split", false, true, true, 3, 9, 3},
-    {"P2 mu full", true, false, false, 3, 1, 1},
-    {"P2 mu split", true, false, true, 3, 1, 1},
-    {"P2 phi full", true, true, false, 3, 119, 17},
-    {"P2 phi split", true, true, true, 3, 59, 11},
-    {"P2 phi full 2-D", true, true, false, 2, 87, 13},
+    {"P1 mu full", false, false, false, 3, 4, 1, 19},
+    {"P1 mu split", false, false, true, 3, 4, 1, 10},
+    {"P1 phi full", false, true, false, 3, 9, 3, 3},
+    {"P1 phi split", false, true, true, 3, 9, 3, 3},
+    {"P2 mu full", true, false, false, 3, 1, 1, 13},
+    {"P2 mu split", true, false, true, 3, 1, 1, 7},
+    {"P2 phi full", true, true, false, 3, 119, 17, 17},
+    {"P2 phi split", true, true, true, 3, 59, 11, 11},
+    {"P2 phi full 2-D", true, true, false, 2, 87, 13, 13},
 };
 
 fd::PdeUpdate model_update(const DivisionRow& row,
@@ -372,21 +375,24 @@ TEST(ReciprocalFold, Table1DivisionCounts) {
          app::ModelCompiler::lower(pde, d, app::CompileOptions{}, &flux)) {
       lowered += count_ops(k).divs;
     }
-    EXPECT_EQ(lowered, row.after) << row.label;
+    EXPECT_EQ(lowered, row.lowered) << row.label;
   }
 }
 
 TEST(ReciprocalFold, RematerializeLeavesAReciprocalAlone) {
-  // P1 µ-full divides by one denominator in four places; "dupl" inlines
-  // temps of cost <= 3 with <= 4 uses, which would put the four divisions
-  // back.
+  // P1 µ-full divides by one denominator in four places, and each of its 18
+  // merged radical groups is one sqrt of a product with a reciprocal;
+  // "dupl" inlines temps of cost <= 3 with <= 4 uses, which would put
+  // divisions or square roots back.
   fd::DiscretizeOptions d;
   const fd::PdeUpdate pde = model_update(kDivisionRows[0], &d);
   std::optional<FieldPtr> flux;
   auto kernels = app::ModelCompiler::lower(pde, d, app::CompileOptions{}, &flux);
   ASSERT_EQ(kernels.size(), 1u);
   Kernel& k = kernels[0];
-  ASSERT_EQ(count_ops(k).divs, 1);
+  const OpCounts before = count_ops(k);
+  ASSERT_EQ(before.divs, 19);
+  ASSERT_EQ(before.sqrts, 18);
   std::size_t reciprocals = 0;
   for (const auto& sa : k.body) {
     long n = 0;
@@ -396,9 +402,178 @@ TEST(ReciprocalFold, RematerializeLeavesAReciprocalAlone) {
       ++reciprocals;
     }
   }
-  ASSERT_EQ(reciprocals, 1u);
+  ASSERT_EQ(reciprocals, 19u);
   rematerialize(k);
-  EXPECT_EQ(count_ops(k).divs, 1);
+  const OpCounts after = count_ops(k);
+  EXPECT_EQ(after.divs, before.divs);
+  EXPECT_EQ(after.sqrts, before.sqrts);
+  EXPECT_EQ(after.rsqrts, 0);
+}
+
+/// Per-cell divider instructions as emitted: sqrt plus division, an exact
+/// rsqrt being one of each.
+long dividers(const OpCounts& c) { return c.sqrts + c.divs + 2 * c.rsqrts; }
+
+/// Field values for evaluate_stores: component c of `src` reads 0.2 + 0.3c.
+sym::EvalContext radical_context() {
+  sym::EvalContext ctx;
+  ctx.field_value = [](const Expr& fr) { return 0.2 + 0.3 * fr->component(); };
+  return ctx;
+}
+
+void expect_close(const std::vector<double>& after,
+                  const std::vector<double>& before) {
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_NEAR(after[i], before[i], 1e-15 * std::abs(before[i]));
+  }
+}
+
+TEST(RadicalFold, AntiTrappingProductIsOneSqrtAndOneDivision) {
+  // sqrt(u)·rsqrt(v)·rsqrt(w)², as Eq. 10 writes each anti-trapping term,
+  // read by two statements: one root R = sqrt(u·r) with r = (v·w²)^-1
+  // replaces the three radical temps.
+  auto src = Field::create("qa_src", 3, 3);
+  auto dst = Field::create("qa_dst", 3, 2);
+  const Expr a = sym::at(src, 0), b = sym::at(src, 1), c = sym::at(src, 2);
+  const Expr s = sym::symbol("qa_s"), n_l = sym::symbol("qa_nl"),
+             n_a = sym::symbol("qa_na");
+  Kernel k;
+  k.name = "qa";
+  k.body = {stmt(s, sym::sqrt_(sym::max_(a * b, num(0.0)))),
+            stmt(n_l, sym::rsqrt(sym::max_(b * b + c * c, num(1e-9)))),
+            stmt(n_a, sym::rsqrt(sym::max_(a * a + c * c, num(1e-9)))),
+            stmt(sym::at(dst, 0), c * s * n_l * sym::pow(n_a, 2)),
+            stmt(sym::at(dst, 1), 2.0 * a * s * n_l * sym::pow(n_a, 2))};
+  const OpCounts before = count_ops(k);
+  ASSERT_EQ(dividers(before), 5);
+  const auto values = evaluate_stores(k, radical_context());
+
+  EXPECT_EQ(fold_radicals(k), 1u);
+  const OpCounts after = count_ops(k);
+  EXPECT_EQ(after.sqrts, 1);
+  EXPECT_EQ(after.rsqrts, 0);
+  EXPECT_EQ(after.divs, 1);
+  ASSERT_EQ(k.num_temps(), 2u) << "R and its reciprocal";
+  EXPECT_EQ(k.body[0].assign.rhs->kind(), sym::Kind::Pow);
+  EXPECT_EQ(k.body[1].assign.rhs->func(), sym::Func::Sqrt);
+  for (const auto& sa : k.body) EXPECT_EQ(sa.level, Level::Body);
+  expect_close(evaluate_stores(k, radical_context()), values);
+}
+
+TEST(RadicalFold, UnguardedRadicandStays) {
+  // sqrt(a)·rsqrt(b) is not sqrt(a/b) when a < 0, and rsqrt(max(e, 0))
+  // may divide by zero: only max(e, c) with c >= 0 (c > 0 under a
+  // reciprocal root) merges.
+  auto src = Field::create("qu_src", 3, 3);
+  auto dst = Field::create("qu_dst", 3, 2);
+  const Expr a = sym::at(src, 0), b = sym::at(src, 1), c = sym::at(src, 2);
+  const Expr guarded = sym::rsqrt(sym::max_(b * b + c * c, num(1e-9)));
+  Kernel k;
+  k.name = "qu";
+  k.body = {stmt(sym::at(dst, 0), c * sym::sqrt_(a - b) * guarded),
+            stmt(sym::at(dst, 1), c * sym::sqrt_(sym::max_(a, num(0.0))) *
+                                      sym::rsqrt(sym::max_(b, num(0.0))))};
+  const std::vector<ScheduledAssignment> body = k.body;
+  EXPECT_EQ(fold_radicals(k), 0u);
+  ASSERT_EQ(k.body.size(), body.size());
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    EXPECT_TRUE(sym::equals(k.body[i].assign.rhs, body[i].assign.rhs));
+  }
+}
+
+TEST(RadicalFold, RadicalThatOtherStatementsReadStays) {
+  // Both radicals are still read outside the product, so merging them
+  // would add a sqrt and a division and remove neither.
+  auto src = Field::create("ql_src", 3, 3);
+  auto dst = Field::create("ql_dst", 3, 2);
+  const Expr a = sym::at(src, 0), b = sym::at(src, 1), c = sym::at(src, 2);
+  const Expr s = sym::symbol("ql_s"), n = sym::symbol("ql_n");
+  Kernel k;
+  k.name = "ql";
+  k.body = {stmt(s, sym::sqrt_(sym::max_(a * b, num(0.0)))),
+            stmt(n, sym::rsqrt(sym::max_(b * b + c * c, num(1e-9)))),
+            stmt(sym::at(dst, 0), c * s * n),
+            stmt(sym::at(dst, 1), a * s + b * n)};
+  const long before = dividers(count_ops(k));
+  const std::size_t size = k.body.size();
+  EXPECT_EQ(fold_radicals(k), 0u);
+  EXPECT_EQ(k.body.size(), size);
+  EXPECT_EQ(dividers(count_ops(k)), before);
+}
+
+TEST(RadicalFold, HalfPowersFoldLikeTheCalls) {
+  auto src = Field::create("qp_src", 3, 3);
+  auto dst = Field::create("qp_dst", 3, 1);
+  const Expr a = sym::at(src, 0), b = sym::at(src, 1), c = sym::at(src, 2);
+  Kernel k;
+  k.name = "qp";
+  k.body = {stmt(sym::at(dst, 0),
+                 c * sym::pow(sym::max_(a * b, num(0.0)), num(0.5)) *
+                     sym::pow(sym::max_(b * b + c * c, num(1e-9)), num(-0.5)))};
+  const OpCounts before = count_ops(k);
+  ASSERT_EQ(before.sqrts, 1);
+  ASSERT_EQ(before.rsqrts, 1);
+  const auto values = evaluate_stores(k, radical_context());
+
+  EXPECT_EQ(fold_radicals(k), 1u);
+  const OpCounts after = count_ops(k);
+  EXPECT_EQ(after.sqrts, 1);
+  EXPECT_EQ(after.rsqrts, 0);
+  EXPECT_EQ(after.divs, 1);
+  expect_close(evaluate_stores(k, radical_context()), values);
+}
+
+TEST(RadicalFold, LoweredMuKernelsDivideOncePerRadicalGroup) {
+  // Per kernel: sqrts, rsqrts and divisions before the fold (after
+  // fold_reciprocals), then sqrts and divisions as lowered. The φ kernels
+  // have no radicals.
+  struct Row {
+    const char* label;
+    bool p2, split;
+    int dims;
+    const char* kernel;
+    long sqrts, rsqrts, divs_before, divs_after;
+  };
+  const Row rows[] = {
+      {"P1 mu full 3-D", false, false, 3, "mu-full", 18, 24, 1, 19},
+      {"P2 mu full 2-D", true, false, 2, "mu-full", 8, 12, 1, 9},
+      {"P1 mu split 3-D", false, true, 3, "mu-split-stag0", 3, 4, 0, 3},
+      {"P1 mu split 3-D", false, true, 3, "mu-split-stag1", 3, 4, 0, 3},
+      {"P1 mu split 3-D", false, true, 3, "mu-split-stag2", 3, 4, 0, 3},
+      {"P1 mu split 3-D", false, true, 3, "mu-split-main", 0, 0, 1, 1},
+  };
+  for (const Row& row : rows) {
+    const DivisionRow spec{row.label, row.p2, false, row.split, row.dims,
+                           0, 0, 0};
+    fd::DiscretizeOptions d;
+    const fd::PdeUpdate pde = model_update(spec, &d);
+    BuildOptions bo;
+    bo.dims = row.dims;
+    bool found = false;
+    for (const auto& sk : fd::discretize(pde, d).kernels) {
+      if (sk.name != row.kernel) continue;
+      found = true;
+      Kernel k = build_kernel(sk, bo);
+      fold_reciprocals(k);
+      const OpCounts c = count_ops(k);
+      EXPECT_EQ(c.sqrts, row.sqrts) << row.kernel;
+      EXPECT_EQ(c.rsqrts, row.rsqrts) << row.kernel;
+      EXPECT_EQ(c.divs, row.divs_before) << row.kernel;
+    }
+    ASSERT_TRUE(found) << row.label << " " << row.kernel;
+    std::optional<FieldPtr> flux;
+    for (const auto& k :
+         app::ModelCompiler::lower(pde, d, app::CompileOptions{}, &flux)) {
+      if (k.name != row.kernel) continue;
+      const OpCounts c = count_ops(k);
+      EXPECT_EQ(c.sqrts, row.sqrts) << row.label << " " << k.name;
+      EXPECT_EQ(c.rsqrts, 0) << row.label << " " << k.name;
+      EXPECT_EQ(c.divs, row.divs_after) << row.label << " " << k.name;
+      EXPECT_EQ(dividers(c), row.sqrts + row.divs_after);
+      EXPECT_LE(dividers(c), row.sqrts + 2 * row.rsqrts + row.divs_before);
+    }
+  }
 }
 
 TEST(SharedSums, ProjectedUpdateSumsEachPhaseOnce) {

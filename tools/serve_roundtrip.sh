@@ -102,19 +102,31 @@ SOCKET2="$WORKDIR/serve2.sock"
 "$SERVED" --socket="$SOCKET2" --workers=1 --drain-seconds=2 \
   --log-file="$WORKDIR/served2.log" --log-level=info &
 SERVED2_PID=$!
+# Until the SIGTERM check has reaped it, every exit stops this daemon too:
+# a stray daemon keeps ctest's output pipe open, and ctest waits on it.
+trap 'kill -KILL "$SERVED2_PID" 2>/dev/null; wait "$SERVED2_PID" 2>/dev/null' EXIT
 for _ in $(seq 1 100); do
   [ -S "$SOCKET2" ] && break
   sleep 0.1
 done
 if ! [ -S "$SOCKET2" ]; then
   echo "serve_roundtrip: second daemon never bound $SOCKET2" >&2
-  kill "$SERVED2_PID" 2>/dev/null
   exit 1
 fi
 "$SERVECTL" --socket="$SOCKET2" ping >/dev/null || exit 1
 kill -TERM "$SERVED2_PID"
+# A drain that never ends fails the test instead of hanging it.
+for _ in $(seq 1 200); do
+  kill -0 "$SERVED2_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$SERVED2_PID" 2>/dev/null; then
+  echo "serve_roundtrip: daemon still running 20 s after SIGTERM" >&2
+  exit 1
+fi
 wait "$SERVED2_PID"
 SIGTERM_STATUS=$?
+trap - EXIT
 if [ "$SIGTERM_STATUS" -ne 0 ]; then
   echo "serve_roundtrip: SIGTERM shutdown exited $SIGTERM_STATUS (want 0)" >&2
   exit 1
