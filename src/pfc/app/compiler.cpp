@@ -75,6 +75,13 @@ void compile_jit_tier(const std::vector<const ir::Kernel*>& kernels,
   }
 }
 
+/// Per-cell divider instructions (sqrt plus division, an exact rsqrt one
+/// of each): the cost ir::fold_radicals lowers.
+long dividers(const ir::Kernel& k) {
+  const ir::OpCounts c = ir::count_ops(k);
+  return c.sqrts + c.divs + 2 * c.rsqrts;
+}
+
 }  // namespace
 
 void CompiledKernel::run(const backend::Binding& b,
@@ -82,16 +89,36 @@ void CompiledKernel::run(const backend::Binding& b,
                          long long t_step, ThreadPool* pool,
                          obs::TraceRecorder* tracer,
                          const backend::CellRange* range,
-                         const SlabPlan* plan) const {
-  if (fn_ != nullptr) {
-    backend::run_compiled(ir, fn_, b, n, t, t_step, pool, tracer,
-                          vector_width_, range, plan, &reads_);
-  } else {
-    PFC_ASSERT(interp_ != nullptr, "CompiledKernel has no backend");
-    // Interpreter slabs carry no per-thread spans; the driver's kernel span
-    // still covers the launch.
-    interp_->run(b, n, t, t_step, pool, range);
+                         const SlabPlan* plan, long long tile_rows) const {
+  PFC_ASSERT(!fns_.empty() || !interps_.empty(),
+             "CompiledKernel has no backend");
+  if (face_once_.empty()) {
+    if (!fns_.empty()) {
+      backend::run_compiled(ir, fns_.front(), b, n, t, t_step, pool, tracer,
+                            vector_width_, range, plan, &reads_);
+    } else {
+      // Interpreter slabs carry no per-thread spans; the driver's kernel
+      // span still covers the launch.
+      interps_.front()->run(b, n, t, t_step, pool, range, plan);
+    }
+    return;
   }
+  const backend::PassFn pass =
+      !fns_.empty()
+          ? backend::PassFn([&](std::size_t i, const backend::RawArgs& raw,
+                                const double* params,
+                                const backend::CellRange& box) {
+              fns_[i](raw.fields.data(), raw.strides.data(), raw.n.data(),
+                      raw.block_off.data(), box.lo.data(), box.hi.data(), t,
+                      t_step, params);
+            })
+          : backend::PassFn([&](std::size_t i, const backend::RawArgs& raw,
+                                const double* params,
+                                const backend::CellRange& box) {
+              interps_[i]->run_box(raw, params, box, t, t_step);
+            });
+  backend::run_face_once(ir, face_once_, pass, b, n, t_step, pool, tracer,
+                         range, plan, &reads_, tile_rows);
 }
 
 std::vector<ir::Kernel> ModelCompiler::lower(
@@ -147,37 +174,57 @@ CompiledModel ModelCompiler::compile_updates(
               "compile_updates expects [phi] or [phi, mu] updates");
   CompiledModel out;
 
-  std::vector<std::vector<ir::Kernel>> groups;
   for (std::size_t i = 0; i < pdes.size(); ++i) {
     fd::DiscretizeOptions d = dopts;
     d.split_staggered = i == 0 ? opts_.split_phi : opts_.split_mu;
     d.clamp_unit_interval = i == 0 && opts_.clamp_phi;
     d.renormalize_simplex = d.clamp_unit_interval;
     std::optional<FieldPtr> flux;
-    groups.push_back(lower(pdes[i], d, opts_, &flux, &out.report_));
-    (i == 0 ? out.phi_flux_field : out.mu_flux_field) = flux;
-  }
-
-  const auto attach = [&](const std::vector<ir::Kernel>& ks,
-                          std::vector<CompiledKernel>& dst) {
-    for (const auto& k : ks) {
+    std::vector<CompiledKernel>& dst =
+        i == 0 ? out.phi_kernels : out.mu_kernels;
+    for (ir::Kernel& k : lower(pdes[i], d, opts_, &flux, &out.report_)) {
       CompiledKernel ck;
-      ck.ir = k;
-      ck.reads_ = backend::read_offset_ranges(k);
+      ck.ir = std::move(k);
+      ck.reads_ = backend::read_offset_ranges(ck.ir);
       dst.push_back(std::move(ck));
     }
-  };
-  attach(groups[0], out.phi_kernels);
-  if (groups.size() > 1) attach(groups[1], out.mu_kernels);
+    (i == 0 ? out.phi_flux_field : out.mu_flux_field) = flux;
+    if (d.split_staggered) continue;
 
-  // Flatten the kernels in execution order (φ group, then µ group) — the
-  // shape every tier compiles against.
+    // The full kernel runs its split form face-once when that form has
+    // fewer per-cell dividers. Its lowering times count as the stages they
+    // are; its op counts and names stay out of the report.
+    d.split_staggered = true;
+    obs::CompileReport split_report;
+    std::vector<ir::Kernel> split =
+        lower(pdes[i], d, opts_, &flux, &split_report);
+    for (const auto& [stage, t] : split_report.stage_timers) {
+      out.report_.add_stage(stage, t.seconds);
+    }
+    long long split_dividers = 0;
+    for (const ir::Kernel& k : split) split_dividers += dividers(k);
+    CompiledKernel& full = dst.front();
+    if (flux && split_dividers < dividers(full.ir)) {
+      full.face_once_ = backend::make_face_once(full.ir, std::move(split),
+                                                *flux);
+    }
+  }
+
+  // Flatten the bodies the kernels run in execution order (φ group, then
+  // µ group; a face-once kernel's passes in place of its own) — the shape
+  // every tier compiles against.
   std::vector<const ir::Kernel*> kernel_ptrs;
   std::vector<CompiledKernel*> flat;
   for (auto* group : {&out.phi_kernels, &out.mu_kernels}) {
     for (auto& ck : *group) {
-      kernel_ptrs.push_back(&ck.ir);
-      flat.push_back(&ck);
+      if (ck.face_once_.empty()) {
+        kernel_ptrs.push_back(&ck.ir);
+        flat.push_back(&ck);
+      }
+      for (const ir::Kernel& pass : ck.face_once_.passes) {
+        kernel_ptrs.push_back(&pass);
+        flat.push_back(&ck);
+      }
     }
   }
 
@@ -266,21 +313,22 @@ CompiledModel ModelCompiler::compile_updates(
     }
     out.library_ = art.lib.library;
     for (std::size_t i = 0; i < flat.size(); ++i) {
-      flat[i]->vector_width_ = art.widths[i];
-      flat[i]->fn_ = art.fns[i];
+      flat[i]->vector_width_ = art.widths[i];  // face-once: the cell pass's
+      flat[i]->fns_.push_back(art.fns[i]);
     }
     return out;
   }
 
   // The last rung cannot fail. The interpreter evaluates the IR cell by
   // cell; width stays 1 and the per-cell cost equals the post-optimization
-  // scalar op count.
+  // scalar op count of the bodies it runs.
   out.report_.backend_tier = support::enum_name(BackendTier::Interpreter);
   out.report_.vector_width = 1;
-  for (CompiledKernel* ck : flat) {
-    ck->interp_ = std::make_shared<backend::InterpreterKernel>(ck->ir);
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    flat[i]->interps_.push_back(
+        std::make_shared<backend::InterpreterKernel>(*kernel_ptrs[i]));
     out.report_.ops_per_cell_widened +=
-        double(ir::count_ops(ck->ir).normalized_flops());
+        double(ir::count_ops(*kernel_ptrs[i]).normalized_flops());
   }
   return out;
 }

@@ -28,8 +28,10 @@ using obs::TuneMode;
 
 struct CompileOptions {
   Backend backend = Backend::Jit;
-  /// Split staggered-flux precompute kernels ("φ-split"/"µ-split") instead
-  /// of recompute-on-both-sides ("φ-full"/"µ-full").
+  /// Split staggered-flux precompute kernels ("φ-split"/"µ-split") into a
+  /// whole-block flux array instead of one full kernel ("φ-full"/"µ-full").
+  /// A full kernel whose split form divides less runs that form face-once,
+  /// in a per-thread window (DESIGN.md §5d).
   bool split_phi = false;
   bool split_mu = false;
   bool fast_math = false;   ///< approximate div/sqrt/rsqrt (paper §3.5)
@@ -76,30 +78,41 @@ struct CompileOptions {
 /// One executable kernel: the optimized IR plus a backend handle.
 class CompiledKernel {
  public:
+  /// The kernel's contract (name, fields, reads, writes, extent and entry
+  /// ABI) and its recompute form, which op counts, the ECM and GPU models
+  /// and the CUDA emitter read. A face-once kernel runs face_once()'s
+  /// passes instead of this body.
   ir::Kernel ir;
 
   /// `range` restricts the sweep to a sub-box (nullptr = full box); the
   /// driver uses it for its frontier and interior sweeps.
-  /// `plan` selects static slab ownership (see backend::run_compiled);
-  /// the interpreter backend ignores it (fallback path, dynamic split).
+  /// `plan` selects static slab ownership (see backend::run_compiled).
+  /// `tile_rows` is a face-once kernel's tile height T (see
+  /// backend::run_face_once; <= 0 sizes it to the per-core L2).
   void run(const backend::Binding& b, const std::array<long long, 3>& n,
            double t, long long t_step, ThreadPool* pool = nullptr,
            obs::TraceRecorder* tracer = nullptr,
            const backend::CellRange* range = nullptr,
-           const SlabPlan* plan = nullptr) const;
+           const SlabPlan* plan = nullptr, long long tile_rows = 0) const;
 
-  /// SIMD width the kernel's code was emitted with (1 = scalar).
+  /// SIMD width the kernel's code was emitted with (1 = scalar); the cell
+  /// pass's for a face-once kernel.
   int vector_width() const { return vector_width_; }
 
   /// backend::read_offset_ranges(ir), computed once when the compiler
   /// attaches the kernel; every launch validates its binding against it.
   const backend::ReadRanges& reads() const { return reads_; }
 
+  /// The passes this kernel runs face-once; empty when it runs `ir`.
+  const backend::FaceOnce& face_once() const { return face_once_; }
+
  private:
   friend class ModelCompiler;
   backend::ReadRanges reads_;
-  backend::KernelFn fn_ = nullptr;  // JIT entry (library owned by model)
-  std::shared_ptr<backend::InterpreterKernel> interp_;
+  backend::FaceOnce face_once_;
+  /// One backend handle per body it runs: `ir`, or each face-once pass.
+  std::vector<backend::KernelFn> fns_;  // JIT entries (library owned by model)
+  std::vector<std::shared_ptr<backend::InterpreterKernel>> interps_;
   int vector_width_ = 1;
 };
 
@@ -116,7 +129,8 @@ class CompiledModel {
   /// cache directory was configured.
   const obs::CompileReport& compile_report() const { return report_; }
 
-  /// The generated C translation unit (empty for interpreter backend).
+  /// The generated C translation unit (empty for interpreter backend): a
+  /// face-once kernel's passes in place of its recompute body.
   const std::string& generated_source() const { return source_; }
 
  private:

@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <limits>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "pfc/perf/drift.hpp"
 #include "pfc/support/timer.hpp"
 
@@ -123,6 +127,12 @@ Simulation::Simulation(GrandChemModel model, const SimulationOptions& opts,
                 std::max(model_.phi_src()->components(),
                          model_.mu_src()->components())),
       health_(opts.health) {
+#if defined(__GLIBC__)
+  // The compile's freed symbolic state lies between the kernels it keeps,
+  // so the blocks' arrays cannot reuse it and its pages would stay
+  // resident beside them for the whole run: hand them back first.
+  malloc_trim(0);
+#endif
   const int rank = comm != nullptr ? comm->rank() : 0;
   for (const grid::Block* b : forest_.blocks_of_rank(rank)) {
     const std::array<std::int64_t, 3> n{b->size[0], b->size[1], b->size[2]};
@@ -151,13 +161,20 @@ Simulation::Simulation(GrandChemModel model, const SimulationOptions& opts,
                       t.seconds);
     }
   }
-  // cache ECM predictions once: block geometry and threads are fixed
-  std::vector<const ir::Kernel*> kernels;
-  for (const auto& ck : compiled_.phi_kernels) kernels.push_back(&ck.ir);
-  for (const auto& ck : compiled_.mu_kernels) kernels.push_back(&ck.ir);
-  predicted_mlups_ = perf::predicted_mlups_by_kernel(
-      kernels, forest_.blocks().front().size, opts.machine, opts.threads,
-      compiled_.compile_report().vector_width);
+  // Cache ECM predictions once (block geometry and threads are fixed),
+  // each of the code that runs: a face-once kernel is its passes' times.
+  for (const auto* group : {&compiled_.phi_kernels, &compiled_.mu_kernels}) {
+    for (const CompiledKernel& ck : *group) {
+      std::vector<const ir::Kernel*> chain{&ck.ir};
+      if (!ck.face_once().empty()) chain.clear();
+      for (const ir::Kernel& pass : ck.face_once().passes) {
+        chain.push_back(&pass);
+      }
+      predicted_mlups_[ck.ir.name] = perf::predicted_chain_mlups(
+          chain, forest_.blocks().front().size, opts.machine, opts.threads,
+          compiled_.compile_report().vector_width);
+    }
+  }
   topology_ = support::Topology::detect();
 
   dt_current_ = model_.params().dt;

@@ -5,7 +5,7 @@
 #include "pfc/backend/c_emitter.hpp"
 #include "pfc/backend/jit.hpp"
 #include "pfc/backend/kernel_cache.hpp"
-#include "pfc/perf/ecm.hpp"
+#include "pfc/perf/drift.hpp"
 #include "pfc/support/sha256.hpp"
 
 namespace pfc::app {
@@ -46,23 +46,6 @@ std::vector<ir::Kernel> lower_model(const GrandChemModel& model,
     for (auto& k : ks) out.push_back(std::move(k));
   }
   return out;
-}
-
-/// ECM-predicted MLUPS of the whole kernel chain: per-update times add, so
-/// the chain rate is the harmonic combination of the per-kernel rates.
-double chain_mlups(const std::vector<ir::Kernel>& kernels,
-                   const std::array<long long, 3>& block,
-                   const perf::MachineModel& m, int cores, int width) {
-  double seconds_per_update = 0.0;
-  for (const ir::Kernel& k : kernels) {
-    const double mlups =
-        perf::ecm_predict(k, block, m, perf::TrafficSource::LayerCondition,
-                          width)
-            .mlups(m, cores);
-    if (mlups <= 0.0) return 0.0;
-    seconds_per_update += 1.0 / mlups;
-  }
-  return seconds_per_update > 0.0 ? 1.0 / seconds_per_update : 0.0;
 }
 
 }  // namespace
@@ -168,15 +151,21 @@ obs::TuningStats autotune_apply(const GrandChemModel& model,
 
   // ECM prior: the per-split kernel sets are lowered once; driver placement
   // knobs (dispatch/pin/blocking) are invisible to the analytic model, so
-  // candidates differing only there tie and keep enumeration order.
+  // candidates differing only there tie and keep enumeration order. A
+  // split=0 candidate is priced as its recompute kernels, including those
+  // that run face-once.
   const std::vector<ir::Kernel> full_kernels =
       lower_model(model, opts.compile, /*split=*/false);
   const std::vector<ir::Kernel> split_kernels =
       lower_model(model, opts.compile, /*split=*/true);
   const int cores = std::max(1, std::min(opts.threads, opts.machine.cores));
   const perf::PriorFn prior = [&](const perf::TuneCandidate& c) {
-    return chain_mlups(c.split ? split_kernels : full_kernels, opts.cells,
-                       opts.machine, cores, c.vector_width);
+    std::vector<const ir::Kernel*> chain;
+    for (const ir::Kernel& k : c.split ? split_kernels : full_kernels) {
+      chain.push_back(&k);
+    }
+    return perf::predicted_chain_mlups(chain, opts.cells, opts.machine,
+                                       cores, c.vector_width);
   };
 
   // Ground truth: a short Simulation on a capped version of the job's own

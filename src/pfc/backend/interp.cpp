@@ -235,14 +235,27 @@ double powi(double b, long n) {
 void InterpreterKernel::run(const Binding& b,
                             const std::array<long long, 3>& n, double t,
                             long long t_step, ThreadPool* pool,
-                            const CellRange* range) const {
+                            const CellRange* range,
+                            const SlabPlan* plan) const {
   const RawArgs raw = marshal(kernel_, b, n, &reads_);
   const CellRange box = range != nullptr ? *range : full_range(kernel_, n);
   if (box.cells() == 0) return;
-  const int dims = kernel_.dims;
-  const int outer = dims - 1;
+  const auto outer = std::size_t(kernel_.dims - 1);
+  for_each_slab(box, kernel_.dims, pool, plan, 1,
+                [&](long long lo, long long hi) {
+                  CellRange slab = box;
+                  slab.lo[outer] = lo;
+                  slab.hi[outer] = hi;
+                  run_box(raw, b.params.data(), slab, t, t_step);
+                });
+}
 
-  // resolve per-load pointer deltas for this launch
+void InterpreterKernel::run_box(const RawArgs& raw, const double* params,
+                                const CellRange& box, double t,
+                                long long t_step) const {
+  const int dims = kernel_.dims;
+
+  // resolve per-load pointer deltas for this box
   struct Resolved {
     double* ptr;
     long long sy, sz;
@@ -259,105 +272,95 @@ void InterpreterKernel::run(const Binding& b,
            in.component * raw.strides[4 * f + 3];
   };
 
-  const auto body = [&](long long lo, long long hi) {
-    std::vector<double> regs(std::size_t(num_regs_), 0.0);
-    long long cx = 0, cy = 0, cz = 0;
+  std::vector<double> regs(std::size_t(num_regs_), 0.0);
+  long long cx = 0, cy = 0, cz = 0;
 
-    const auto exec = [&](const std::vector<Instr>& seg) {
-      for (const auto& in : seg) {
-        double* r = regs.data();
-        switch (in.op) {
-          case Op::Const: r[in.dst] = in.imm; break;
-          case Op::Param: r[in.dst] = b.params[std::size_t(in.pow_n)]; break;
-          case Op::Coord: {
-            const long long local = in.pow_n == 0 ? cx : in.pow_n == 1 ? cy : cz;
-            r[in.dst] = double(local + raw.block_off[std::size_t(in.pow_n)]);
-            break;
-          }
-          case Op::Time: r[in.dst] = t; break;
-          case Op::TimeStep: r[in.dst] = double(t_step); break;
-          case Op::Load: {
-            const auto& f = res[std::size_t(in.field)];
-            r[in.dst] = f.ptr[cx + cy * f.sy + cz * f.sz + delta(in)];
-            break;
-          }
-          case Op::Store: {
-            const auto& f = res[std::size_t(in.field)];
-            f.ptr[cx + cy * f.sy + cz * f.sz + delta(in)] = r[in.a];
-            break;
-          }
-          case Op::Add: r[in.dst] = r[in.a] + r[in.b]; break;
-          case Op::Mul: r[in.dst] = r[in.a] * r[in.b]; break;
-          case Op::Div: r[in.dst] = r[in.a] / r[in.b]; break;
-          case Op::Neg: r[in.dst] = -r[in.a]; break;
-          case Op::PowInt: r[in.dst] = powi(r[in.a], in.pow_n); break;
-          case Op::PowGen: r[in.dst] = std::pow(r[in.a], r[in.b]); break;
-          case Op::Sqrt: r[in.dst] = std::sqrt(r[in.a]); break;
-          case Op::RSqrt: r[in.dst] = 1.0 / std::sqrt(r[in.a]); break;
-          case Op::Exp: r[in.dst] = std::exp(r[in.a]); break;
-          case Op::Log: r[in.dst] = std::log(r[in.a]); break;
-          case Op::Sin: r[in.dst] = std::sin(r[in.a]); break;
-          case Op::Cos: r[in.dst] = std::cos(r[in.a]); break;
-          case Op::Tanh: r[in.dst] = std::tanh(r[in.a]); break;
-          case Op::Abs: r[in.dst] = std::abs(r[in.a]); break;
-          case Op::Min: r[in.dst] = std::fmin(r[in.a], r[in.b]); break;
-          case Op::Max: r[in.dst] = std::fmax(r[in.a], r[in.b]); break;
-          case Op::Select:
-            r[in.dst] = r[in.a] != 0.0 ? r[in.b] : r[in.c];
-            break;
-          case Op::Less: r[in.dst] = r[in.a] < r[in.b] ? 1.0 : 0.0; break;
-          case Op::Greater: r[in.dst] = r[in.a] > r[in.b] ? 1.0 : 0.0; break;
-          case Op::LessEq: r[in.dst] = r[in.a] <= r[in.b] ? 1.0 : 0.0; break;
-          case Op::GreaterEq:
-            r[in.dst] = r[in.a] >= r[in.b] ? 1.0 : 0.0;
-            break;
-          case Op::Philox: {
-            const auto v = [&](int i) {
-              return (unsigned long long)(r[in.rng_args[std::size_t(i)]]);
-            };
-            r[in.dst] = rng::philox_uniform(v(0), v(1), v(2), v(3),
-                                            v(6) << 32 | v(4), v(5));
-            break;
-          }
-          case Op::CopyReg: r[in.dst] = r[in.a]; break;
+  const auto exec = [&](const std::vector<Instr>& seg) {
+    for (const auto& in : seg) {
+      double* r = regs.data();
+      switch (in.op) {
+        case Op::Const: r[in.dst] = in.imm; break;
+        case Op::Param: r[in.dst] = params[std::size_t(in.pow_n)]; break;
+        case Op::Coord: {
+          const long long local = in.pow_n == 0 ? cx : in.pow_n == 1 ? cy : cz;
+          r[in.dst] = double(local + raw.block_off[std::size_t(in.pow_n)]);
+          break;
         }
-      }
-    };
-
-    exec(segs_[0]);  // invariant (recomputed per thread: same values)
-    const long long ylo = box.lo[1], yhi = box.hi[1];
-    const long long xlo = box.lo[0], xhi = box.hi[0];
-    if (dims == 3) {
-      for (cz = lo; cz < hi; ++cz) {
-        exec(segs_[1]);
-        for (cy = ylo; cy < yhi; ++cy) {
-          exec(segs_[2]);
-          for (cx = xlo; cx < xhi; ++cx) exec(segs_[3]);
+        case Op::Time: r[in.dst] = t; break;
+        case Op::TimeStep: r[in.dst] = double(t_step); break;
+        case Op::Load: {
+          const auto& f = res[std::size_t(in.field)];
+          r[in.dst] = f.ptr[cx + cy * f.sy + cz * f.sz + delta(in)];
+          break;
         }
+        case Op::Store: {
+          const auto& f = res[std::size_t(in.field)];
+          f.ptr[cx + cy * f.sy + cz * f.sz + delta(in)] = r[in.a];
+          break;
+        }
+        case Op::Add: r[in.dst] = r[in.a] + r[in.b]; break;
+        case Op::Mul: r[in.dst] = r[in.a] * r[in.b]; break;
+        case Op::Div: r[in.dst] = r[in.a] / r[in.b]; break;
+        case Op::Neg: r[in.dst] = -r[in.a]; break;
+        case Op::PowInt: r[in.dst] = powi(r[in.a], in.pow_n); break;
+        case Op::PowGen: r[in.dst] = std::pow(r[in.a], r[in.b]); break;
+        case Op::Sqrt: r[in.dst] = std::sqrt(r[in.a]); break;
+        case Op::RSqrt: r[in.dst] = 1.0 / std::sqrt(r[in.a]); break;
+        case Op::Exp: r[in.dst] = std::exp(r[in.a]); break;
+        case Op::Log: r[in.dst] = std::log(r[in.a]); break;
+        case Op::Sin: r[in.dst] = std::sin(r[in.a]); break;
+        case Op::Cos: r[in.dst] = std::cos(r[in.a]); break;
+        case Op::Tanh: r[in.dst] = std::tanh(r[in.a]); break;
+        case Op::Abs: r[in.dst] = std::abs(r[in.a]); break;
+        case Op::Min: r[in.dst] = std::fmin(r[in.a], r[in.b]); break;
+        case Op::Max: r[in.dst] = std::fmax(r[in.a], r[in.b]); break;
+        case Op::Select:
+          r[in.dst] = r[in.a] != 0.0 ? r[in.b] : r[in.c];
+          break;
+        case Op::Less: r[in.dst] = r[in.a] < r[in.b] ? 1.0 : 0.0; break;
+        case Op::Greater: r[in.dst] = r[in.a] > r[in.b] ? 1.0 : 0.0; break;
+        case Op::LessEq: r[in.dst] = r[in.a] <= r[in.b] ? 1.0 : 0.0; break;
+        case Op::GreaterEq:
+          r[in.dst] = r[in.a] >= r[in.b] ? 1.0 : 0.0;
+          break;
+        case Op::Philox: {
+          const auto v = [&](int i) {
+            return (unsigned long long)(r[in.rng_args[std::size_t(i)]]);
+          };
+          r[in.dst] = rng::philox_uniform(v(0), v(1), v(2), v(3),
+                                          v(6) << 32 | v(4), v(5));
+          break;
+        }
+        case Op::CopyReg: r[in.dst] = r[in.a]; break;
       }
-    } else if (dims == 2) {
-      cz = 0;
-      exec(segs_[1]);
-      for (cy = lo; cy < hi; ++cy) {
-        exec(segs_[2]);
-        for (cx = xlo; cx < xhi; ++cx) exec(segs_[3]);
-      }
-    } else {
-      cz = cy = 0;
-      exec(segs_[1]);
-      exec(segs_[2]);
-      for (cx = lo; cx < hi; ++cx) exec(segs_[3]);
     }
   };
 
-  const long long outer_lo = box.lo[std::size_t(outer)];
-  const long long outer_hi = box.hi[std::size_t(outer)];
-  if (pool == nullptr || pool->num_threads() == 1 ||
-      outer_hi - outer_lo < 2) {
-    body(outer_lo, outer_hi);
-    return;
+  exec(segs_[0]);  // invariant (recomputed per box: same values)
+  const long long zlo = box.lo[2], zhi = box.hi[2];
+  const long long ylo = box.lo[1], yhi = box.hi[1];
+  const long long xlo = box.lo[0], xhi = box.hi[0];
+  if (dims == 3) {
+    for (cz = zlo; cz < zhi; ++cz) {
+      exec(segs_[1]);
+      for (cy = ylo; cy < yhi; ++cy) {
+        exec(segs_[2]);
+        for (cx = xlo; cx < xhi; ++cx) exec(segs_[3]);
+      }
+    }
+  } else if (dims == 2) {
+    cz = 0;
+    exec(segs_[1]);
+    for (cy = ylo; cy < yhi; ++cy) {
+      exec(segs_[2]);
+      for (cx = xlo; cx < xhi; ++cx) exec(segs_[3]);
+    }
+  } else {
+    cz = cy = 0;
+    exec(segs_[1]);
+    exec(segs_[2]);
+    for (cx = xlo; cx < xhi; ++cx) exec(segs_[3]);
   }
-  pool->parallel_for(outer_lo, outer_hi, body);
 }
 
 }  // namespace pfc::backend

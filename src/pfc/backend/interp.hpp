@@ -21,10 +21,16 @@ class InterpreterKernel {
   const ir::Kernel& kernel() const { return kernel_; }
 
   /// Executes the kernel over the block (same semantics as run_compiled,
-  /// including optional sub-box `range` execution).
+  /// including optional sub-box `range` execution and static slabs).
   void run(const Binding& b, const std::array<long long, 3>& n, double t,
            long long t_step, ThreadPool* pool = nullptr,
-           const CellRange* range = nullptr) const;
+           const CellRange* range = nullptr,
+           const SlabPlan* plan = nullptr) const;
+
+  /// Executes `box` on the calling thread with marshalled arguments (a
+  /// face-once pass: its window is no pfc::Array).
+  void run_box(const RawArgs& raw, const double* params, const CellRange& box,
+               double t, long long t_step) const;
 
   /// Virtual registers used (a crude complexity metric for tests).
   int num_registers() const { return num_regs_; }

@@ -1,8 +1,10 @@
-// Binding of runtime arrays to kernel arguments, validation, and threaded
-// slab dispatch — shared by the JIT and interpreter backends.
+// Binding of runtime arrays to kernel arguments, validation, threaded slab
+// dispatch and the face-once tile runner — shared by the JIT and
+// interpreter backends.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -75,6 +77,14 @@ RawArgs marshal(const ir::Kernel& k, const Binding& b,
                 const std::array<long long, 3>& n,
                 const ReadRanges* reads = nullptr);
 
+/// Splits the outer loop of `box` (dim dims - 1) into slabs and calls
+/// launch(lo, hi) for each: once when `pool` is null, has one worker or the
+/// box has fewer than two rows; on worker w's plan->slab when `plan` is set;
+/// else in parallel_for chunks rounded to `align` rows.
+void for_each_slab(const CellRange& box, int dims, ThreadPool* pool,
+                   const SlabPlan* plan, long long align,
+                   const std::function<void(long long, long long)>& launch);
+
 /// Runs a compiled kernel over the block, splitting the outermost used loop
 /// across `pool` (nullptr = serial). When `tracer` is non-null each slab
 /// launch records a span from its executing thread (category "slab"), so
@@ -105,5 +115,63 @@ void run_compiled(const ir::Kernel& k, KernelFn fn, const Binding& b,
                   int vector_width = 1, const CellRange* range = nullptr,
                   const SlabPlan* plan = nullptr,
                   const ReadRanges* reads = nullptr);
+
+/// A full kernel's face-once plan (DESIGN.md §5d): the PDE's split form
+/// standing in for the recompute body. The face passes (the staggered-flux
+/// kernels, one per axis) fill a per-thread window of the flux, T + 1 outer
+/// rows deep; the cell pass reads the window and stores what the full
+/// kernel stores. The full kernel keeps its contract: a launch marshals
+/// the full kernel's binding and maps every pass argument onto it.
+struct FaceOnce {
+  /// Face passes, then the cell pass.
+  std::vector<ir::Kernel> passes;
+  /// Per pass: the axis its faces lie across (the dim its iteration box
+  /// grows by one along), -1 for the cell pass.
+  std::vector<int> axis;
+  /// Per pass and pass field: that field's position in the full kernel's
+  /// fields, or -1 for the window.
+  std::vector<std::vector<int>> fields;
+  /// Per pass and scalar parameter: its position in the full kernel's.
+  std::vector<std::vector<int>> params;
+  int flux_components = 0;
+
+  bool empty() const { return passes.empty(); }
+};
+
+/// The face-once plan of `full` from its split form: fd::discretize's
+/// staggered kernels, each storing `flux` at the lower face of its cells
+/// along its axis, then its main kernel, reading the flux at offset 0 and
+/// one face up. Empty when `full` is 1-D, has an extent, or does not bind
+/// every field and parameter the split form reads, or when the split form
+/// is not face passes of unit extent followed by one cell pass.
+FaceOnce make_face_once(const ir::Kernel& full, std::vector<ir::Kernel> split,
+                        const FieldPtr& flux);
+
+/// Runs pass `i` of a face-once plan over `box` on the calling thread, with
+/// the pass's own raw arguments and scalar parameters.
+using PassFn = std::function<void(std::size_t i, const RawArgs& raw,
+                                  const double* params,
+                                  const CellRange& box)>;
+
+/// One face-once launch of `full`: the binding, box, pool, dispatch and
+/// trace semantics of run_compiled. Each slab runs tile by tile, T outer
+/// rows at a time: the face passes fill the executing thread's window
+/// (the outer-axis faces of rows [a, b], the other faces of rows [a, b)),
+/// then the cell pass reads it. A tile's top face row is the next tile's
+/// bottom one; consecutive tiles walk the window in opposite directions,
+/// so that row stays where it is and is not recomputed. `tile_rows` is T;
+/// <= 0 sizes it to the rows whose window fits in half the per-core L2
+/// (support::Topology::l2_bytes), at least 1. Every face value is computed
+/// by the same pass code as in the split pair, so results equal the split
+/// pair with a whole-block flux array bit for bit at every T.
+void run_face_once(const ir::Kernel& full, const FaceOnce& fo,
+                   const PassFn& pass, const Binding& b,
+                   const std::array<long long, 3>& n, long long t_step,
+                   ThreadPool* pool = nullptr,
+                   obs::TraceRecorder* tracer = nullptr,
+                   const CellRange* range = nullptr,
+                   const SlabPlan* plan = nullptr,
+                   const ReadRanges* reads = nullptr,
+                   long long tile_rows = 0);
 
 }  // namespace pfc::backend

@@ -83,13 +83,14 @@ class Discretizer {
           // divergence of a flux: staggered evaluation
           if (flux_field_ != nullptr || collect_fluxes_) {
             const int slot = flux_slot(d, u);
-            if (flux_field_ != nullptr) {
-              const Expr left = sym::at(flux_field_, slot);
-              const Expr right = sym::shifted(left, d, 1);
-              return (right - left) / opts_.dx;
+            if (flux_field_ == nullptr) {
+              // collection pass: only the slots count, the expression is
+              // discarded
+              return num(0.0);
             }
-            // collection pass: still emit the recomputed form so the pass
-            // produces a valid expression (it is discarded).
+            const Expr left = sym::at(flux_field_, slot);
+            const Expr right = sym::shifted(left, d, 1);
+            return (right - left) / opts_.dx;
           }
           const Expr right = eval_staggered(u, d, +1);
           const Expr left = eval_staggered(u, d, -1);

@@ -186,6 +186,21 @@ long dividers(const Expr& e) {
   return c.sqrts + c.divs + 2 * c.rsqrts;
 }
 
+/// The radicands whose powers a merged N or D multiplies. Every radicand is
+/// a max(e, c) call, so each factor is one radicand or a power of one.
+std::vector<Expr> radicands_of(const Expr& product) {
+  std::vector<Expr> out;
+  const auto add = [&](const Expr& f) {
+    out.push_back(f->kind() == Kind::Pow ? f->arg(0) : f);
+  };
+  if (product->kind() != Kind::Mul) {
+    add(product);
+  } else {
+    for (const auto& f : product->args()) add(f);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::size_t fold_reciprocals(Kernel& k) {
@@ -464,6 +479,43 @@ std::size_t fold_radicals(Kernel& k) {
           sym::symbol(k.name + "_rden_" + std::to_string(reciprocals++));
     }
   }
+  // A radicand that two or more roots and reciprocals multiply is a temp
+  // of its own, evaluated once (the liquid normal's |grad phi_l|^2 guard is
+  // in every solid phase's D at one face).
+  std::vector<char> den_used(dens.size(), 0);
+  for (std::size_t g = 0; g < ng; ++g) {
+    if (fold[g] != 0 && den_of[g] != kNone) den_used[den_of[g]] = 1;
+  }
+  ExprIndex read_radicands;
+  std::vector<std::size_t> readers;
+  const auto tally = [&](const Expr& product) {
+    for (const Expr& a : radicands_of(product)) {
+      const std::size_t i = read_radicands.intern(a);
+      if (i == readers.size()) readers.push_back(0);
+      ++readers[i];
+    }
+  };
+  for (std::size_t g = 0; g < ng; ++g) {
+    if (fold[g] != 0) tally(numer[g]);
+  }
+  for (std::size_t d = 0; d < dens.size(); ++d) {
+    if (den_used[d] != 0) tally(dens[d]);
+  }
+  sym::SubsMap to_shared;
+  std::unordered_map<std::string, Expr> shared_def;
+  for (std::size_t i = 0; i < readers.size(); ++i) {
+    if (readers[i] < 2) continue;
+    const Expr t = sym::symbol(k.name + "_rad_" +
+                               std::to_string(to_shared.size()));
+    to_shared.emplace_back(read_radicands[i], t);
+    shared_def.emplace(t->name(), read_radicands[i]);
+  }
+  std::vector<Expr> den_def(dens.size());
+  for (std::size_t d = 0; d < dens.size(); ++d) {
+    den_def[d] = sym::substitute(dens[d], to_shared);
+  }
+  for (auto& n : numer) n = sym::substitute(n, to_shared);
+
   std::function<Expr(const Expr&)> rewrite = [&](const Expr& e) -> Expr {
     Expr a;
     long h = 0;
@@ -487,11 +539,19 @@ std::size_t fold_radicals(Kernel& k) {
   };
 
   // Each root is defined just ahead of its first reader, after its
-  // reciprocal; a radical temp no statement reads any more goes.
+  // reciprocal and their shared radicands; a radical temp no statement
+  // reads any more goes.
   std::vector<ScheduledAssignment> body;
-  body.reserve(k.body.size() + 2 * folded);
+  body.reserve(k.body.size() + 2 * folded + to_shared.size());
   std::vector<char> defined(ng, 0), den_defined(dens.size(), 0);
   const auto define = [&](const Expr& lhs, const Expr& def) {
+    sym::for_each(def, [&](const Expr& x) {
+      if (x->kind() != Kind::Symbol) return;
+      const auto it = shared_def.find(x->name());
+      if (it == shared_def.end() || temp_level.count(x->name()) != 0) return;
+      temp_level[x->name()] = level_of(it->second, k.dims, temp_level);
+      body.push_back({{x, it->second}, temp_level[x->name()]});
+    });
     const Level lvl = level_of(def, k.dims, temp_level);
     temp_level[lhs->name()] = lvl;
     body.push_back({{lhs, def}, lvl});
@@ -515,7 +575,7 @@ std::size_t fold_radicals(Kernel& k) {
       if (d != kNone) {
         if (den_defined[d] == 0) {
           den_defined[d] = 1;
-          define(recip[d], sym::pow(dens[d], -1));
+          define(recip[d], sym::pow(den_def[d], -1));
         }
         radicand.push_back(recip[d]);
       }

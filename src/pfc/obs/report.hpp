@@ -240,9 +240,10 @@ struct CompileReport {
   /// SIMD width (doubles per lane vector) the C backend emitted with; 1 for
   /// scalar code and the interpreter backend.
   int vector_width = 1;
-  /// Per-cell FLOPs after widening: packable ops amortize over the vector
-  /// width, lane-serial calls (libm transcendentals) do not. Equals
-  /// ops_per_cell_post at width 1.
+  /// Per-cell FLOPs of the code the tier runs (a face-once kernel's
+  /// passes in place of its recompute body) after widening: packable ops
+  /// amortize over the vector width, lane-serial calls (libm
+  /// transcendentals) do not.
   double ops_per_cell_widened = 0.0;
   std::vector<std::string> kernel_names;  ///< IR names, execution order
   /// The BackendTier that actually executes, spelled by its table.

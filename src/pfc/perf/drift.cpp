@@ -21,15 +21,18 @@ double predicted_kernel_mlups(const ir::Kernel& k,
   }
 }
 
-std::map<std::string, double> predicted_mlups_by_kernel(
-    const std::vector<const ir::Kernel*>& kernels,
-    const std::array<long long, 3>& block, const MachineModel& m, int cores,
-    int vector_width) {
-  std::map<std::string, double> out;
-  for (const ir::Kernel* k : kernels) {
-    out[k->name] = predicted_kernel_mlups(*k, block, m, cores, vector_width);
+double predicted_chain_mlups(const std::vector<const ir::Kernel*>& chain,
+                             const std::array<long long, 3>& block,
+                             const MachineModel& m, int cores,
+                             int vector_width) {
+  double seconds_per_update = 0.0;
+  for (const ir::Kernel* k : chain) {
+    const double mlups =
+        predicted_kernel_mlups(*k, block, m, cores, vector_width);
+    if (mlups <= 0.0) return 0.0;
+    seconds_per_update += 1.0 / mlups;
   }
-  return out;
+  return seconds_per_update > 0.0 ? 1.0 / seconds_per_update : 0.0;
 }
 
 void fill_model_accuracy(obs::RunReport& rep,

@@ -29,11 +29,14 @@ double predicted_kernel_mlups(const ir::Kernel& k,
                               const MachineModel& m, int cores,
                               int vector_width = 0);
 
-/// Convenience: predictions for a set of kernels keyed by IR name.
-std::map<std::string, double> predicted_mlups_by_kernel(
-    const std::vector<const ir::Kernel*>& kernels,
-    const std::array<long long, 3>& block, const MachineModel& m, int cores,
-    int vector_width = 0);
+/// ECM-predicted MLUP/s of `chain`, kernels that each sweep the block once
+/// per update (a face-once kernel's passes, or a model's kernels): their
+/// times add, so the rate is the harmonic combination of theirs. 0.0 when
+/// any kernel has no prediction.
+double predicted_chain_mlups(const std::vector<const ir::Kernel*>& chain,
+                             const std::array<long long, 3>& block,
+                             const MachineModel& m, int cores,
+                             int vector_width = 0);
 
 /// Fills rep.model_accuracy from cached per-kernel predictions and the
 /// measured kernel timers:

@@ -155,6 +155,22 @@ Topology Topology::detect(const std::string& sysfs_root,
   topo.packages = static_cast<int>(packages.size());
   topo.nodes = static_cast<int>(nodes.size());
   topo.cores = static_cast<int>(seen_cores.size());
+  for (int i = 0; i < 16; ++i) {
+    const std::string idx = cpu_dir + "/cpu" +
+                            std::to_string(topo.cpus.front().cpu) +
+                            "/cache/index" + std::to_string(i);
+    std::string type, size;
+    if (read_int(idx + "/level", 0) != 2 || !read_file(idx + "/type", &type) ||
+        type.rfind("Instruction", 0) == 0 || !read_file(idx + "/size", &size)) {
+      continue;
+    }
+    const long long v = std::atoll(size.c_str());  // "2048K"
+    const int shift = size.find('M') != std::string::npos   ? 20
+                      : size.find('K') != std::string::npos ? 10
+                                                            : 0;
+    if (v > 0) topo.l2_bytes = v << shift;
+    break;
+  }
   return topo;
 }
 

@@ -80,6 +80,10 @@ struct Topology {
   int packages = 1;
   int nodes = 1;
   int cores = 1;  ///< distinct physical cores across packages
+  /// Unified (or data) L2 bytes of the first CPU: the per-core cache a
+  /// worker's per-thread buffers should fit (cpuN/cache/index*/level == 2).
+  /// 1 MiB when the tree has no cache entry.
+  long long l2_bytes = 1 << 20;
 
   /// Probes /sys (or $PFC_SYSFS_ROOT when set) restricted to the process
   /// affinity mask. Never throws: unreadable trees degrade to a flat

@@ -461,6 +461,79 @@ TEST(RadicalFold, AntiTrappingProductIsOneSqrtAndOneDivision) {
   expect_close(evaluate_stores(k, radical_context()), values);
 }
 
+TEST(RadicalFold, RadicandTwoGroupsReadIsOneTemp) {
+  // Two solid phases at one face: each product folds into its own R and r,
+  // and both D multiply the liquid normal's guard max(b² + c², ε). That
+  // radicand is one temp read by both reciprocals, not one copy in each.
+  auto src = Field::create("qs_src", 3, 3);
+  auto dst = Field::create("qs_dst", 3, 2);
+  const Expr a = sym::at(src, 0), b = sym::at(src, 1), c = sym::at(src, 2);
+  const Expr s0 = sym::symbol("qs_s0"), s1 = sym::symbol("qs_s1"),
+             n_l = sym::symbol("qs_nl"), n0 = sym::symbol("qs_n0"),
+             n1 = sym::symbol("qs_n1");
+  const Expr liquid = sym::max_(b * b + c * c, num(1e-9));
+  Kernel k;
+  k.name = "qs";
+  k.body = {stmt(s0, sym::sqrt_(sym::max_(a * b, num(0.0)))),
+            stmt(s1, sym::sqrt_(sym::max_(a * c, num(0.0)))),
+            stmt(n_l, sym::rsqrt(liquid)),
+            stmt(n0, sym::rsqrt(sym::max_(a * a + c * c, num(1e-9)))),
+            stmt(n1, sym::rsqrt(sym::max_(a * a + b * b, num(1e-9)))),
+            stmt(sym::at(dst, 0), c * s0 * n_l * sym::pow(n0, 2)),
+            stmt(sym::at(dst, 1), b * s1 * n_l * sym::pow(n1, 2))};
+  const OpCounts before = count_ops(k);
+  const auto values = evaluate_stores(k, radical_context());
+
+  EXPECT_EQ(fold_radicals(k), 2u);
+  const OpCounts after = count_ops(k);
+  EXPECT_EQ(after.sqrts, 2);
+  EXPECT_EQ(after.divs, 2);
+  EXPECT_EQ(after.blends, before.blends) << "each guard evaluated once";
+  EXPECT_EQ(after.adds, before.adds);
+  std::size_t shared = 0;
+  for (const auto& sa : k.body) {
+    if (sa.assign.lhs->kind() != sym::Kind::Symbol ||
+        !sym::equals(sa.assign.rhs, liquid)) {
+      continue;
+    }
+    ++shared;
+    std::size_t readers = 0;
+    for (const auto& reader : k.body) {
+      sym::for_each(reader.assign.rhs, [&](const Expr& x) {
+        readers += sym::equals(x, sa.assign.lhs) ? 1 : 0;
+      });
+    }
+    EXPECT_EQ(readers, 2u) << "read by both reciprocals";
+  }
+  EXPECT_EQ(shared, 1u);
+  expect_close(evaluate_stores(k, radical_context()), values);
+}
+
+TEST(RadicalFold, LoweredMuKernelsKeepThePreFoldGuards) {
+  // With the liquid normal's guard shared, the lowered µ-full kernels
+  // evaluate each guard once, as before the fold.
+  struct Row {
+    const char* label;
+    bool p2;
+    int dims;
+    long adds, blends;
+  };
+  for (const Row& row : {Row{"P2 mu full 2-D", true, 2, 168, 20},
+                         Row{"P1 mu full 3-D", false, 3, 617, 42}}) {
+    const DivisionRow spec{row.label, row.p2, false, false, row.dims,
+                           0, 0, 0};
+    fd::DiscretizeOptions d;
+    const fd::PdeUpdate pde = model_update(spec, &d);
+    std::optional<FieldPtr> flux;
+    const auto ks =
+        app::ModelCompiler::lower(pde, d, app::CompileOptions{}, &flux);
+    ASSERT_EQ(ks.size(), 1u);
+    const OpCounts c = count_ops(ks.front());
+    EXPECT_EQ(c.adds, row.adds) << row.label;
+    EXPECT_EQ(c.blends, row.blends) << row.label;
+  }
+}
+
 TEST(RadicalFold, UnguardedRadicandStays) {
   // sqrt(a)·rsqrt(b) is not sqrt(a/b) when a < 0, and rsqrt(max(e, 0))
   // may divide by zero: only max(e, c) with c >= 0 (c > 0 under a

@@ -576,9 +576,10 @@ TEST(JitFallback, MultiUnitInjectedFaultDegradesWithoutLeak) {
   EXPECT_EQ(entries_in(scratch.path), 0);
 }
 
-// A real error in the second unit only: the flag turns the mu-full entry
-// point into a GCC error pragma, so phi-full compiles and mu-full fails.
-// Both JIT tiers fail on that unit, name it in the reason, leave no
+// A real error in the last unit only: the flag turns the entry point of
+// mu-full's cell pass (both full kernels run face-once, three passes each)
+// into a GCC error pragma, so every other unit compiles and that one
+// fails. Both JIT tiers fail on that unit, name it in the reason, leave no
 // scratch, and the interpreter runs the job.
 TEST(JitFallback, SecondUnitErrorDegradesToInterpreter) {
   TempDir scratch("jitunit2");
@@ -587,14 +588,14 @@ TEST(JitFallback, SecondUnitErrorDegradesToInterpreter) {
   const app::GrandChemModel model = noisy_model();
   app::SimulationOptions o = noisy_opts(4);
   o.compile.jit_extra_flags +=
-      R"( '-Dmu_full=_Pragma("GCC error \"mu unit broken\"") mu_full')";
+      R"( '-Dmu_split_main=_Pragma("GCC error \"mu unit broken\"") mu_split_main')";
   app::Simulation sim(model, o);
   const obs::CompileReport& cr = sim.compiled().compile_report();
   EXPECT_EQ(cr.backend_tier, "interpreter");
   EXPECT_EQ(cr.fallback_attempts, 2);
-  EXPECT_NE(cr.fallback_reason.find("unit 2 of 2"), std::string::npos)
+  EXPECT_NE(cr.fallback_reason.find("unit 6 of 6"), std::string::npos)
       << cr.fallback_reason;
-  EXPECT_NE(sim.compiled().generated_source().find("mu_full"),
+  EXPECT_NE(sim.compiled().generated_source().find("mu_split_main"),
             std::string::npos);
   init_seed(sim, model.params().epsilon);
   sim.run(3);

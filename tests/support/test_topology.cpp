@@ -69,6 +69,23 @@ TEST_F(FakeSysfs, DetectCountsPackagesNodesCoresAndSmt) {
   EXPECT_EQ(t.cpus[5].node, 0);
 }
 
+TEST_F(FakeSysfs, L2SizeFromTheFirstCpusCacheLevelTwo) {
+  // No cache entries: the 1 MiB default. Then cpu0 gets an L1d, an L1i
+  // and a unified L2; the L2 line is the one read.
+  EXPECT_EQ(Topology::detect(root_.string(), false).l2_bytes, 1 << 20);
+  const fs::path cache = root_ / "devices/system/cpu/cpu0/cache";
+  const char* entries[3][3] = {{"1", "Data", "48K"},
+                               {"1", "Instruction", "32K"},
+                               {"2", "Unified", "2048K"}};
+  for (int i = 0; i < 3; ++i) {
+    const fs::path idx = cache / ("index" + std::to_string(i));
+    write_file(idx / "level", std::string(entries[i][0]) + "\n");
+    write_file(idx / "type", std::string(entries[i][1]) + "\n");
+    write_file(idx / "size", std::string(entries[i][2]) + "\n");
+  }
+  EXPECT_EQ(Topology::detect(root_.string(), false).l2_bytes, 2048 << 10);
+}
+
 TEST_F(FakeSysfs, CompactOrderFillsPackagePhysicalFirst) {
   const Topology t = Topology::detect(root_.string(), false);
   // package-major over physical cores, SMT siblings only afterwards
