@@ -3,7 +3,6 @@
 //
 //   * global CSE on/off
 //   * loop-invariant hoisting of T(z,t)-dependent subexpressions on/off
-//   * split (staggered precompute) vs full kernels
 //   * approximate (fast) division/sqrt vs exact
 //   * compile-time-folded vs runtime-symbolic model parameters
 //   * explicit SIMD: scalar vs width 4 vs width 8 (+ streaming stores)
@@ -70,11 +69,6 @@ app::CompileOptions no_hoist() {
   o.hoist_invariants = false;
   return o;
 }
-app::CompileOptions split() {
-  app::CompileOptions o;
-  o.split_phi = o.split_mu = true;
-  return o;
-}
 app::CompileOptions fast() {
   app::CompileOptions o;
   o.fast_math = true;
@@ -95,7 +89,6 @@ app::CompileOptions simd(int width, bool stream = false) {
 void BM_P1_baseline(benchmark::State& s) { run_variant(s, base()); }
 void BM_P1_no_cse(benchmark::State& s) { run_variant(s, no_cse()); }
 void BM_P1_no_hoisting(benchmark::State& s) { run_variant(s, no_hoist()); }
-void BM_P1_split_kernels(benchmark::State& s) { run_variant(s, split()); }
 void BM_P1_fast_math(benchmark::State& s) { run_variant(s, fast()); }
 void BM_P1_scheduled(benchmark::State& s) { run_variant(s, scheduled()); }
 // SIMD ablation axis: the baseline auto-probes the native width; these pin
@@ -110,7 +103,6 @@ void BM_P1_simd_w8_stream(benchmark::State& s) {
 BENCHMARK(BM_P1_baseline)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_P1_no_cse)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_P1_no_hoisting)->Unit(benchmark::kMillisecond)->MinTime(0.5);
-BENCHMARK(BM_P1_split_kernels)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_P1_fast_math)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_P1_scheduled)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_P1_simd_scalar)->Unit(benchmark::kMillisecond)->MinTime(0.5);

@@ -4,7 +4,9 @@
 //
 // The ECM curves cover the full modelled Skylake socket (24 cores); the
 // measured curves run the JIT-compiled kernels on this host's cores (the
-// environment substitutes for SuperMUC-NG — see DESIGN.md §2). The paper's
+// environment substitutes for SuperMUC-NG — see DESIGN.md §2): µ-split is
+// the explicit pair with its whole-block flux array (split_pair_mlups),
+// µ-full the kernel a Simulation runs, face-once (DESIGN.md §5d). The paper's
 // qualitative result under test: µ-full scales flat (compute bound,
 // saturation ~83 cores), µ-split decays per core (data bound, saturation
 // ~32 cores), with a crossover that makes µ-split the right choice for
@@ -21,16 +23,15 @@ using namespace pfc::bench;
 
 namespace {
 
-/// Measured MLUP/s of the mu kernels for a P1 simulation on `threads`.
-double measure_mu(bool split, int threads, int steps,
-                  const std::array<long long, 3>& cells,
-                  int vector_width = 0) {
+/// Measured MLUP/s of the µ kernel of a P1 simulation on `threads`.
+double measure_mu_full(int threads, int steps,
+                       const std::array<long long, 3>& cells,
+                       int vector_width = 0) {
   app::GrandChemParams params = app::make_p1(3);
   app::GrandChemModel model(params);
   app::SimulationOptions o;
   o.cells = cells;
   o.threads = threads;
-  o.compile.split_mu = split;
   o.compile.vector_width = vector_width;
   app::Simulation sim(model, o);
   sim.init_phi([](long long x, long long, long long, int c) {
@@ -99,15 +100,15 @@ int main() {
               meas[2]);
   double meas_split = 0, meas_full = 0;
   for (int t = 1; t <= max_threads; ++t) {
-    meas_split = measure_mu(true, t, 3, meas);
-    meas_full = measure_mu(false, t, 3, meas);
+    meas_split = split_pair_mlups(Which::MuP1, t, 3, meas);
+    meas_full = measure_mu_full(t, 3, meas);
     std::printf("%6d %22.2f %22.2f\n", t, meas_split / t, meas_full / t);
   }
   std::printf("\n[absolute numbers are host-dependent; the paper's shapes "
               "under test: decaying split vs flat full per-core rates]\n");
 
   // --- SIMD ablation: same kernel, scalar emission vs native width ---
-  const double meas_full_scalar = measure_mu(false, max_threads, 3, meas, 1);
+  const double meas_full_scalar = measure_mu_full(max_threads, 3, meas, 1);
   const double vector_speedup = obs::safe_rate(meas_full, meas_full_scalar);
   std::printf("\nmu-full at width %d: %.2f MLUP/s vs scalar %.2f MLUP/s -> "
               "%.2fx\n",

@@ -2,7 +2,10 @@
 // φ-split and φ-full kernels under P1 and P2. The paper's result under
 // test: the faster variant flips between configurations — P1 favours
 // φ-full, P2 (anisotropic, much heavier compute) favours φ-split — and the
-// model predicts the right choice in both cases.
+// model predicts the right choice in both cases. The measured φ-split
+// columns time the explicit pair (split_pair_mlups); the φ-full columns
+// time the kernel a Simulation runs, which for P2 is face-once
+// (DESIGN.md §5d).
 #include "bench_common.hpp"
 
 #include "pfc/app/simulation.hpp"
@@ -29,7 +32,7 @@ double model_mlups(Which w, bool split, int cores,
   return 1.0 / inv;
 }
 
-obs::RunReport run_sim(Which w, bool split, int steps,
+obs::RunReport run_sim(Which w, int steps,
                        const std::array<long long, 3>& cells,
                        const app::SimulationOptions& base) {
   app::GrandChemParams params =
@@ -37,7 +40,6 @@ obs::RunReport run_sim(Which w, bool split, int steps,
   app::GrandChemModel model(params);
   app::SimulationOptions o = base;
   o.cells = cells;
-  o.compile.split_phi = split;
   app::Simulation sim(model, o);
   sim.init_phi([](long long x, long long, long long, int c) {
     const double s = app::interface_profile(double(x % 16) - 8.0, 10.0);
@@ -65,10 +67,11 @@ double phi_mlups(const obs::RunReport& rep,
 double measure_phi(Which w, bool split, int threads, int steps,
                    const std::array<long long, 3>& cells,
                    int vector_width = 0) {
+  if (split) return split_pair_mlups(w, threads, steps, cells, vector_width);
   app::SimulationOptions o;
   o.threads = threads;
   o.compile.vector_width = vector_width;
-  return phi_mlups(run_sim(w, split, steps, cells, o), cells, steps);
+  return phi_mlups(run_sim(w, steps, cells, o), cells, steps);
 }
 
 }  // namespace
@@ -160,7 +163,7 @@ int main() {
     o.dispatch = app::Dispatch::Static;
     o.first_touch = true;
     const double measured =
-        phi_mlups(run_sim(Which::PhiP1, false, 3, meas, o), meas, 3);
+        phi_mlups(run_sim(Which::PhiP1, 3, meas, o), meas, 3);
     const double modeled =
         model_mlups(Which::PhiP1, false, t, machine, block, vw);
     std::printf("%8d %18.2f %18.2f\n", t, measured, modeled);
@@ -180,8 +183,8 @@ int main() {
     app::SimulationOptions fused = unfused;
     fused.blocking = app::BlockingMode::Fixed;
     fused.blocking_tile_rows = 4;
-    const obs::RunReport r_ref = run_sim(Which::PhiP1, true, 4, c3d, unfused);
-    const obs::RunReport r_wf = run_sim(Which::PhiP1, true, 4, c3d, fused);
+    const obs::RunReport r_ref = run_sim(Which::PhiP1, 4, c3d, unfused);
+    const obs::RunReport r_wf = run_sim(Which::PhiP1, 4, c3d, fused);
     const double speedup = obs::safe_rate(r_wf.mlups(), r_ref.mlups());
     std::printf("\nblocking axis (3-D, tile 4): unfused %.2f MLUP/s, "
                 "wavefront %.2f MLUP/s (%.2fx), fused substeps %lld\n",

@@ -54,22 +54,15 @@ int main(int argc, char** argv) {
   std::printf("deltaPsi/deltaPhi_0 (continuum, %zu chars):\n  %.300s...\n\n",
               vd.size(), vd.c_str());
 
-  app::CompileOptions co;
-  co.split_phi = split;
-  co.split_mu = split;
-  fd::DiscretizeOptions dopts;
-  dopts.dims = params.dims;
-  dopts.dx = params.dx;
-  dopts.dt = params.dt;
-
+  const app::CompileOptions co;
   const perf::MachineModel machine = perf::default_machine();
-  for (const auto& pde : {model.phi_update(), model.mu_update()}) {
-    fd::DiscretizeOptions d = dopts;
+  const fd::PdeUpdate pdes[] = {model.phi_update(), model.mu_update()};
+  for (std::size_t i = 0; i < 2; ++i) {
+    fd::DiscretizeOptions d =
+        app::ModelCompiler::discretization(params, i, co);
     d.split_staggered = split;
-    d.clamp_unit_interval = pde.name == "phi";
-    d.renormalize_simplex = d.clamp_unit_interval;
     std::optional<FieldPtr> flux;
-    for (const auto& k : app::ModelCompiler::lower(pde, d, co, &flux)) {
+    for (const auto& k : app::ModelCompiler::lower(pdes[i], d, co, &flux)) {
       const auto ops = ir::count_ops(k);
       std::printf("--- kernel %s ---\n", k.name.c_str());
       std::printf("  %s\n", ops.to_string().c_str());

@@ -82,6 +82,13 @@ long dividers(const ir::Kernel& k) {
   return c.sqrts + c.divs + 2 * c.rsqrts;
 }
 
+/// PDE 0 is φ: projected onto [0, 1] and the simplex when clamp_phi.
+void clamp_if_phi(fd::DiscretizeOptions& d, std::size_t i,
+                  const CompileOptions& o) {
+  d.clamp_unit_interval = i == 0 && o.clamp_phi;
+  d.renormalize_simplex = d.clamp_unit_interval;
+}
+
 }  // namespace
 
 void CompiledKernel::run(const backend::Binding& b,
@@ -176,9 +183,7 @@ CompiledModel ModelCompiler::compile_updates(
 
   for (std::size_t i = 0; i < pdes.size(); ++i) {
     fd::DiscretizeOptions d = dopts;
-    d.split_staggered = i == 0 ? opts_.split_phi : opts_.split_mu;
-    d.clamp_unit_interval = i == 0 && opts_.clamp_phi;
-    d.renormalize_simplex = d.clamp_unit_interval;
+    clamp_if_phi(d, i, opts_);
     std::optional<FieldPtr> flux;
     std::vector<CompiledKernel>& dst =
         i == 0 ? out.phi_kernels : out.mu_kernels;
@@ -188,7 +193,6 @@ CompiledModel ModelCompiler::compile_updates(
       ck.reads_ = backend::read_offset_ranges(ck.ir);
       dst.push_back(std::move(ck));
     }
-    (i == 0 ? out.phi_flux_field : out.mu_flux_field) = flux;
     if (d.split_staggered) continue;
 
     // The full kernel runs its split form face-once when that form has
@@ -333,13 +337,21 @@ CompiledModel ModelCompiler::compile_updates(
   return out;
 }
 
+fd::DiscretizeOptions ModelCompiler::discretization(
+    const GrandChemParams& params, std::size_t i, const CompileOptions& opts) {
+  fd::DiscretizeOptions d;
+  d.dims = params.dims;
+  d.dx = params.dx;
+  d.dt = params.dt;
+  d.rng_seed = params.rng_seed;
+  clamp_if_phi(d, i, opts);
+  return d;
+}
+
 CompiledModel ModelCompiler::compile(const GrandChemModel& model) const {
-  fd::DiscretizeOptions dopts;
-  dopts.dims = model.params().dims;
-  dopts.dx = model.params().dx;
-  dopts.dt = model.params().dt;
-  dopts.rng_seed = model.params().rng_seed;
-  return compile_updates({model.phi_update(), model.mu_update()}, dopts);
+  // compile_updates clamps each PDE itself.
+  return compile_updates({model.phi_update(), model.mu_update()},
+                         discretization(model.params(), 0, opts_));
 }
 
 }  // namespace pfc::app

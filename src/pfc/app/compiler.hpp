@@ -1,7 +1,9 @@
 // ModelCompiler: drives the complete code-generation pipeline for one model
-// instance (paper Fig. 1): continuum PDEs → discretization (full or split
-// staggered kernels) → IR build (CSE, hoisting) → backend (C source + JIT,
-// or interpreter) — and exposes every knob the paper's evaluation varies.
+// instance (paper Fig. 1): continuum PDEs → discretization → IR build (CSE,
+// hoisting) → backend (C source + JIT, or interpreter). compile() gives one
+// kernel per PDE, run face-once where its split form divides less
+// (DESIGN.md §5d); compile_updates() also gives the explicit split pair of
+// the paper's Table 1 and Fig. 2, for tests and the figure drivers.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +30,6 @@ using obs::TuneMode;
 
 struct CompileOptions {
   Backend backend = Backend::Jit;
-  /// Split staggered-flux precompute kernels ("φ-split"/"µ-split") into a
-  /// whole-block flux array instead of one full kernel ("φ-full"/"µ-full").
-  /// A full kernel whose split form divides less runs that form face-once,
-  /// in a per-thread window (DESIGN.md §5d).
-  bool split_phi = false;
-  bool split_mu = false;
   bool fast_math = false;   ///< approximate div/sqrt/rsqrt (paper §3.5)
   bool cse = true;
   bool hoist_invariants = true;
@@ -116,13 +112,13 @@ class CompiledKernel {
   int vector_width_ = 1;
 };
 
-/// The compiled model: kernels in execution order per PDE.
+/// The compiled model: kernels in execution order per PDE. compile() gives
+/// one kernel per PDE; compile_updates() with split_staggered gives the
+/// staggered-flux kernels first, then the one that reads their flux field.
 class CompiledModel {
  public:
-  std::vector<CompiledKernel> phi_kernels;  ///< staggered first if split
+  std::vector<CompiledKernel> phi_kernels;
   std::vector<CompiledKernel> mu_kernels;
-  std::optional<FieldPtr> phi_flux_field;
-  std::optional<FieldPtr> mu_flux_field;
 
   /// Per-stage timings and pre/post-optimization op counts — including the
   /// kernel-cache provenance (cache_hit, content key, counters) when a
@@ -144,13 +140,24 @@ class ModelCompiler {
  public:
   explicit ModelCompiler(CompileOptions opts = {}) : opts_(opts) {}
 
-  /// Runs the full pipeline on a model instance.
+  /// Runs the full pipeline on a model instance: one kernel per PDE.
   CompiledModel compile(const GrandChemModel& model) const;
 
-  /// Lower-level entry: compiles arbitrary PDE updates (used by tests and
-  /// by the benchmark harness for single-kernel studies).
+  /// Lower-level entry: compiles arbitrary PDE updates ([φ] or [φ, µ]; φ
+  /// is clamped as discretization() says). With dopts.split_staggered each
+  /// PDE compiles to its explicit split pair, whose flux field the
+  /// staggered kernels write; this is the only way to get that pair, and
+  /// tests and the figure drivers use it. Otherwise each PDE is one kernel.
   CompiledModel compile_updates(const std::vector<fd::PdeUpdate>& pdes,
                                 const fd::DiscretizeOptions& dopts) const;
+
+  /// How PDE `i` of a model (0 = φ, 1 = µ) is discretized: the model's
+  /// dims, dx, dt and noise seed, and for φ the projection onto [0, 1] and
+  /// the simplex when opts.clamp_phi. compile() lowers with these, and so
+  /// does every caller of lower() that means compile()'s kernels.
+  static fd::DiscretizeOptions discretization(const GrandChemParams& params,
+                                              std::size_t i,
+                                              const CompileOptions& opts);
 
   /// Pipeline front half only: PDE update -> optimized IR kernels. When
   /// `report` is given, per-stage timings and pre/post-optimization op

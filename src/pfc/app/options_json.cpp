@@ -122,8 +122,10 @@ const FieldList<CompileOptions>& json_fields(JsonTag<CompileOptions>) {
   using S = CompileOptions;
   static const FieldList<S> f = {
       field("backend", &S::backend),
-      field("split_phi", &S::split_phi),
-      field("split_mu", &S::split_mu),
+      // Every spec written before the whole-block flux path went carries
+      // both keys; they are read and ignored, never written.
+      obs::retired<S>("split_phi"),
+      obs::retired<S>("split_mu"),
       field("fast_math", &S::fast_math),
       field("cse", &S::cse),
       field("hoist_invariants", &S::hoist_invariants),

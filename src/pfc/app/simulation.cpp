@@ -27,13 +27,6 @@ constexpr int kGhost = 1;
 /// dst fields (the step's groups).
 constexpr int kPhiSrcTag = 0, kMuSrcTag = 1, kPhiDstTag = 2, kMuDstTag = 3;
 
-std::array<std::int64_t, 3> flux_size(const std::array<long long, 3>& n,
-                                      int dims) {
-  std::array<std::int64_t, 3> s{1, 1, 1};
-  for (int d = 0; d < dims; ++d) s[std::size_t(d)] = n[std::size_t(d)] + 1;
-  return s;
-}
-
 // JIT fault injection must reach the ctor's compile, which runs in the
 // member-init list — fold the plan into the compile options up front.
 CompileOptions compile_opts_with_faults(const SimulationOptions& o) {
@@ -69,37 +62,12 @@ backend::CellRange peel_x(const backend::CellRange& full, long long width,
   return inner;
 }
 
-/// Frontier width along x per kernel of one execution group, back to
-/// front: every kernel writing the exchanged field needs a `ghost`-wide
-/// slab (begin() packs those edge cells), and an upstream kernel j feeding
-/// a downstream kernel l must widen l's slab by l's x read offsets into
-/// j's output (plus the iteration-extent difference on the high side).
-/// Each nonzero width is then rounded up to whole vectors of the kernel's
-/// code, so the interior sweep starts on an aligned x and runs no scalar
-/// peel; upstream kernels see the rounded width of their consumers.
-std::vector<long long> frontier_widths(
-    const std::vector<CompiledKernel>& kernels, std::uint64_t exchanged_id,
-    int ghost) {
-  std::vector<long long> w(kernels.size(), 0);
-  for (std::size_t j = kernels.size(); j-- > 0;) {
-    for (const auto& wr : kernels[j].ir.writes) {
-      if (wr->id() == exchanged_id) w[j] = std::max(w[j], (long long)ghost);
-    }
-    for (std::size_t l = j + 1; l < kernels.size(); ++l) {
-      const backend::ReadRanges& reads = kernels[l].reads();
-      for (const auto& wr : kernels[j].ir.writes) {
-        const auto it = reads.find(wr->id());
-        if (it == reads.end()) continue;
-        const long long extent_diff =
-            kernels[j].ir.extent_plus[0] - kernels[l].ir.extent_plus[0];
-        w[j] = std::max({w[j], w[l] + it->second.hi[0],
-                         w[l] + extent_diff - it->second.lo[0]});
-      }
-    }
-    const long long v = std::max(1, kernels[j].vector_width());
-    w[j] = (w[j] + v - 1) / v * v;
-  }
-  return w;
+/// Frontier width along x of a group's kernel: the `ghost` edge cells
+/// begin() packs, rounded up to whole vectors of the kernel's code, so the
+/// interior sweep starts on an aligned x and runs no scalar peel.
+long long frontier_width(const CompiledKernel& kernel, int ghost) {
+  const long long v = std::max(1, kernel.vector_width());
+  return (ghost + v - 1) / v * v;
 }
 
 }  // namespace
@@ -142,14 +110,13 @@ Simulation::Simulation(GrandChemModel model, const SimulationOptions& opts,
         Array(model_.phi_dst(), n, kGhost, ft),
         Array(model_.mu_src(), n, kGhost, ft),
         Array(model_.mu_dst(), n, kGhost, ft), std::nullopt, std::nullopt,
-        std::nullopt, std::nullopt, 0.0});
+        0.0});
     if (opts.time_scheme == TimeScheme::Heun) {
       lb->phi_0.emplace(model_.phi_src(), n, kGhost, ft);
       lb->mu_0.emplace(model_.mu_src(), n, kGhost, ft);
     }
     locals_.push_back(std::move(lb));
   }
-  allocate_flux();
   setup_schedule();
 
   tracer_.configure(opts.trace, /*pid=*/rank);
@@ -190,24 +157,6 @@ Simulation::LocalBlock& Simulation::only_block() const {
   return *locals_.front();
 }
 
-void Simulation::allocate_flux() {
-  const int dims = model_.params().dims;
-  for (auto& lb : locals_) {
-    lb->phi_flux.reset();
-    lb->mu_flux.reset();
-    if (compiled_.phi_flux_field) {
-      lb->phi_flux.emplace(*compiled_.phi_flux_field,
-                           flux_size(lb->block->size, dims), 0,
-                           first_touch_pool());
-    }
-    if (compiled_.mu_flux_field) {
-      lb->mu_flux.emplace(*compiled_.mu_flux_field,
-                          flux_size(lb->block->size, dims), 0,
-                          first_touch_pool());
-    }
-  }
-}
-
 long long Simulation::local_cells() const {
   long long cells = 0;
   for (const auto& lb : locals_) {
@@ -221,12 +170,6 @@ Array* Simulation::array_of(std::uint64_t id, LocalBlock& lb) const {
   if (id == model_.phi_dst()->id()) return &lb.phi_dst;
   if (id == model_.mu_src()->id()) return &lb.mu_src;
   if (id == model_.mu_dst()->id()) return &lb.mu_dst;
-  if (compiled_.phi_flux_field && id == (*compiled_.phi_flux_field)->id()) {
-    return &*lb.phi_flux;
-  }
-  if (compiled_.mu_flux_field && id == (*compiled_.mu_flux_field)->id()) {
-    return &*lb.mu_flux;
-  }
   return nullptr;
 }
 
@@ -291,43 +234,41 @@ void Simulation::setup_schedule() {
   const int align =
       dims == 1 ? std::max(1, compiled_.compile_report().vector_width) : 1;
   slab_plan_ = SlabPlan::make(0, n_outer, nt, align);
+  PFC_ASSERT(compiled_.phi_kernels.size() == 1 &&
+                 compiled_.mu_kernels.size() == 1,
+             "simulation: compile() gives one kernel per PDE");
 
-  // --- interior/frontier regions of every block and kernel ---
+  // --- interior/frontier regions of every block ---
   const bool overlap = opts_.overlap == OverlapMode::InteriorFrontier;
   const int rank = comm_ != nullptr ? comm_->rank() : 0;
-  const auto build = [&](const std::vector<CompiledKernel>& kernels,
-                         std::uint64_t exchanged_id) {
-    const auto widths = frontier_widths(kernels, exchanged_id, kGhost);
-    std::vector<KernelRegions> regions(locals_.size() * kernels.size());
+  const auto build = [&](const CompiledKernel& kernel) {
+    const long long width = frontier_width(kernel, kGhost);
+    const backend::CellRange full = backend::full_range(kernel.ir, n);
+    std::vector<KernelRegions> regions(locals_.size());
     for (std::size_t i = 0; i < locals_.size(); ++i) {
       const auto remote = [&](int side) {
         const grid::Block* nb = forest_.neighbor(*locals_[i]->block, 0, side);
         return nb != nullptr && nb->owner != rank;
       };
-      for (std::size_t k = 0; k < kernels.size(); ++k) {
-        KernelRegions& r = regions[i * kernels.size() + k];
-        const backend::CellRange full = backend::full_range(kernels[k].ir, n);
-        if (overlap) {
-          r.interior = peel_x(full, widths[k], remote(-1), remote(+1),
-                              r.frontier, r.num_frontier);
-        } else {
-          r.interior = backend::CellRange{{0, 0, 0}, {0, 0, 0}};
-          r.frontier[0] = full;
-          r.num_frontier = 1;
-        }
+      KernelRegions& r = regions[i];
+      if (overlap) {
+        r.interior = peel_x(full, width, remote(-1), remote(+1), r.frontier,
+                            r.num_frontier);
+      } else {
+        r.interior = backend::CellRange{{0, 0, 0}, {0, 0, 0}};
+        r.frontier[0] = full;
+        r.num_frontier = 1;
       }
     }
     return regions;
   };
-  phi_regions_ = build(compiled_.phi_kernels, model_.phi_dst()->id());
-  mu_regions_ = build(compiled_.mu_kernels, model_.mu_dst()->id());
-  // Per-step cell accounting on the dst-kernel lattice (the last φ kernel,
-  // extent_plus = 0, so interior + frontier = block cells per block).
-  const std::size_t nk = compiled_.phi_kernels.size();
-  PFC_ASSERT(nk > 0);
+  phi_regions_ = build(compiled_.phi_kernels.front());
+  mu_regions_ = build(compiled_.mu_kernels.front());
+  // Per-step cell accounting on the φ kernel's lattice (extent_plus = 0,
+  // so interior + frontier = block cells per block).
   overlap_interior_cells_ = 0;
-  for (std::size_t i = 0; i < locals_.size(); ++i) {
-    overlap_interior_cells_ += phi_regions_[i * nk + nk - 1].interior.cells();
+  for (const KernelRegions& r : phi_regions_) {
+    overlap_interior_cells_ += r.interior.cells();
   }
   overlap_frontier_cells_ = local_cells() - overlap_interior_cells_;
 
@@ -400,40 +341,37 @@ void Simulation::setup_schedule() {
   wavefront_ = std::move(ws);
 }
 
-void Simulation::run_group(const std::vector<CompiledKernel>& kernels,
+void Simulation::run_group(const CompiledKernel* kernel,
                            const std::vector<KernelRegions>& regions,
                            Array LocalBlock::*dst, int tag, double t) {
   obs::TraceRecorder* tr = trace_this_step_ ? &tracer_ : nullptr;
   const SlabPlan* plan = opts_.dispatch == Dispatch::Static && pool_ != nullptr
                              ? &slab_plan_
                              : nullptr;
-  const std::size_t nk = kernels.size();
-  std::vector<double> seconds(locals_.size() * nk, 0.0);
+  std::vector<double> seconds(locals_.size(), 0.0);
   const auto sweep = [&](bool frontier) {
+    if (kernel == nullptr) return;
     for (std::size_t i = 0; i < locals_.size(); ++i) {
       LocalBlock& lb = *locals_[i];
-      for (std::size_t k = 0; k < nk; ++k) {
-        const KernelRegions& r = regions[i * nk + k];
-        const backend::CellRange* boxes =
-            frontier ? r.frontier.data() : &r.interior;
-        const int count =
-            frontier ? r.num_frontier : int(r.interior.cells() > 0);
-        if (count == 0) continue;
-        const CompiledKernel& ck = kernels[k];
-        const backend::Binding b = bind(ck.ir, lb);
-        const double ts = tr != nullptr ? tr->now_us() : 0.0;
-        Timer timer;
-        for (int s = 0; s < count; ++s) {
-          ck.run(b, lb.block->size, t, step_, pool_.get(), tr,
-                 &boxes[std::size_t(s)], plan);
-        }
-        const double s = timer.seconds();
-        if (tr != nullptr) {
-          tr->complete(ck.ir.name.c_str(), "kernel", ts, s * 1e6, step_,
-                       lb.block->linear_id);
-        }
-        seconds[i * nk + k] += s;
+      const KernelRegions& r = regions[i];
+      const backend::CellRange* boxes =
+          frontier ? r.frontier.data() : &r.interior;
+      const int count =
+          frontier ? r.num_frontier : int(r.interior.cells() > 0);
+      if (count == 0) continue;
+      const backend::Binding b = bind(kernel->ir, lb);
+      const double ts = tr != nullptr ? tr->now_us() : 0.0;
+      Timer timer;
+      for (int s = 0; s < count; ++s) {
+        kernel->run(b, lb.block->size, t, step_, pool_.get(), tr,
+                    &boxes[std::size_t(s)], plan);
       }
+      const double s = timer.seconds();
+      if (tr != nullptr) {
+        tr->complete(kernel->ir.name.c_str(), "kernel", ts, s * 1e6, step_,
+                     lb.block->linear_id);
+      }
+      seconds[i] += s;
     }
   };
 
@@ -479,13 +417,12 @@ void Simulation::run_group(const std::vector<CompiledKernel>& kernels,
                  step_, -1);
   }
 
-  // One add per block/kernel/step, so the drift model's launches ×
+  // One add per block and step, so the drift model's launches ×
   // cells-per-launch accounting holds whatever the schedule.
+  if (kernel == nullptr) return;
   for (std::size_t i = 0; i < locals_.size(); ++i) {
-    for (std::size_t k = 0; k < nk; ++k) {
-      totals_.kernel_timers[kernels[k].ir.name].add(seconds[i * nk + k]);
-      locals_[i]->kernel_seconds += seconds[i * nk + k];
-    }
+    totals_.kernel_timers[kernel->ir.name].add(seconds[i]);
+    locals_[i]->kernel_seconds += seconds[i];
   }
 }
 
@@ -519,17 +456,17 @@ void Simulation::fused_group(double t) {
   ++fused_substeps_;
   // φ_dst's ghosts were completed inside the schedule (transverse per row
   // band, outer axis at the barrier); only µ_dst still needs its exchange.
-  run_group({}, {}, &LocalBlock::mu_dst, kMuDstTag, t);
+  run_group(nullptr, {}, &LocalBlock::mu_dst, kMuDstTag, t);
 }
 
 void Simulation::substep(double t) {
   if (blocking_active()) {
     fused_group(t);
   } else {
-    run_group(compiled_.phi_kernels, phi_regions_, &LocalBlock::phi_dst,
-              kPhiDstTag, t);
-    run_group(compiled_.mu_kernels, mu_regions_, &LocalBlock::mu_dst,
-              kMuDstTag, t);
+    run_group(&compiled_.phi_kernels.front(), phi_regions_,
+              &LocalBlock::phi_dst, kPhiDstTag, t);
+    run_group(&compiled_.mu_kernels.front(), mu_regions_,
+              &LocalBlock::mu_dst, kMuDstTag, t);
   }
   for (auto& lb : locals_) {
     lb->phi_src.swap_data(lb->phi_dst);
@@ -786,11 +723,10 @@ void Simulation::rollback() {
 
 void Simulation::rebuild_with_dt(double new_dt) {
   // with_dt() shares the model's Field handles, so the recompiled kernels
-  // bind to the existing φ/µ arrays; only the flux scratch fields are new.
+  // bind to the existing φ/µ arrays.
   model_ = model_.with_dt(new_dt);
   dt_current_ = new_dt;
   compiled_ = ModelCompiler(opts_.compile).compile(model_);
-  allocate_flux();
   // The schedule holds CompiledKernel/Array pointers into the old compiled
   // model — rebuild it against the fresh one.
   setup_schedule();

@@ -1,11 +1,15 @@
 // The time-stepping driver implementing the paper's Algorithm 1 on this
 // rank's blocks of a block forest (paper §4):
 //
-//   1. φ_dst ← φ-kernel(φ_src^D..C.., µ_src)           ("φ-full"/"φ-split")
+//   1. φ_dst ← φ-full(φ_src^D..C.., µ_src)
 //   2. φ_dst ghost exchange (block-forest copies, messages, wall fills)
-//   3. µ_dst ← µ-kernel(µ_src, φ_src, φ_dst)           ("µ-full"/"µ-split")
+//   3. µ_dst ← µ-full(µ_src, φ_src, φ_dst)
 //   4. µ_dst ghost exchange
 //   5. swap φ_src ↔ φ_dst and µ_src ↔ µ_dst
+//
+// Each step is one kernel per PDE. A kernel whose split form divides less
+// computes its staggered fluxes face-once, in a per-thread window
+// (DESIGN.md §5d), so no block holds a whole-block flux array.
 //
 // Following waLBerla, every run is a block forest: `cells` is the global
 // domain, decomposed into `blocks_per_dim` equal blocks that the Morton
@@ -247,7 +251,6 @@ class Simulation {
   struct LocalBlock {
     const grid::Block* block;
     Array phi_src, phi_dst, mu_src, mu_dst;
-    std::optional<Array> phi_flux, mu_flux;
     /// Heun predictor storage for the state at the step start.
     std::optional<Array> phi_0, mu_0;
     /// Kernel seconds accumulated on this block (block_imbalance).
@@ -258,9 +261,9 @@ class Simulation {
   /// space on one block. The frontier is swept before the exchange begins:
   /// the whole box with overlap off; with overlap on only the x slabs of
   /// faces whose neighbour block is on another rank, the edge cells that
-  /// GhostExchange::begin() packs (directly or through a downstream kernel
-  /// of the same group). Local faces and y/z faces are interior, because
-  /// their copies and packs run in finish(), after the interior sweep.
+  /// GhostExchange::begin() packs. Local faces and y/z faces are interior,
+  /// because their copies and packs run in finish(), after the interior
+  /// sweep.
   struct KernelRegions {
     backend::CellRange interior;
     std::array<backend::CellRange, 2> frontier;
@@ -277,13 +280,12 @@ class Simulation {
   void exchange(Array LocalBlock::*member, int tag);
   std::vector<double> gather(Array LocalBlock::*member) const;
   void init_field(Array LocalBlock::*member, const CellFn& f, int tag);
-  /// (Re)allocates every block's flux scratch arrays for compiled_.
-  void allocate_flux();
   long long local_cells() const;
 
-  /// One kernel group (φ or µ) on every local block, with its ghost
-  /// exchange: frontier sweeps → begin → interior sweeps → finish.
-  void run_group(const std::vector<CompiledKernel>& kernels,
+  /// One PDE's kernel on every local block (regions[block]), with its
+  /// ghost exchange: frontier sweeps → begin → interior sweeps → finish.
+  /// A null kernel runs the exchange alone.
+  void run_group(const CompiledKernel* kernel,
                  const std::vector<KernelRegions>& regions,
                  Array LocalBlock::*dst, int tag, double t);
   /// Fused (wavefront) φ/µ sweeps of the one local block, then the µ
@@ -307,7 +309,7 @@ class Simulation {
   /// configured dt shrink.
   void rollback();
   /// Regenerates + recompiles the kernels with a new dt (dt folds into the
-  /// generated code) and rebinds the flux scratch arrays.
+  /// generated code) and rebuilds the schedule against them.
   void rebuild_with_dt(double new_dt);
   /// Fires FaultPlan::nan_step once when due (right after `step_`
   /// advanced), at a global cell: only the owning block is poisoned.
@@ -333,9 +335,8 @@ class Simulation {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<LocalBlock>> locals_;
   grid::GhostExchange exchange_;
-  /// Interior/frontier decomposition per local block and kernel, flat at
-  /// [block * kernels + kernel] over locals_ and compiled_.phi_kernels /
-  /// mu_kernels.
+  /// Interior/frontier decomposition of the φ and µ kernel per local
+  /// block, in locals_ order.
   std::vector<KernelRegions> phi_regions_, mu_regions_;
   /// Per-step local cell counts of the overlap decomposition (dst-kernel
   /// lattice).

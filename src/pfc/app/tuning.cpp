@@ -21,28 +21,18 @@ constexpr int kTuneBudget = 8;
 constexpr long long kMeasureCellCap = 48;
 constexpr int kMeasureSteps = 4;
 
-/// Lowers the model to optimized IR at one split setting (both PDEs, the
-/// same path ModelCompiler::compile_updates takes).
+/// Lowers the model to the recompute IR of its two kernels, as
+/// ModelCompiler::compile does.
 std::vector<ir::Kernel> lower_model(const GrandChemModel& model,
-                                    const CompileOptions& copts, bool split) {
-  CompileOptions c = copts;
-  c.split_phi = split;
-  c.split_mu = split;
-  fd::DiscretizeOptions dopts;
-  dopts.dims = model.params().dims;
-  dopts.dx = model.params().dx;
-  dopts.dt = model.params().dt;
-  dopts.rng_seed = model.params().rng_seed;
+                                    const CompileOptions& copts) {
   const std::vector<fd::PdeUpdate> updates{model.phi_update(),
                                            model.mu_update()};
   std::vector<ir::Kernel> out;
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    fd::DiscretizeOptions d = dopts;
-    d.split_staggered = split;
-    d.clamp_unit_interval = i == 0 && c.clamp_phi;
-    d.renormalize_simplex = d.clamp_unit_interval;
     std::optional<FieldPtr> flux;
-    std::vector<ir::Kernel> ks = ModelCompiler::lower(updates[i], d, c, &flux);
+    std::vector<ir::Kernel> ks = ModelCompiler::lower(
+        updates[i], ModelCompiler::discretization(model.params(), i, copts),
+        copts, &flux);
     for (auto& k : ks) out.push_back(std::move(k));
   }
   return out;
@@ -63,8 +53,7 @@ std::string tuning_model_hash(const GrandChemModel& model,
   CompileOptions canonical = opts.compile;
   canonical.vector_width = 1;
   canonical.streaming_stores = false;
-  const std::vector<ir::Kernel> kernels =
-      lower_model(model, canonical, /*split=*/false);
+  const std::vector<ir::Kernel> kernels = lower_model(model, canonical);
   backend::CEmitOptions eo;
   eo.fast_math = canonical.fast_math;
   eo.vector_width = 1;
@@ -83,8 +72,6 @@ std::string tuning_model_hash(const GrandChemModel& model,
 
 void apply_tune_candidate(const perf::TuneCandidate& c,
                           SimulationOptions& opts) {
-  opts.compile.split_phi = c.split;
-  opts.compile.split_mu = c.split;
   opts.compile.vector_width = c.vector_width;
   opts.compile.streaming_stores = c.streaming_stores;
   opts.dispatch = support::parse_enum<Dispatch>(c.dispatch);
@@ -96,7 +83,6 @@ void apply_tune_candidate(const perf::TuneCandidate& c,
 
 perf::TuneCandidate candidate_from_options(const SimulationOptions& opts) {
   perf::TuneCandidate c;
-  c.split = opts.compile.split_phi && opts.compile.split_mu;
   if (opts.compile.backend == Backend::Interpreter) {
     c.vector_width = 1;
   } else if (opts.compile.vector_width > 0) {
@@ -149,21 +135,15 @@ obs::TuningStats autotune_apply(const GrandChemModel& model,
                             ? 1
                             : backend::probe_native_vector_width();
 
-  // ECM prior: the per-split kernel sets are lowered once; driver placement
-  // knobs (dispatch/pin/blocking) are invisible to the analytic model, so
-  // candidates differing only there tie and keep enumeration order. A
-  // split=0 candidate is priced as its recompute kernels, including those
-  // that run face-once.
-  const std::vector<ir::Kernel> full_kernels =
-      lower_model(model, opts.compile, /*split=*/false);
-  const std::vector<ir::Kernel> split_kernels =
-      lower_model(model, opts.compile, /*split=*/true);
+  // ECM prior: the kernels are lowered once and priced as their recompute
+  // IR, including those that run face-once. Driver placement knobs
+  // (dispatch/pin/blocking) are invisible to the analytic model, so
+  // candidates differing only there tie and keep enumeration order.
+  const std::vector<ir::Kernel> kernels = lower_model(model, opts.compile);
+  std::vector<const ir::Kernel*> chain;
+  for (const ir::Kernel& k : kernels) chain.push_back(&k);
   const int cores = std::max(1, std::min(opts.threads, opts.machine.cores));
   const perf::PriorFn prior = [&](const perf::TuneCandidate& c) {
-    std::vector<const ir::Kernel*> chain;
-    for (const ir::Kernel& k : c.split ? split_kernels : full_kernels) {
-      chain.push_back(&k);
-    }
     return perf::predicted_chain_mlups(chain, opts.cells, opts.machine,
                                        cores, c.vector_width);
   };

@@ -18,13 +18,13 @@ std::string tuning_cache_dir(const CompileOptions& c);
 /// Content hash identifying the *tuning problem*: SHA-256 over the
 /// canonical (full-kernel, scalar) generated C source of the model plus
 /// the domain extents and thread count. Knobs the tuner itself searches
-/// (split, width, streaming stores, driver placement) are deliberately
-/// excluded so every candidate of one problem shares one key.
+/// (width, streaming stores, driver placement) are deliberately excluded
+/// so every candidate of one problem shares one key.
 std::string tuning_model_hash(const GrandChemModel& model,
                               const SimulationOptions& opts);
 
-/// Writes a candidate's knobs into the options (compile: split/width/
-/// streaming stores; driver: dispatch/blocking/pin).
+/// Writes a candidate's knobs into the options (compile: width/streaming
+/// stores; driver: dispatch/blocking/pin).
 void apply_tune_candidate(const perf::TuneCandidate& c,
                           SimulationOptions& opts);
 

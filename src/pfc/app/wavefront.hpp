@@ -1,6 +1,6 @@
 // Temporal-blocking wavefront schedule (DESIGN.md §11): fuses the φ and µ
-// sweeps of one Euler substep over outer-axis tiles so intermediate fields
-// (staggered fluxes, φ_dst) are consumed while still cache-resident.
+// sweeps of one Euler substep over outer-axis tiles so the µ sweep reads
+// φ_dst while it is still cache-resident.
 //
 // The schedule is derived from the same read-offset analysis marshal()
 // validates ghosts with (backend::read_offset_ranges), generalizing the
@@ -40,7 +40,7 @@ struct WavefrontStage {
   long long edge_hi = 0;
   /// Ghosted array this stage writes that later stages read (φ_dst):
   /// transverse ghosts are filled right after each row band is computed;
-  /// outer-axis ghosts at the barrier. Null for flux/terminal stages.
+  /// outer-axis ghosts at the barrier. Null for the terminal stage.
   Array* ghost_fill = nullptr;
 };
 
@@ -54,8 +54,7 @@ struct WavefrontSchedule {
   bool valid() const { return !stages.empty(); }
 };
 
-/// Builds the schedule for `chain` (φ kernels then µ kernels, execution
-/// order). `ghost` is the ghost-layer count of the ghosted arrays;
+/// Builds the schedule for `chain` (the φ kernel, then the µ kernel). `ghost` is the ghost-layer count of the ghosted arrays;
 /// `array_of` resolves a written field id to its runtime array (used to
 /// attach in-schedule ghost fills). Returns an invalid schedule for 1-D
 /// chains.

@@ -1,6 +1,6 @@
 // The field-list JSON codec every format of the program is declared with
 // (the job spec and its options, the job result, the reports, HealthStats,
-// the checkpoint manifest, the pfc-tune-v1 entry). The module that
+// the checkpoint manifest, the pfc-tune-v2 entry). The module that
 // declares a struct S declares its list next to it,
 //   const FieldList<S>& json_fields(JsonTag<S>);
 // one entry per JSON key (key, member, range check) plus S's cross-field

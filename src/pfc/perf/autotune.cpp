@@ -46,8 +46,8 @@ const obs::JsonFormat kTuneFormat{"tune-cache", /*complete=*/true};
 
 std::string TuneCandidate::label() const {
   std::ostringstream s;
-  s << "split=" << (split ? 1 : 0) << " w=" << vector_width
-    << " nt=" << (streaming_stores ? 1 : 0) << " dispatch=" << dispatch
+  s << "w=" << vector_width << " nt=" << (streaming_stores ? 1 : 0)
+    << " dispatch=" << dispatch
     << " blocking=" << blocking << " tile=" << blocking_tile_rows
     << " pin=" << pin;
   return s.str();
@@ -58,7 +58,6 @@ const obs::FieldList<TuneCandidate>& json_fields(
   using S = TuneCandidate;
   using obs::field;
   static const obs::FieldList<S> f = {
-      field("split", &S::split),
       field("vector_width", &S::vector_width, obs::one_of({1, 2, 4, 8})),
       field("streaming_stores", &S::streaming_stores),
       field("dispatch", &S::dispatch, obs::spelled<support::Dispatch>()),
@@ -104,25 +103,22 @@ std::vector<TuneCandidate> enumerate_candidates(const TuneOptions& o) {
   constexpr long long kFixedTileRows = 16;
 
   std::vector<TuneCandidate> out;
-  for (const bool split : {false, true}) {
-    for (const int w : widths) {
-      for (const bool nt : {false, true}) {
-        if (nt && w == 1) continue;  // scalar loops ignore streaming stores
-        for (const BlockingMode blocking :
-             {BlockingMode::Off, BlockingMode::Auto, BlockingMode::Fixed}) {
-          for (const Dispatch dispatch : dispatches) {
-            for (const PinPolicy pin : pins) {
-              TuneCandidate c;
-              c.split = split;
-              c.vector_width = w;
-              c.streaming_stores = nt;
-              c.dispatch = support::enum_name(dispatch);
-              c.blocking = support::enum_name(blocking);
-              c.blocking_tile_rows =
-                  blocking == BlockingMode::Fixed ? kFixedTileRows : 0;
-              c.pin = support::enum_name(pin);
-              out.push_back(std::move(c));
-            }
+  for (const int w : widths) {
+    for (const bool nt : {false, true}) {
+      if (nt && w == 1) continue;  // scalar loops ignore streaming stores
+      for (const BlockingMode blocking :
+           {BlockingMode::Off, BlockingMode::Auto, BlockingMode::Fixed}) {
+        for (const Dispatch dispatch : dispatches) {
+          for (const PinPolicy pin : pins) {
+            TuneCandidate c;
+            c.vector_width = w;
+            c.streaming_stores = nt;
+            c.dispatch = support::enum_name(dispatch);
+            c.blocking = support::enum_name(blocking);
+            c.blocking_tile_rows =
+                blocking == BlockingMode::Fixed ? kFixedTileRows : 0;
+            c.pin = support::enum_name(pin);
+            out.push_back(std::move(c));
           }
         }
       }

@@ -1,5 +1,6 @@
-// Measured autotuner over the codegen/driver knob space (ROADMAP item 3,
-// paper §5's search story brought to the CPU path): the ECM/layer-condition
+// Measured autotuner over the codegen/driver knob space (SIMD width,
+// streaming stores, temporal blocking, dispatch, pinning; paper §5's search
+// story brought to the CPU path): the ECM/layer-condition
 // model orders the candidates as a *prior*, short measured runs are the
 // ground truth, and the winner persists in a per-(model, machine) tuning
 // cache next to the kernel cache so a warm daemon compiles the fastest
@@ -35,13 +36,12 @@ namespace pfc::perf {
 /// Schema tag of one persisted tuning-cache entry. Any other value (or a
 /// parse failure) makes the entry stale: loads miss and the caller re-runs
 /// the measured search.
-inline constexpr const char* kTuneCacheSchema = "pfc-tune-v1";
+inline constexpr const char* kTuneCacheSchema = "pfc-tune-v2";
 
 /// One point of the knob space. The driver knobs hold the spellings of
 /// support::Dispatch, support::BlockingMode and support::PinPolicy, which
 /// keeps the JSON form self-describing.
 struct TuneCandidate {
-  bool split = false;            ///< split staggered-flux kernels (φ and µ)
   int vector_width = 1;          ///< emitted SIMD width: 1/2/4/8
   bool streaming_stores = false; ///< non-temporal stores (width > 1 only)
   std::string dispatch = support::enum_name(support::Dispatch::Static);
@@ -49,9 +49,9 @@ struct TuneCandidate {
   long long blocking_tile_rows = 0;  ///< rows for BlockingMode::Fixed
   std::string pin = support::enum_name(support::PinPolicy::None);
 
-  /// Canonical one-line label ("split=1 w=4 nt=0 dispatch=static
-  /// blocking=auto tile=0 pin=none") — the identity two candidates are
-  /// compared by and the spelling reports/caches use.
+  /// Canonical one-line label ("w=4 nt=0 dispatch=static blocking=auto
+  /// tile=0 pin=none") — the identity two candidates are compared by and
+  /// the spelling reports/caches use.
   std::string label() const;
 };
 
@@ -98,11 +98,11 @@ using PriorFn = std::function<double(const TuneCandidate&)>;
 /// Short measured run of a candidate; returns MLUPS (ground truth).
 using MeasureFn = std::function<double(const TuneCandidate&)>;
 
-/// The fixed, deterministic candidate enumeration: split × vector_width
-/// (1..max, powers of two) × streaming_stores (vector widths only) ×
-/// blocking (off/auto/fixed-16) × — when multi_threaded — dispatch and pin
-/// policy. Single-thread enumerations keep dispatch "static" and pin
-/// "none".
+/// The fixed, deterministic candidate enumeration: vector_width (1..max,
+/// powers of two) × streaming_stores (vector widths only) × blocking
+/// (off/auto/fixed-16) × — when multi_threaded — dispatch and pin policy:
+/// 21 candidates at max width 8 on one thread, 126 on several.
+/// Single-thread enumerations keep dispatch "static" and pin "none".
 std::vector<TuneCandidate> enumerate_candidates(const TuneOptions& o);
 
 /// Runs the budgeted search: enumerate, order by (baseline, prior desc,
@@ -122,8 +122,9 @@ struct TuneCacheEntry {
   double search_seconds = 0.0;
 };
 
-// The pfc-tune-v1 entry: {"schema", "key", "best": TuneCandidate, ...the
-// TuneCacheEntry fields}; every key is required.
+// The pfc-tune-v2 entry: {"schema", "key", "best": TuneCandidate, ...the
+// TuneCacheEntry fields}; every key is required. A v1 entry (whose
+// candidate carried "split") has another cache key, so it is a miss.
 const obs::FieldList<TuneCandidate>& json_fields(obs::JsonTag<TuneCandidate>);
 const obs::FieldList<TuneCacheEntry>& json_fields(
     obs::JsonTag<TuneCacheEntry>);

@@ -2,7 +2,7 @@
 // (DESIGN.md §11). The fused φ/µ schedule and the statically-owned slab
 // launches must reproduce the reference step order bitwise — same compiled
 // kernels, same ghost values, same Philox noise streams — across boundary
-// kinds, time schemes, kernel splits and SIMD widths.
+// kinds, time schemes, models and SIMD widths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -74,10 +74,8 @@ TEST(BlockingBitwise, TwoPhaseZeroGradient) {
   expect_fused_bitwise(make_two_phase(2), o, 4, 12);
 }
 
-TEST(BlockingBitwise, SplitStaggeredHeun) {
+TEST(BlockingBitwise, P1Heun) {
   SimulationOptions o = base_2d(2);
-  o.compile.split_phi = true;
-  o.compile.split_mu = true;
   o.time_scheme = TimeScheme::Heun;
   GrandChemParams p = make_p1(2);
   p.dt = 0.005;

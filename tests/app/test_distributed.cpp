@@ -27,11 +27,9 @@ double mu_init(long long x, long long y, long long, int) {
   return 0.01 * std::sin(0.2 * double(x)) * std::cos(0.2 * double(y));
 }
 
-std::vector<double> reference_run(const GrandChemModel& model, int steps,
-                                  const CompileOptions& compile = {}) {
+std::vector<double> reference_run(const GrandChemModel& model, int steps) {
   SimulationOptions o;
   o.cells = {32, 32, 1};
-  o.compile = compile;
   Simulation sim(model, o);
   sim.init_phi(&phi_init);
   sim.init_mu(&mu_init);
@@ -110,22 +108,6 @@ TEST(DistributedTest, FourRanksConserveSimplexGlobally) {
     EXPECT_GT(rep.mlups(), 0.0);
     EXPECT_GE(rep.block_imbalance, 1.0);
   });
-}
-
-TEST(DistributedTest, SplitKernelsDistributedMatchReference) {
-  GrandChemModel model(make_two_phase(2));
-  CompileOptions split;
-  split.split_phi = true;
-  split.split_mu = true;
-  const auto ref = reference_run(model, 6, split);
-  SimulationOptions o;
-  o.cells = {32, 32, 1};
-  o.blocks_per_dim = {2, 1, 1};
-  o.compile = split;
-  Simulation dist(model, o, nullptr);
-  dist.init(&phi_init, &mu_init);
-  dist.run(6);
-  EXPECT_EQ(first_bit_difference(dist.gather_phi(), ref), -1);
 }
 
 TEST(DistributedTest, RunZeroStepsYieldsZeroedReport) {

@@ -2,7 +2,7 @@
 // (remote-face frontier first, nonblocking exchange, interior while
 // messages fly) must reproduce the synchronous OverlapMode::Off trajectory
 // bit-for-bit — fields, health scans and noise streams — on multi-rank,
-// multi-block, split-kernel, threaded and wall-bounded configurations.
+// multi-block, threaded and wall-bounded configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,23 +117,6 @@ TEST(DistributedOverlapTest, FourRanksBitwise) {
   });
 }
 
-TEST(DistributedOverlapTest, SplitKernelsFourRanksBitwise) {
-  // split staggered pipelines widen the flux kernel's frontier slab; the
-  // width derivation from read-offset ranges must keep this bitwise too
-  GrandChemModel model(make_two_phase(2));
-  SimulationOptions o;
-  o.cells = {32, 32, 1};
-  o.blocks_per_dim = {2, 2, 1};
-  o.compile.split_phi = true;
-  o.compile.split_mu = true;
-  mpi::run(4, [&](mpi::Comm& comm) {
-    const RunResult off = run_mode(model, o, OverlapMode::Off, &comm, 10);
-    const RunResult on =
-        run_mode(model, o, OverlapMode::InteriorFrontier, &comm, 10);
-    expect_bitwise_equal(off, on);
-  });
-}
-
 TEST(DistributedOverlapTest, ThreadedInteriorBitwise) {
   GrandChemModel model(make_two_phase(2));
   SimulationOptions o;
@@ -152,14 +135,12 @@ TEST(DistributedOverlapTest, MixedLocalRemoteBitwise) {
   // Zero-gradient walls on 4x2 blocks over two ranks: each rank holds
   // blocks with a remote x face, a local x face and a domain wall, so the
   // frontier slabs, the deferred local copies and the deferred boundary
-  // fills all run in one step, with split kernels and a threaded interior.
+  // fills all run in one step, with a threaded interior.
   GrandChemModel model(make_two_phase(2));
   SimulationOptions o;
   o.cells = {32, 32, 1};
   o.blocks_per_dim = {4, 2, 1};
   o.with_boundary(grid::BoundaryKind::ZeroGradient);
-  o.compile.split_phi = true;
-  o.compile.split_mu = true;
   o.with_threads(2);
   o.with_health(obs::HealthOptions{}.enable());
   mpi::run(2, [&](mpi::Comm& comm) {
@@ -169,9 +150,10 @@ TEST(DistributedOverlapTest, MixedLocalRemoteBitwise) {
     expect_bitwise_equal(off, on);
     EXPECT_EQ(off.report.exchange_bytes, on.report.exchange_bytes);
 
-    // the frontier is a slab one vector wide (the ghost layer rounded up
-    // to the SIMD width) on every remote x face of this rank's blocks,
-    // clipped to the block, on the dst lattice
+    // the frontier is a slab one vector wide on every remote x face of
+    // this rank's blocks, clipped to the block: each PDE is one kernel, so
+    // its frontier is the ghost layer rounded up to the kernel's SIMD
+    // width, with no widening for a downstream kernel
     const grid::BlockForest forest(o.cells, o.blocks_per_dim, comm.size(),
                                    /*dims=*/2, o.boundary);
     const long long v = on.vector_width;

@@ -185,15 +185,22 @@ TEST(CompilerTest, SplitProducesTwoKernelsPerPde) {
   GrandChemModel m(make_two_phase(2));
   CompileOptions co;
   co.backend = Backend::Interpreter;
-  co.split_phi = true;
-  co.split_mu = true;
+  fd::DiscretizeOptions d = ModelCompiler::discretization(m.params(), 0, co);
+  d.split_staggered = true;
   ModelCompiler mc(co);
-  CompiledModel cm = mc.compile(m);
-  // 2D: one staggered sweep per axis + the consumer kernel
-  EXPECT_EQ(cm.phi_kernels.size(), 3u);
-  EXPECT_EQ(cm.mu_kernels.size(), 3u);
-  EXPECT_TRUE(cm.phi_flux_field.has_value());
-  EXPECT_TRUE(cm.mu_flux_field.has_value());
+  CompiledModel cm = mc.compile_updates({m.phi_update(), m.mu_update()}, d);
+  // 2D: one staggered sweep per axis + the consumer kernel, which reads the
+  // flux field the staggered sweeps write
+  for (const auto* group : {&cm.phi_kernels, &cm.mu_kernels}) {
+    ASSERT_EQ(group->size(), 3u);
+    const FieldPtr flux = group->front().ir.writes.front();
+    EXPECT_EQ((*group)[1].ir.writes.front()->id(), flux->id());
+    EXPECT_TRUE(group->back().reads().count(flux->id()));
+  }
+  // compile() gives one kernel per PDE
+  const CompiledModel full = mc.compile(m);
+  EXPECT_EQ(full.phi_kernels.size(), 1u);
+  EXPECT_EQ(full.mu_kernels.size(), 1u);
 }
 
 TEST(CompilerTest, JitSourceContainsBothKernels) {

@@ -76,8 +76,6 @@ TEST(OptionsJson, EveryFieldSurvives) {
   opts.threads = 3;
   opts.time_scheme = TimeScheme::Heun;
   opts.compile.backend = Backend::Interpreter;
-  opts.compile.split_phi = true;
-  opts.compile.split_mu = true;
   opts.compile.fast_math = true;
   opts.compile.cse = false;
   opts.compile.hoist_invariants = false;
@@ -141,6 +139,27 @@ Json with(Json j, const std::string& path, const Json& value) {
   const Json* inner = j.find(head);
   return j.set(head, with(inner ? *inner : Json::object(),
                           path.substr(dot + 1), value));
+}
+
+TEST(OptionsJson, RetiredSplitKeysDecodeAndAreNotWritten) {
+  // Specs written while the whole-block flux path existed carry
+  // compile.split_phi/split_mu; they still decode, and nothing writes them.
+  Json j = options_to_json(SimulationOptions{});
+  j = with(j, "compile.split_phi", Json(true));
+  j = with(j, "compile.split_mu", Json(false));
+  const auto back = options_from_json<SimulationOptions>(j, "opts");
+  const Json again = options_to_json(back);
+  EXPECT_EQ(again.find("compile")->find("split_phi"), nullptr);
+  EXPECT_EQ(again.find("compile")->find("split_mu"), nullptr);
+  EXPECT_TRUE(again == options_to_json(SimulationOptions{})) << again.dump(2);
+
+  const JobSpec spec = JobSpec::parse(R"({
+    "schema": "pfc-jobspec-v2", "name": "old", "steps": 2,
+    "simulation": {"cells": [8, 8, 1],
+                   "compile": {"split_phi": true, "split_mu": true}}})");
+  const std::string text = spec.to_json().dump(-1);
+  EXPECT_EQ(text.find("split_phi"), std::string::npos) << text;
+  EXPECT_EQ(text.find("split_mu"), std::string::npos) << text;
 }
 
 TEST(OptionsJson, UnknownKeyNamesThePath) {

@@ -131,24 +131,6 @@ TEST(SimulationPhysicsTest, JitAndInterpreterTrajectoriesAgree) {
   EXPECT_LT(Array::max_abs_diff(sim_jit.mu(), sim_int.mu()), 1e-9);
 }
 
-TEST(SimulationPhysicsTest, SplitAndFullKernelsSameTrajectory) {
-  GrandChemParams p = make_two_phase(2);
-  GrandChemModel m(p);
-  SimulationOptions full = small_2d(32, 32);
-  SimulationOptions split = small_2d(32, 32);
-  split.compile.split_phi = true;
-  split.compile.split_mu = true;
-  Simulation sim_full(m, full);
-  Simulation sim_split(m, split);
-  for (Simulation* s : {&sim_full, &sim_split}) {
-    init_circle(*s, 16, 16, 8, p.epsilon);
-  }
-  sim_full.run(20);
-  sim_split.run(20);
-  EXPECT_LT(Array::max_abs_diff(sim_full.phi(), sim_split.phi()), 1e-9);
-  EXPECT_LT(Array::max_abs_diff(sim_full.mu(), sim_split.mu()), 1e-9);
-}
-
 TEST(SimulationPhysicsTest, ThreadedTrajectoryMatchesSerial) {
   GrandChemParams p = make_two_phase(2);
   GrandChemModel m(p);

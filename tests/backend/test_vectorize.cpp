@@ -411,16 +411,14 @@ TEST(VectorEquivalenceTest, ThreadedVectorMatchesSerialVector) {
   EXPECT_EQ(Array::max_abs_diff(serial, par), 0.0);
 }
 
-/// Full pipeline: the split-staggered grandchem model, scalar vs. width 8,
-/// through the Simulation driver (flux kernels, clamping, Heun staging).
-TEST(VectorEquivalenceTest, SplitStaggeredModelMatches) {
+/// Full pipeline: the P1 grandchem model, scalar vs. width 8, through the
+/// Simulation driver (clamping, Heun staging).
+TEST(VectorEquivalenceTest, P1HeunModelMatches) {
   const auto run_sim = [](int width) {
     app::GrandChemParams params = app::make_p1(2);
     app::GrandChemModel model(params);
     app::SimulationOptions opts;
     opts.cells = {22, 9, 1};
-    opts.compile.split_phi = true;
-    opts.compile.split_mu = true;
     opts.compile.vector_width = width;
     opts.time_scheme = app::TimeScheme::Heun;
     app::Simulation sim(model, opts);

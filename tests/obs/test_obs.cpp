@@ -140,12 +140,10 @@ TEST(ObsReportTest, RunReportJsonHasSharedSchema) {
               1e-12);
 }
 
-app::SimulationOptions interp_opts(bool split) {
+app::SimulationOptions interp_opts() {
   app::SimulationOptions o;
   o.with_cells(24, 24);
   o.compile.backend = app::Backend::Interpreter;
-  o.compile.split_phi = split;
-  o.compile.split_mu = split;
   return o;
 }
 
@@ -161,37 +159,34 @@ void init_disk(app::Simulation& sim) {
 
 TEST(ObsReportTest, RunReportKernelNamesMatchCompiledKernelIrNames) {
   app::GrandChemModel model(app::make_two_phase(2));
-  for (const bool split : {false, true}) {
-    app::Simulation sim(model, interp_opts(split));
-    init_disk(sim);
-    const RunReport rep = sim.run(2);
+  app::Simulation sim(model, interp_opts());
+  init_disk(sim);
+  const RunReport rep = sim.run(2);
 
-    std::vector<std::string> ir_names;
-    for (const auto& ck : sim.compiled().phi_kernels) {
-      ir_names.push_back(ck.ir.name);
-    }
-    for (const auto& ck : sim.compiled().mu_kernels) {
-      ir_names.push_back(ck.ir.name);
-    }
-    ASSERT_EQ(rep.kernel_timers.size(), ir_names.size())
-        << "split=" << split;
-    for (const auto& name : ir_names) {
-      EXPECT_TRUE(rep.kernel_timers.count(name))
-          << "missing kernel timer '" << name << "' (split=" << split << ")";
-      EXPECT_EQ(rep.kernel_timers.at(name).count, 2u) << name;
-    }
-    // and the compile report advertises the same names
-    const auto& cr_names = sim.compiled().compile_report().kernel_names;
-    ASSERT_EQ(cr_names.size(), ir_names.size());
-    for (std::size_t i = 0; i < ir_names.size(); ++i) {
-      EXPECT_EQ(cr_names[i], ir_names[i]);
-    }
+  std::vector<std::string> ir_names;
+  for (const auto& ck : sim.compiled().phi_kernels) {
+    ir_names.push_back(ck.ir.name);
+  }
+  for (const auto& ck : sim.compiled().mu_kernels) {
+    ir_names.push_back(ck.ir.name);
+  }
+  ASSERT_EQ(rep.kernel_timers.size(), ir_names.size());
+  for (const auto& name : ir_names) {
+    EXPECT_TRUE(rep.kernel_timers.count(name))
+        << "missing kernel timer '" << name << "'";
+    EXPECT_EQ(rep.kernel_timers.at(name).count, 2u) << name;
+  }
+  // and the compile report advertises the same names
+  const auto& cr_names = sim.compiled().compile_report().kernel_names;
+  ASSERT_EQ(cr_names.size(), ir_names.size());
+  for (std::size_t i = 0; i < ir_names.size(); ++i) {
+    EXPECT_EQ(cr_names[i], ir_names[i]);
   }
 }
 
 TEST(ObsReportTest, HeunSubstepsCountAsOneLatticeUpdate) {
   app::GrandChemModel model(app::make_two_phase(2));
-  app::SimulationOptions o = interp_opts(false);
+  app::SimulationOptions o = interp_opts();
   o.time_scheme = app::TimeScheme::Heun;
   app::Simulation sim(model, o);
   init_disk(sim);
@@ -206,7 +201,7 @@ TEST(ObsReportTest, HeunSubstepsCountAsOneLatticeUpdate) {
 
 TEST(ObsReportTest, RunZeroStepsYieldsZeroedReport) {
   app::GrandChemModel model(app::make_two_phase(2));
-  app::Simulation sim(model, interp_opts(false));
+  app::Simulation sim(model, interp_opts());
   init_disk(sim);
   const RunReport rep = sim.run(0);
   EXPECT_EQ(rep.steps, 0);
@@ -227,32 +222,30 @@ TEST(ObsReportTest, RunZeroStepsYieldsZeroedReport) {
 
 TEST(ObsReportTest, ModelAccuracyCoversEveryGeneratedKernel) {
   app::GrandChemModel model(app::make_two_phase(2));
-  for (const bool split : {false, true}) {
-    app::Simulation sim(model, interp_opts(split));
-    init_disk(sim);
-    const RunReport rep = sim.run(2);
-    for (const auto& [name, t] : rep.kernel_timers) {
-      const auto it = rep.model_accuracy.find("kernel/" + name);
-      ASSERT_NE(it, rep.model_accuracy.end())
-          << "no model_accuracy entry for kernel " << name;
-      EXPECT_TRUE(std::isfinite(it->second.ratio)) << name;
-      EXPECT_GE(it->second.ratio, 0.0) << name;
-      EXPECT_GE(it->second.predicted_seconds, 0.0) << name;
-      EXPECT_DOUBLE_EQ(it->second.measured_seconds, t.seconds) << name;
-    }
-    EXPECT_TRUE(std::isfinite(rep.worst_model_drift()));
-    // the section survives the JSON round trip
-    const Json j = rep.to_json();
-    ASSERT_NE(j.find("model_accuracy"), nullptr);
-    EXPECT_EQ(j.find("model_accuracy")->items().size(),
-              rep.model_accuracy.size());
-    ASSERT_NE(j.find("derived")->find("worst_model_drift"), nullptr);
+  app::Simulation sim(model, interp_opts());
+  init_disk(sim);
+  const RunReport rep = sim.run(2);
+  for (const auto& [name, t] : rep.kernel_timers) {
+    const auto it = rep.model_accuracy.find("kernel/" + name);
+    ASSERT_NE(it, rep.model_accuracy.end())
+        << "no model_accuracy entry for kernel " << name;
+    EXPECT_TRUE(std::isfinite(it->second.ratio)) << name;
+    EXPECT_GE(it->second.ratio, 0.0) << name;
+    EXPECT_GE(it->second.predicted_seconds, 0.0) << name;
+    EXPECT_DOUBLE_EQ(it->second.measured_seconds, t.seconds) << name;
   }
+  EXPECT_TRUE(std::isfinite(rep.worst_model_drift()));
+  // the section survives the JSON round trip
+  const Json j = rep.to_json();
+  ASSERT_NE(j.find("model_accuracy"), nullptr);
+  EXPECT_EQ(j.find("model_accuracy")->items().size(),
+            rep.model_accuracy.size());
+  ASSERT_NE(j.find("derived")->find("worst_model_drift"), nullptr);
 }
 
 TEST(ObsReportTest, CumulativeAcrossBursts) {
   app::GrandChemModel model(app::make_two_phase(2));
-  app::Simulation sim(model, interp_opts(false));
+  app::Simulation sim(model, interp_opts());
   init_disk(sim);
   const RunReport r1 = sim.run(2);
   const RunReport r2 = sim.run(3);
@@ -312,8 +305,8 @@ RunReport full_run_report() {
   r.tuning.search_seconds = 3.25;
   r.tuning.baseline_mlups = 10.5;
   r.tuning.best_mlups = 12.25;
-  r.tuning.best_config = "split=1 w=4";
-  r.tuning.ranking = {{"split=0 w=1", 9.0, 10.5}, {"split=1 w=4", 11.0, 12.25}};
+  r.tuning.best_config = "w=4 nt=0";
+  r.tuning.ranking = {{"w=1 nt=0", 9.0, 10.5}, {"w=4 nt=0", 11.0, 12.25}};
   return r;
 }
 

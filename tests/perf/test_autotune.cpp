@@ -67,7 +67,6 @@ bool is_lower_hex(const std::string& s) {
 
 TuneCandidate rich_candidate() {
   TuneCandidate c;
-  c.split = true;
   c.vector_width = 4;
   c.streaming_stores = true;
   c.dispatch = "dynamic";
@@ -81,8 +80,8 @@ TuneCandidate rich_candidate() {
 /// a number for a bool, a fraction for an integer, and an integer a double
 /// holds but a long long cannot.
 std::vector<std::pair<std::string, obs::Json>> malformed_candidate_values() {
-  return {{"split", obs::Json("yes")},
-          {"split", obs::Json(1.0)},
+  return {{"streaming_stores", obs::Json("yes")},
+          {"streaming_stores", obs::Json(1.0)},
           {"vector_width", obs::Json(4.5)},
           {"blocking_tile_rows", obs::Json(16.9)},
           {"blocking_tile_rows", obs::Json(1e300)}};
@@ -146,11 +145,14 @@ TEST(TuneSearch, EnumerationIsDeterministicAndPrunesSingleThreadKnobs) {
       EXPECT_EQ(c.blocking_tile_rows, 0);
     }
   }
-  // The multi-threaded space is a strict superset: dispatch and pin open up.
+  // 7 width/streaming pairs × 3 blocking modes.
+  EXPECT_EQ(a.size(), 21u);
+  // The multi-threaded space is a strict superset: dispatch and pin open
+  // up, 2 × 3 per single-thread candidate.
   TuneOptions mt = o;
   mt.multi_threaded = true;
   const std::vector<TuneCandidate> m = enumerate_candidates(mt);
-  EXPECT_GT(m.size(), a.size());
+  EXPECT_EQ(m.size(), 126u);
   bool saw_dynamic = false;
   for (const TuneCandidate& c : m) saw_dynamic |= c.dispatch == "dynamic";
   EXPECT_TRUE(saw_dynamic);
@@ -183,7 +185,7 @@ TEST(TuneSearch, BaselineIsMeasuredFirstAndKeepsExactTies) {
 
 TEST(TuneSearch, StrictlyFasterCandidateReplacesBaseline) {
   TuneOptions o;
-  o.budget = 10;
+  o.budget = 6;  // of the 9 candidates up to width 2
   o.max_vector_width = 2;
   o.multi_threaded = false;
   const TuneResult r = tune(
@@ -193,7 +195,7 @@ TEST(TuneSearch, StrictlyFasterCandidateReplacesBaseline) {
   EXPECT_EQ(r.best_mlups, 4.0);
   EXPECT_EQ(r.baseline_mlups, 1.0);
   EXPECT_GE(r.best_mlups, r.baseline_mlups);
-  EXPECT_EQ(r.measured_runs, 10);
+  EXPECT_EQ(r.measured_runs, 6);
   EXPECT_GT(r.candidates, r.measured_runs);  // budget truncated the space
 }
 
@@ -285,9 +287,9 @@ TEST(TuneCache, CorruptStaleOrMismatchedEntriesMissToFullSearch) {
       text.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());
     }
-    std::string::size_type at = text.find("pfc-tune-v1");
+    std::string::size_type at = text.find("pfc-tune-v2");
     ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::string("pfc-tune-v1").size(), "pfc-tune-v9");
+    text.replace(at, std::string("pfc-tune-v2").size(), "pfc-tune-v9");
     std::ofstream out(tune_cache_path(dir.path, key));
     out << text;
   }
@@ -361,7 +363,7 @@ TEST(AppTuning, CandidateAndOptionsRoundTrip) {
   app::SimulationOptions opts;
   app::apply_tune_candidate(c, opts);
   EXPECT_TRUE(app::candidate_from_options(opts) == c);
-  EXPECT_TRUE(opts.compile.split_phi);
+  EXPECT_TRUE(opts.compile.streaming_stores);
   EXPECT_EQ(opts.compile.vector_width, 4);
   EXPECT_EQ(opts.blocking_tile_rows, 16);
 }

@@ -37,8 +37,7 @@ ir::Kernel diffusion_kernel_3d() {
 
 std::vector<ir::Kernel> p1_kernels(bool split_mu) {
   app::GrandChemModel m(app::make_p1(3));
-  app::CompileOptions co;
-  co.split_mu = split_mu;
+  const app::CompileOptions co;
   fd::DiscretizeOptions dopts;
   dopts.dims = 3;
   dopts.split_staggered = split_mu;
