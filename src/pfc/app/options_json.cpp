@@ -122,8 +122,8 @@ const FieldList<CompileOptions>& json_fields(JsonTag<CompileOptions>) {
   using S = CompileOptions;
   static const FieldList<S> f = {
       field("backend", &S::backend),
-      // Every spec written before the whole-block flux path went carries
-      // both keys; they are read and ignored, never written.
+      // Older builds wrote both keys (whole-block split kernels) into
+      // every spec: read and ignored, never written.
       obs::retired<S>("split_phi"),
       obs::retired<S>("split_mu"),
       field("fast_math", &S::fast_math),
