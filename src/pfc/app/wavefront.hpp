@@ -54,10 +54,10 @@ struct WavefrontSchedule {
   bool valid() const { return !stages.empty(); }
 };
 
-/// Builds the schedule for `chain` (the φ kernel, then the µ kernel). `ghost` is the ghost-layer count of the ghosted arrays;
-/// `array_of` resolves a written field id to its runtime array (used to
-/// attach in-schedule ghost fills). Returns an invalid schedule for 1-D
-/// chains.
+/// Builds the schedule for `chain` (the φ kernel, then the µ kernel).
+/// `ghost` is the ghost-layer count of the ghosted arrays; `array_of`
+/// resolves a written field id to its runtime array (used to attach
+/// in-schedule ghost fills). Returns an invalid schedule for 1-D chains.
 WavefrontSchedule build_wavefront(
     const std::vector<const CompiledKernel*>& chain, int dims, int ghost,
     const std::function<Array*(std::uint64_t)>& array_of);
