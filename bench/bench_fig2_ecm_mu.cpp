@@ -13,8 +13,11 @@
 // full-socket runs.
 #include "bench_common.hpp"
 
+#include <limits>
+
 #include "pfc/app/simulation.hpp"
 #include "pfc/backend/jit.hpp"
+#include "pfc/perf/drift.hpp"
 #include "pfc/perf/ecm.hpp"
 #include "pfc/support/thread_pool.hpp"
 
@@ -69,15 +72,19 @@ int main() {
   const auto lc = perf::TrafficSource::LayerCondition;
   const auto full_ecm =
       perf::ecm_predict(full_kernels[0], block, machine, lc, vw);
-  // split = staggered + consumer kernels; combine as harmonic throughput
-  const auto stag_ecm =
-      perf::ecm_predict(split_kernels[0], block, machine, lc, vw);
-  const auto main_ecm =
-      perf::ecm_predict(split_kernels[1], block, machine, lc, vw);
+  // split = every staggered pass (one per axis) and the consumer, priced as
+  // a chain like Simulation prices a face-once kernel; the chain saturates
+  // when its first kernel does
+  std::vector<const ir::Kernel*> split_chain;
+  int split_saturation = std::numeric_limits<int>::max();
+  for (const ir::Kernel& k : split_kernels) {
+    split_chain.push_back(&k);
+    split_saturation =
+        std::min(split_saturation, perf::ecm_predict(k, block, machine, lc, vw)
+                                       .saturation_cores(machine));
+  }
   const auto split_mlups = [&](int c) {
-    const double a = stag_ecm.mlups(machine, c);
-    const double b = main_ecm.mlups(machine, c);
-    return 1.0 / (1.0 / a + 1.0 / b);
+    return perf::predicted_chain_mlups(split_chain, block, machine, c, vw);
   };
 
   std::printf("%6s %22s %22s\n", "cores", "ECM mu-split [MLUP/s/core]",
@@ -88,9 +95,7 @@ int main() {
   }
   std::printf("\nECM saturation points: mu-split %d cores, mu-full %d cores "
               "(paper: 32 and 83)\n",
-              std::min(main_ecm.saturation_cores(machine),
-                       stag_ecm.saturation_cores(machine)),
-              full_ecm.saturation_cores(machine));
+              split_saturation, full_ecm.saturation_cores(machine));
 
   // --- measured curves on this host ---
   const int max_threads = ThreadPool::hardware_threads();
@@ -121,9 +126,7 @@ int main() {
           "fig2_ecm_mu",
           {{"model_socket_mu_split_mlups", split_mlups(socket)},
            {"model_socket_mu_full_mlups", full_ecm.mlups(machine, socket)},
-           {"model_saturation_cores_mu_split",
-            double(std::min(main_ecm.saturation_cores(machine),
-                            stag_ecm.saturation_cores(machine)))},
+           {"model_saturation_cores_mu_split", double(split_saturation)},
            {"model_saturation_cores_mu_full",
             double(full_ecm.saturation_cores(machine))},
            {"measured_mu_split_mlups", meas_split},

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <vector>
 
 #include "pfc/app/options_json.hpp"
 #include "pfc/app/params.hpp"
@@ -68,9 +67,18 @@ GrandChemParams JobSpec::make_params() const {
 // --- execution ---------------------------------------------------------------
 
 std::uint64_t interior_checksum(const Array& a) {
-  std::vector<double> buf(std::size_t(a.interior_count()));
-  a.copy_interior_out(buf.data());
-  return resilience::fnv1a64(buf.data(), buf.size() * sizeof(double));
+  const auto& n = a.size();
+  const std::size_t row_bytes = std::size_t(n[0]) * sizeof(double);
+  std::uint64_t h = resilience::kFnvOffsetBasis;
+  for (int c = 0; c < a.components(); ++c) {
+    for (long long z = 0; z < n[2]; ++z) {
+      for (long long y = 0; y < n[1]; ++y) {
+        h = resilience::fnv1a64(a.origin(c) + y * a.stride(1) + z * a.stride(2),
+                                row_bytes, h);
+      }
+    }
+  }
+  return h;
 }
 
 const obs::FieldList<JobResult>& json_fields(obs::JsonTag<JobResult>) {
@@ -163,11 +171,8 @@ JobResult run_job(const JobSpec& spec, const ProgressSink& progress,
   result.run = sim.run(int(spec.steps));
   if (tuning.enabled) result.run.tuning = tuning;
   result.compile = sim.compiled().compile_report();
-  const auto checksum = [](const std::vector<double>& v) {
-    return resilience::fnv1a64(v.data(), v.size() * sizeof(double));
-  };
-  result.phi_checksum = checksum(sim.gather_phi());
-  result.mu_checksum = checksum(sim.gather_mu());
+  result.phi_checksum = sim.phi_checksum();
+  result.mu_checksum = sim.mu_checksum();
   return result;
 }
 

@@ -90,11 +90,13 @@ struct JobSpec {
   GrandChemParams make_params() const;
 };
 
-/// What one completed job reports back: the run + compile reports and
-/// FNV-1a checksums of the gathered global φ/µ interiors (component, z, y,
-/// x order — interior_checksum's order, so a one-block run hashes the same
-/// bytes), so two runs of the same spec on any block layout can be
-/// compared bitwise without shipping field data.
+/// What one completed job reports back: the run + compile reports and the
+/// state digests (resilience::fnv1a64, DESIGN.md §7) of the global φ/µ
+/// interiors in (component, z, y, x) order, hashed in place across the
+/// blocks (Simulation::phi_checksum). A one-block run digests the same
+/// words as interior_checksum, so two runs of the same spec on any block
+/// layout can be compared bitwise without shipping field data. The JSON
+/// keys keep their names, "phi_fnv1a64" and "mu_fnv1a64".
 struct JobResult {
   std::string name;
   long long steps = 0;
@@ -118,8 +120,10 @@ const obs::FieldList<JobResult>& json_fields(obs::JsonTag<JobResult>);
 JobResult run_job(const JobSpec& spec, const ProgressSink& progress = nullptr,
                   const CancelToken* cancel = nullptr);
 
-/// FNV-1a over the interior cells of `a`, component-major (test utility;
-/// what JobResult's checksums are computed with).
+/// The state digest (resilience::fnv1a64) of the interior cells of `a` in
+/// (c, z, y, x) order, hashed row by row in place: equal to fnv1a64 over
+/// copy_interior_out's buffer, without the copy. A one-block JobResult's
+/// checksums are this digest of φ and µ.
 std::uint64_t interior_checksum(const Array& a);
 
 }  // namespace pfc::app

@@ -199,19 +199,41 @@ void Simulation::exchange(Array LocalBlock::*member, int tag) {
 
 void Simulation::init_field(Array LocalBlock::*member, const CellFn& f,
                             int tag) {
+  // Each worker writes the outer-axis rows of its static slab, the rows it
+  // first-touched and sweeps. In 1-D the outer axis is x itself, so the
+  // caller writes the one y row as a single slab, as it does without a pool.
+  const int dims = model_.params().dims;
+  const int outer = std::max(1, dims - 1);
+  ThreadPool* pool = dims > 1 ? pool_.get() : nullptr;
   for (auto& lb : locals_) {
     Array& a = (*lb).*member;
     const auto& off = lb->block->offset;
     const auto& n = lb->block->size;
-    for (int c = 0; c < a.components(); ++c) {
-      for (long long z = 0; z < n[2]; ++z) {
-        for (long long y = 0; y < n[1]; ++y) {
-          for (long long x = 0; x < n[0]; ++x) {
-            a.at(x, y, z, c) = f(x + off[0], y + off[1], z + off[2], c);
+    const auto rows = [&](long long lo, long long hi) {
+      const long long z_lo = outer == 2 ? lo : 0;
+      const long long z_hi = outer == 2 ? hi : n[2];
+      const long long y_lo = outer == 1 ? lo : 0;
+      const long long y_hi = outer == 1 ? hi : n[1];
+      for (int c = 0; c < a.components(); ++c) {
+        for (long long z = z_lo; z < z_hi; ++z) {
+          for (long long y = y_lo; y < y_hi; ++y) {
+            double* row = a.origin(c) + y * a.stride(1) + z * a.stride(2);
+            for (long long x = 0; x < n[0]; ++x) {
+              row[x] = f(x + off[0], y + off[1], z + off[2], c);
+            }
           }
         }
       }
+    };
+    const long long n_outer = n[std::size_t(outer)];
+    if (pool == nullptr) {
+      rows(0, n_outer);
+      continue;
     }
+    pool->run_on_all([&](int w) {
+      const auto [lo, hi] = slab_plan_.slab(w, 0, n_outer);
+      if (lo < hi) rows(lo, hi);
+    });
   }
   exchange(member, tag);
 }
@@ -785,6 +807,52 @@ void Simulation::restore_from_disk() {
 }
 
 // --- gathers ------------------------------------------------------------------
+
+const Array& Simulation::local_phi(int i) const {
+  return locals_.at(std::size_t(i))->phi_src;
+}
+
+const Array& Simulation::local_mu(int i) const {
+  return locals_.at(std::size_t(i))->mu_src;
+}
+
+std::uint64_t Simulation::checksum(Array LocalBlock::*member) const {
+  const std::size_t blocks = forest_.blocks().size();
+  PFC_REQUIRE(locals_.size() == blocks,
+              "simulation: phi_checksum()/mu_checksum() need every block on "
+              "this rank (it holds " + std::to_string(locals_.size()) +
+                  " of " + std::to_string(blocks) +
+                  "); digest gather_phi()/gather_mu() instead");
+  // The local arrays by block index, x fastest.
+  const std::array<int, 3>& nb = opts_.blocks_per_dim;
+  std::vector<const Array*> by_index(blocks);
+  for (const auto& lb : locals_) {
+    const auto& i = lb->block->index;
+    by_index[std::size_t(i[0] + nb[0] * (i[1] + nb[1] * i[2]))] =
+        &((*lb).*member);
+  }
+  // Global (c, z, y) rows in gather() order, each the chain of its blocks'
+  // row segments in x.
+  const auto& g = forest_.global_cells();
+  const auto& n = forest_.blocks().front().size;
+  const std::size_t row_bytes = std::size_t(n[0]) * sizeof(double);
+  std::uint64_t h = resilience::kFnvOffsetBasis;
+  for (int c = 0; c < by_index.front()->components(); ++c) {
+    for (long long z = 0; z < g[2]; ++z) {
+      for (long long y = 0; y < g[1]; ++y) {
+        const std::size_t row_of_blocks =
+            std::size_t(nb[0]) * std::size_t(y / n[1] + nb[1] * (z / n[2]));
+        for (int bx = 0; bx < nb[0]; ++bx) {
+          const Array& a = *by_index[row_of_blocks + std::size_t(bx)];
+          h = resilience::fnv1a64(a.origin(c) + (y % n[1]) * a.stride(1) +
+                                      (z % n[2]) * a.stride(2),
+                                  row_bytes, h);
+        }
+      }
+    }
+  }
+  return h;
+}
 
 double Simulation::local_phi_sum(int c) const {
   double s = 0.0;

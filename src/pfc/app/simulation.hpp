@@ -195,8 +195,19 @@ class Simulation {
   const Array& phi() const { return only_block().phi_src; }
   const Array& mu() const { return only_block().mu_src; }
 
+  /// φ / µ of local block i (0 <= i < num_local_blocks()), ghosts
+  /// included, on any layout.
+  const Array& local_phi(int i) const;
+  const Array& local_mu(int i) const;
+
   /// Set φ/µ over every local interior cell from *global* coordinates,
   /// then exchange ghosts. Collective: every rank calls them in order.
+  /// With threads > 1 (and dims > 1), `f` is called concurrently from the
+  /// pool's workers, each on the outer-axis rows of its static slab, so it
+  /// must be safe to call from several threads: a pure function of its
+  /// arguments is. Every cell gets the value of one call, so the state is
+  /// the same on any number of threads. A throw from `f` propagates once
+  /// every worker is done.
   void init_phi(const CellFn& f);
   void init_mu(const CellFn& f);
   void init(const CellFn& phi_f, const CellFn& mu_f) {
@@ -247,6 +258,13 @@ class Simulation {
   std::vector<double> gather_phi() const { return gather(&LocalBlock::phi_src); }
   std::vector<double> gather_mu() const { return gather(&LocalBlock::mu_src); }
 
+  /// resilience::fnv1a64 of gather_phi() / gather_mu(), hashed in place:
+  /// each global (c, z, y) row chains its blocks' row segments, and no copy
+  /// is made. On one block this is interior_checksum(phi()). The rank must
+  /// hold every block (throws otherwise; digest a gather instead).
+  std::uint64_t phi_checksum() const { return checksum(&LocalBlock::phi_src); }
+  std::uint64_t mu_checksum() const { return checksum(&LocalBlock::mu_src); }
+
  private:
   struct LocalBlock {
     const grid::Block* block;
@@ -279,6 +297,7 @@ class Simulation {
   /// restore and rollback; the step itself uses begin/finish).
   void exchange(Array LocalBlock::*member, int tag);
   std::vector<double> gather(Array LocalBlock::*member) const;
+  std::uint64_t checksum(Array LocalBlock::*member) const;
   void init_field(Array LocalBlock::*member, const CellFn& f, int tag);
   long long local_cells() const;
 

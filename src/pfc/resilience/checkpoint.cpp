@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "pfc/field/array.hpp"
@@ -31,6 +32,17 @@ struct FileCloser {
     if (f != nullptr) std::fclose(f);
   }
 };
+
+/// murmur3's 64-bit finalizer: a bijection that spreads every input bit
+/// over the whole word.
+std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
+}
 
 }  // namespace
 
@@ -92,12 +104,20 @@ const obs::FieldList<Manifest>& json_fields(obs::JsonTag<Manifest>) {
   return f;
 }
 
-std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
+// FNV-1a's byte chain costs ~4 cycles per byte and has no exact parallel
+// form; one round per word is 8x fewer. Both steps of a round are
+// bijections, so changing any one word changes the digest, and the premix
+// keeps two flips of one bit (say two signs) from cancelling, as they do
+// under an odd multiplier alone.
+std::uint64_t fnv1a64(const void* data, std::size_t bytes, std::uint64_t h) {
+  PFC_REQUIRE(bytes % sizeof(std::uint64_t) == 0,
+              "fnv1a64: " + std::to_string(bytes) +
+                  " bytes are not whole 64-bit words");
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+  for (std::size_t i = 0; i < bytes; i += sizeof(std::uint64_t)) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof w);
+    h = (h ^ fmix64(w)) * 1099511628211ull;
   }
   return h;
 }

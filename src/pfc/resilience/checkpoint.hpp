@@ -4,8 +4,8 @@
 // cells of every registered array, concatenated as raw doubles) plus a JSON
 // manifest recording the schema version, step/time/dt/seed, a driver layout
 // signature, the accumulated health findings, and per-array shapes, offsets
-// and FNV-1a 64 checksums (DESIGN.md §7), declared once as a field list
-// (obs/json_fields.hpp) that write_checkpoint and read_manifest walk. Both
+// and state digests (fnv1a64 below, DESIGN.md §7), declared once as a field
+// list (obs/json_fields.hpp) that write_checkpoint and read_manifest walk. Both
 // files are written atomically (tmp + rename, the same helper every JSON
 // artifact uses), and the manifest is written last — a readable manifest
 // therefore implies a complete state file. waLBerla's block-structured
@@ -36,7 +36,9 @@ class Array;  // field/array.hpp
 
 namespace pfc::resilience {
 
-inline constexpr const char* kCheckpointSchema = "pfc-checkpoint-v1";
+/// v2: the array digests are fnv1a64's word digest; v1 manifests carried a
+/// byte-wise FNV-1a and are refused by their tag.
+inline constexpr const char* kCheckpointSchema = "pfc-checkpoint-v2";
 
 /// Everything a restart needs besides the field data.
 struct CheckpointMeta {
@@ -105,8 +107,16 @@ CheckpointMeta read_checkpoint(const std::string& dir,
                                const std::string& expect_layout = "",
                                int rank = -1);
 
-/// FNV-1a 64 over raw bytes (the manifest's per-array checksum).
-std::uint64_t fnv1a64(const void* data, std::size_t bytes);
+/// FNV-1a 64's offset basis: where every digest chain starts.
+inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+/// The state digest (DESIGN.md §7) of the manifest's arrays and of a job's
+/// φ/µ: FNV-1a 64's basis and prime over 64-bit words, each premixed by
+/// murmur3's finalizer, h = (h ⊕ fmix64(w)) · 0x100000001b3. `bytes` must
+/// be a multiple of 8. Passing a digest as `h` continues its chain, so
+/// hashing rows one after another equals hashing their concatenation.
+std::uint64_t fnv1a64(const void* data, std::size_t bytes,
+                      std::uint64_t h = kFnvOffsetBasis);
 
 /// In-memory rollback target for health-driven recovery.
 class Snapshot {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 
 #include "pfc/support/assert.hpp"
 
@@ -130,9 +131,15 @@ void ThreadPool::worker_main(int index) {
       seen = generation_;
       fn = current_;
     }
-    fn(index);
+    std::exception_ptr error;
+    try {
+      fn(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard lock(mutex_);
+      if (error && !error_) error_ = error;
       if (--pending_ == 0) cv_done_.notify_all();
     }
   }
@@ -150,9 +157,19 @@ void ThreadPool::run_on_all(const std::function<void(int)>& fn) {
     ++generation_;
   }
   cv_start_.notify_all();
-  fn(0);
+  std::exception_ptr error;
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
   std::unique_lock lock(mutex_);
+  if (error && !error_) error_ = error;
+  // The workers read fn's captures: leave only once every one is done.
   cv_done_.wait(lock, [&] { return pending_ == 0; });
+  error = std::exchange(error_, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_for(

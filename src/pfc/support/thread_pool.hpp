@@ -12,6 +12,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -82,7 +83,9 @@ class ThreadPool {
                     std::int64_t chunk_align = 1);
 
   /// Runs fn(thread_index) once on every pool member (including the caller,
-  /// which gets index 0). Blocks until done.
+  /// which gets index 0). Blocks until done. When fn throws on any member,
+  /// the first exception thrown is rethrown on the caller once every member
+  /// has returned; the pool stays usable.
   void run_on_all(const std::function<void(int)>& fn);
 
   /// Number of usable hardware threads, at least 1. Respects the process
@@ -91,11 +94,6 @@ class ThreadPool {
   static int hardware_threads();
 
  private:
-  struct Task {
-    std::function<void(int)> fn;  // receives worker index (1-based)
-    std::uint64_t generation = 0;
-  };
-
   void worker_main(int index);
   void apply_pinning();
 
@@ -106,6 +104,8 @@ class ThreadPool {
   std::function<void(int)> current_;
   std::uint64_t generation_ = 0;
   int pending_ = 0;
+  /// The first exception a member of the current run_on_all threw.
+  std::exception_ptr error_;
   bool stop_ = false;
 
   support::PinPolicy pin_ = support::PinPolicy::None;

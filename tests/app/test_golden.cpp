@@ -1,8 +1,11 @@
-// Golden checksums (ctest golden_checksums): the φ/µ FNV-1a checksums of
-// two tiny runs through app::run_job, pinned so that the reference cannot
-// drift silently. Each spec runs on one thread from the default initial
-// state, with the JIT at widths 1 and 8; both widths give one checksum. A
-// change that moves these bits on purpose updates the table and says so.
+// Golden checksums (ctest golden_checksums): the φ/µ state digests
+// (resilience::fnv1a64, DESIGN.md §7) of two tiny runs through
+// app::run_job, pinned so that the reference cannot drift silently. Each
+// spec runs on one thread from the default initial state, with the JIT at
+// widths 1 and 8; both widths give one checksum. A change that moves these
+// bits on purpose updates the table and says so. The table was re-pinned
+// once when the digest went from byte-wise FNV-1a to the word digest; the
+// state itself still hashed, byte-wise, to the values before.
 //
 // The interpreter is not pinned: it still rounds P1 φ differently from the
 // JIT tiers.
@@ -35,10 +38,10 @@ struct Golden {
 
 TEST(GoldenChecksums, P1AndP2AtWidthsOneAndEight) {
   const Golden rows[] = {
-      {"P1 3-D", "p1", 3, {16, 16, 16}, 3, "8570782b02db0fb7",
-       "ad7c0ed308025abc"},
+      {"P1 3-D", "p1", 3, {16, 16, 16}, 3, "c266165c95b153ff",
+       "5bd99682560d34c5"},
       {"P2 2-D with Philox noise", "p2", 2, {64, 64, 1}, 5,
-       "428ce671b4c45c39", "2a84c3d05a2004a0"}};
+       "c6c8e3259e968a3b", "0feb3ea1e17b6e49"}};
   for (const Golden& g : rows) {
     for (const int width : {1, 8}) {
       JobSpec spec;

@@ -298,6 +298,39 @@ TEST(CheckpointRestart, ChecksumCatchesBitFlip) {
                Error);
 }
 
+// A v1 manifest's digests are byte-wise FNV-1a, which no build computes any
+// more: the manifest is refused by its tag, naming both, before any digest
+// could call its state corrupt.
+TEST(CheckpointRestart, RefusesAVersionOneManifestByItsTag) {
+  TempDir dir("v1");
+  ASSERT_FALSE(dir.path.empty());
+  const FieldPtr f = Field::create("a", 2, 1);
+  Array a(f, {4, 2, 1}, 1);
+  resilience::CheckpointMeta meta;
+  meta.dt = 0.25;
+  meta.layout = "test";
+  resilience::write_checkpoint(dir.path, meta, {{"a", &a}});
+  const std::string path = resilience::manifest_path(dir.path);
+  obs::Json j;
+  {
+    std::ifstream in(path);
+    j = obs::Json::parse(std::string(std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>()));
+  }
+  EXPECT_EQ(j.find("schema")->str(), "pfc-checkpoint-v2");
+  j.set("schema", obs::Json("pfc-checkpoint-v1"));
+  obs::write_json(path, j);
+  try {
+    resilience::read_checkpoint(dir.path, {{"a", &a}});
+    ADD_FAILURE() << "a v1 manifest was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pfc-checkpoint-v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("pfc-checkpoint-v2"), std::string::npos) << what;
+    EXPECT_EQ(what.find("corrupt"), std::string::npos) << what;
+  }
+}
+
 // A run split by a restart reports the steps it ran, not the position it
 // reached: the counters, the exchange timer and the model's exchange
 // price all cover the same steps.

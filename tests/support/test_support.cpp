@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "pfc/app/analysis.hpp"
 #include "pfc/app/params.hpp"
@@ -56,6 +60,43 @@ TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
     });
   }
   EXPECT_EQ(total.load(), 5000);
+}
+
+// A throw on any member reaches the caller once, and only after every
+// other member has returned (they read the caller's frame); the pool keeps
+// working afterwards.
+TEST(ThreadPoolTest, ThrowOnAnyWorkerIsRethrownAfterJoin) {
+  ThreadPool pool(3);
+  for (const int thrower : {0, 2}) {
+    std::atomic<int> finished{0};
+    int caught = 0;
+    try {
+      pool.run_on_all([&](int idx) {
+        if (idx == thrower) {
+          throw std::runtime_error("worker " + std::to_string(idx));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+      });
+    } catch (const std::runtime_error& e) {
+      ++caught;
+      EXPECT_EQ(std::string(e.what()), "worker " + std::to_string(thrower));
+      EXPECT_EQ(finished.load(), 2) << "rethrown before the others returned";
+    }
+    EXPECT_EQ(caught, 1) << "thrower " << thrower;
+  }
+  // every member throws: still one exception
+  int caught = 0;
+  try {
+    pool.run_on_all([](int idx) { throw idx; });
+  } catch (int) {
+    ++caught;
+  }
+  EXPECT_EQ(caught, 1);
+
+  std::vector<std::atomic<int>> seen(3);
+  pool.run_on_all([&](int idx) { seen[std::size_t(idx)].fetch_add(1); });
+  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
 TEST(AlignedTest, AllocationAligned) {
