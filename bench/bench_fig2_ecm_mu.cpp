@@ -74,7 +74,7 @@ int main() {
       perf::ecm_predict(full_kernels[0], block, machine, lc, vw);
   // split = every staggered pass (one per axis) and the consumer, priced as
   // a chain like Simulation prices a face-once kernel; the chain saturates
-  // when its first kernel does
+  // at the fewest cores any of its kernels saturates at
   std::vector<const ir::Kernel*> split_chain;
   int split_saturation = std::numeric_limits<int>::max();
   for (const ir::Kernel& k : split_kernels) {

@@ -210,13 +210,12 @@ void Simulation::init_field(Array LocalBlock::*member, const CellFn& f,
     const auto& off = lb->block->offset;
     const auto& n = lb->block->size;
     const auto rows = [&](long long lo, long long hi) {
-      const long long z_lo = outer == 2 ? lo : 0;
-      const long long z_hi = outer == 2 ? hi : n[2];
-      const long long y_lo = outer == 1 ? lo : 0;
-      const long long y_hi = outer == 1 ? hi : n[1];
+      std::array<long long, 3> from{0, 0, 0}, to = n;
+      from[std::size_t(outer)] = lo;
+      to[std::size_t(outer)] = hi;
       for (int c = 0; c < a.components(); ++c) {
-        for (long long z = z_lo; z < z_hi; ++z) {
-          for (long long y = y_lo; y < y_hi; ++y) {
+        for (long long z = from[2]; z < to[2]; ++z) {
+          for (long long y = from[1]; y < to[1]; ++y) {
             double* row = a.origin(c) + y * a.stride(1) + z * a.stride(2);
             for (long long x = 0; x < n[0]; ++x) {
               row[x] = f(x + off[0], y + off[1], z + off[2], c);
