@@ -9,8 +9,10 @@
 // µ-full the kernel a Simulation runs, face-once (DESIGN.md §5d). The paper's
 // qualitative result under test: µ-full scales flat (compute bound,
 // saturation ~83 cores), µ-split decays per core (data bound, saturation
-// ~32 cores), with a crossover that makes µ-split the right choice for
-// full-socket runs.
+// ~32 cores). The paper's crossover, which makes µ-split the right choice
+// for full-socket runs, is not reproduced: priced as its whole chain
+// (every staggered pass and the consumer), µ-split never beats µ-full per
+// core in the model.
 #include "bench_common.hpp"
 
 #include <limits>

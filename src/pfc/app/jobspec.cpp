@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "pfc/app/options_json.hpp"
 #include "pfc/app/params.hpp"
@@ -171,8 +172,11 @@ JobResult run_job(const JobSpec& spec, const ProgressSink& progress,
   result.run = sim.run(int(spec.steps));
   if (tuning.enabled) result.run.tuning = tuning;
   result.compile = sim.compiled().compile_report();
-  result.phi_checksum = sim.phi_checksum();
-  result.mu_checksum = sim.mu_checksum();
+  const auto checksum = [](const std::vector<double>& v) {
+    return resilience::fnv1a64(v.data(), v.size() * sizeof(double));
+  };
+  result.phi_checksum = checksum(sim.gather_phi());
+  result.mu_checksum = checksum(sim.gather_mu());
   return result;
 }
 

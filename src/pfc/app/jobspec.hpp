@@ -91,12 +91,11 @@ struct JobSpec {
 };
 
 /// What one completed job reports back: the run + compile reports and the
-/// state digests (resilience::fnv1a64, DESIGN.md §7) of the global φ/µ
-/// interiors in (component, z, y, x) order, hashed in place across the
-/// blocks (Simulation::phi_checksum). A one-block run digests the same
-/// words as interior_checksum, so two runs of the same spec on any block
-/// layout can be compared bitwise without shipping field data. The JSON
-/// keys keep their names, "phi_fnv1a64" and "mu_fnv1a64".
+/// state digests (resilience::fnv1a64, DESIGN.md §7) of the gathered global
+/// φ/µ interiors (component, z, y, x order — interior_checksum's order, so
+/// a one-block run hashes the same words), so two runs of the same spec on
+/// any block layout can be compared bitwise without shipping field data.
+/// The JSON keys keep their names, "phi_fnv1a64" and "mu_fnv1a64".
 struct JobResult {
   std::string name;
   long long steps = 0;

@@ -807,52 +807,6 @@ void Simulation::restore_from_disk() {
 
 // --- gathers ------------------------------------------------------------------
 
-const Array& Simulation::local_phi(int i) const {
-  return locals_.at(std::size_t(i))->phi_src;
-}
-
-const Array& Simulation::local_mu(int i) const {
-  return locals_.at(std::size_t(i))->mu_src;
-}
-
-std::uint64_t Simulation::checksum(Array LocalBlock::*member) const {
-  const std::size_t blocks = forest_.blocks().size();
-  PFC_REQUIRE(locals_.size() == blocks,
-              "simulation: phi_checksum()/mu_checksum() need every block on "
-              "this rank (it holds " + std::to_string(locals_.size()) +
-                  " of " + std::to_string(blocks) +
-                  "); digest gather_phi()/gather_mu() instead");
-  // The local arrays by block index, x fastest.
-  const std::array<int, 3>& nb = opts_.blocks_per_dim;
-  std::vector<const Array*> by_index(blocks);
-  for (const auto& lb : locals_) {
-    const auto& i = lb->block->index;
-    by_index[std::size_t(i[0] + nb[0] * (i[1] + nb[1] * i[2]))] =
-        &((*lb).*member);
-  }
-  // Global (c, z, y) rows in gather() order, each the chain of its blocks'
-  // row segments in x.
-  const auto& g = forest_.global_cells();
-  const auto& n = forest_.blocks().front().size;
-  const std::size_t row_bytes = std::size_t(n[0]) * sizeof(double);
-  std::uint64_t h = resilience::kFnvOffsetBasis;
-  for (int c = 0; c < by_index.front()->components(); ++c) {
-    for (long long z = 0; z < g[2]; ++z) {
-      for (long long y = 0; y < g[1]; ++y) {
-        const std::size_t row_of_blocks =
-            std::size_t(nb[0]) * std::size_t(y / n[1] + nb[1] * (z / n[2]));
-        for (int bx = 0; bx < nb[0]; ++bx) {
-          const Array& a = *by_index[row_of_blocks + std::size_t(bx)];
-          h = resilience::fnv1a64(a.origin(c) + (y % n[1]) * a.stride(1) +
-                                      (z % n[2]) * a.stride(2),
-                                  row_bytes, h);
-        }
-      }
-    }
-  }
-  return h;
-}
-
 double Simulation::local_phi_sum(int c) const {
   double s = 0.0;
   for (const auto& lb : locals_) s += lb->phi_src.interior_sum(c);

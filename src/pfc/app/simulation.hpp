@@ -195,11 +195,6 @@ class Simulation {
   const Array& phi() const { return only_block().phi_src; }
   const Array& mu() const { return only_block().mu_src; }
 
-  /// φ / µ of local block i (0 <= i < num_local_blocks()), ghosts
-  /// included, on any layout.
-  const Array& local_phi(int i) const;
-  const Array& local_mu(int i) const;
-
   /// Set φ/µ over every local interior cell from *global* coordinates,
   /// then exchange ghosts. Collective: every rank calls them in order.
   /// With threads > 1 (and dims > 1), `f` is called concurrently from the
@@ -258,13 +253,6 @@ class Simulation {
   std::vector<double> gather_phi() const { return gather(&LocalBlock::phi_src); }
   std::vector<double> gather_mu() const { return gather(&LocalBlock::mu_src); }
 
-  /// resilience::fnv1a64 of gather_phi() / gather_mu(), hashed in place:
-  /// each global (c, z, y) row chains its blocks' row segments, and no copy
-  /// is made. On one block this is interior_checksum(phi()). The rank must
-  /// hold every block (throws otherwise; digest a gather instead).
-  std::uint64_t phi_checksum() const { return checksum(&LocalBlock::phi_src); }
-  std::uint64_t mu_checksum() const { return checksum(&LocalBlock::mu_src); }
-
  private:
   struct LocalBlock {
     const grid::Block* block;
@@ -297,7 +285,6 @@ class Simulation {
   /// restore and rollback; the step itself uses begin/finish).
   void exchange(Array LocalBlock::*member, int tag);
   std::vector<double> gather(Array LocalBlock::*member) const;
-  std::uint64_t checksum(Array LocalBlock::*member) const;
   void init_field(Array LocalBlock::*member, const CellFn& f, int tag);
   long long local_cells() const;
 

@@ -3,9 +3,7 @@
 // app::run_job, pinned so that the reference cannot drift silently. Each
 // spec runs on one thread from the default initial state, with the JIT at
 // widths 1 and 8; both widths give one checksum. A change that moves these
-// bits on purpose updates the table and says so. The table was re-pinned
-// once when the digest went from byte-wise FNV-1a to the word digest; the
-// state itself still hashed, byte-wise, to the values before.
+// bits on purpose updates the table and says so.
 //
 // The interpreter is not pinned: it still rounds P1 φ differently from the
 // JIT tiers.
